@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .cluster import (
     Clustering,
+    Decomposition,
     mis_via_decomposition,
     network_decomposition,
     strong_cluster,
@@ -152,23 +153,14 @@ def _cmd_mis(args) -> int:
 def _cmd_verify(args) -> int:
     g, ids = _load_graph(args)
     artifact = json.loads(Path(args.artifact).read_text())
+    if not isinstance(artifact, dict):
+        raise GraphError(f"artifact {args.artifact}: expected a JSON object")
     if "color_of" in artifact:
-        report = check_decomposition(
-            g,
-            _decomposition_from_doc(artifact),
-            ids.b,
-            ids,
-        )
+        report = check_decomposition(g, _decomposition_from_doc(artifact, g.n), ids.b, ids)
     elif "clusters" in artifact:
-        clustering = Clustering(
-            n=artifact["n"], b=artifact["b"],
-            clusters=tuple((c["terminal"], tuple(c["nodes"])) for c in artifact["clusters"]),
-            unclustered=tuple(artifact["unclustered"]),
-            ruling_radius_bound=4 * artifact["b"] ** 3,
-        )
-        report = check_clustering(g, clustering, artifact["b"], ids)
+        report = check_clustering(g, _clustering_from_doc(artifact, g.n, ids.b), ids.b, ids)
     elif "mis" in artifact:
-        report = check_mis(g, artifact["mis"], ids)
+        report = check_mis(g, _int_list(artifact, "mis"), ids)
     else:
         raise GraphError(f"unrecognized artifact {args.artifact}")
     if args.json:
@@ -178,10 +170,45 @@ def _cmd_verify(args) -> int:
     return 0 if report.all_pass else 1
 
 
-def _decomposition_from_doc(doc: dict):
-    from .cluster import Decomposition
+# Artifact schema: a missing or mistyped field is an input error (exit 2);
+# values that are well-formed but wrong are left to the checkers (exit 1).
 
-    return Decomposition(colors_used=doc["colors"], color=tuple(doc["color_of"]))
+def _int_field(doc: dict, key: str) -> int:
+    value = doc.get(key)
+    if type(value) is not int:
+        raise GraphError(f"artifact field {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _int_list(doc: dict, key: str) -> list[int]:
+    value = doc.get(key)
+    if not isinstance(value, list) or not all(type(x) is int for x in value):
+        raise GraphError(f"artifact field {key!r} must be a list of integers")
+    return value
+
+
+def _clustering_from_doc(doc: dict, n: int, b: int) -> Clustering:
+    """The clusters an artifact lists, over the graph's n nodes and width b.
+
+    The artifact's own "n" and "b" are not read: coverage is counted against
+    the graph, and the diameter bound comes from its identifier width.
+    """
+    clusters = doc["clusters"]
+    if not isinstance(clusters, list) or not all(isinstance(c, dict) for c in clusters):
+        raise GraphError("artifact field 'clusters' must be a list of objects")
+    return Clustering(
+        n=n, b=b,
+        clusters=tuple((_int_field(c, "terminal"), tuple(_int_list(c, "nodes"))) for c in clusters),
+        unclustered=tuple(_int_list(doc, "unclustered")),
+        ruling_radius_bound=4 * b**3,
+    )
+
+
+def _decomposition_from_doc(doc: dict, n: int) -> Decomposition:
+    color = _int_list(doc, "color_of")
+    if len(color) != n:
+        raise GraphError(f"artifact field 'color_of' has {len(color)} entries for {n} nodes")
+    return Decomposition(colors_used=_int_field(doc, "colors"), color=tuple(color))
 
 
 def _cmd_gen(args) -> int:

@@ -1,8 +1,9 @@
-"""Independent brute-force verification of every guarantee the executors claim.
+"""Independent verification of every guarantee the executors claim.
 
-All checks are built from graph primitives (BFS, components, all-pairs
+All checks are built from graph primitives (BFS, components, exact induced
 diameters) and the recorded traces; they never call into the phase engine or
-the simulator, so they stay meaningful as an oracle for both.  A failing
+the simulator, so they stay meaningful as an oracle for both.  Artifacts are
+checked against the graph: a node outside it fails a range check.  A failing
 check always carries a concrete witness.  Witnesses name nodes by identifier
 when an assignment is supplied, by index otherwise.
 """
@@ -10,7 +11,9 @@ when an assignment is supplied, by index otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import ceil, log2
+from typing import Iterable
 
 from .cluster import Clustering, Decomposition
 from .graph import Graph, IdAssignment, connected_components, induced_diameter, multi_source_bfs
@@ -65,6 +68,13 @@ class _Names:
         return f"node id {self.ids.ids[v]} (index {v})"
 
 
+def _nodes_in_range(g: Graph, nodes: Iterable[int]) -> CheckResult:
+    """Every listed node must be a node of g; the witness is the least stray one."""
+    stray = min((v for v in nodes if not 0 <= v < g.n), default=None)
+    witness = None if stray is None else f"node {stray} outside 0..{g.n - 1}"
+    return CheckResult("nodes-in-range", stray is None, witness)
+
+
 def check_ruling(
     g: Graph,
     alive,
@@ -94,9 +104,25 @@ def check_clustering(
     b: int,
     ids: IdAssignment | None = None,
 ) -> Report:
-    """Structural validity of a clustering: the full claim list, with witnesses."""
+    """Structural validity of a clustering: the full claim list, with witnesses.
+
+    Coverage is counted against ``clustering.n``, the universe the clusters
+    and the unclustered list must partition between them.  A node outside the
+    graph ends the report after the range check: nothing else can be
+    checked about it.
+    """
     name = _Names(ids)
-    checks: list[CheckResult] = []
+    in_range = _nodes_in_range(
+        g,
+        chain(
+            (t for t, _ in clustering.clusters),
+            (v for _, members in clustering.clusters for v in members),
+            clustering.unclustered,
+        ),
+    )
+    if not in_range.passed:
+        return Report((in_range,))
+    checks: list[CheckResult] = [in_range]
     diameter_bound = 8 * b**3
 
     seen: dict[int, int] = {}
@@ -112,15 +138,25 @@ def check_clustering(
     checks.append(CheckResult("clusters-disjoint", overlap_witness is None, overlap_witness))
 
     covered = clustering.covered()
-    total = covered + len(clustering.unclustered)
-    need = ceil(total / 2) if total else 0
+    need = ceil(clustering.n / 2)
     checks.append(
         CheckResult(
             "coverage-at-least-half",
             covered >= need,
-            None if covered >= need else f"covered {covered} of {total}, need {need}",
+            None if covered >= need else f"covered {covered} of {clustering.n}, need {need}",
         )
     )
+
+    owner = {v: i for i, (_, members) in enumerate(clustering.clusters) for v in members}
+    listed = covered + len(clustering.unclustered)
+    distinct = len(owner.keys() | set(clustering.unclustered))
+    if distinct != listed:
+        partition_witness = f"{listed - distinct} repeated entries"
+    elif distinct != clustering.n:
+        partition_witness = f"clusters and unclustered hold {distinct} nodes, universe has {clustering.n}"
+    else:
+        partition_witness = None
+    checks.append(CheckResult("partition", partition_witness is None, partition_witness))
 
     conn_witness = None
     diam_witness = None
@@ -136,7 +172,6 @@ def check_clustering(
     checks.append(CheckResult("clusters-connected", conn_witness is None, conn_witness))
     checks.append(CheckResult("cluster-diameter", diam_witness is None, diam_witness))
 
-    owner = {v: i for i, (_, members) in enumerate(clustering.clusters) for v in members}
     adj_witness = None
     for u, v in g.edges():
         cu, cv = owner.get(u), owner.get(v)
@@ -361,9 +396,10 @@ def check_decomposition(
 
 
 def check_mis(g: Graph, s, ids: IdAssignment | None = None) -> Report:
-    """Independence and maximality of a node set, brute force."""
+    """Range, independence and maximality of a node set, brute force."""
     name = _Names(ids)
     chosen = set(s)
+    in_range = _nodes_in_range(g, chosen)
     indep_witness = None
     for u, v in g.edges():
         if u in chosen and v in chosen:
@@ -376,6 +412,7 @@ def check_mis(g: Graph, s, ids: IdAssignment | None = None) -> Report:
             break
     return Report(
         (
+            in_range,
             CheckResult("independent", indep_witness is None, indep_witness),
             CheckResult("maximal", max_witness is None, max_witness),
         )

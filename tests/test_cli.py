@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from strongcluster.cli import main
 
 
@@ -126,3 +128,66 @@ def test_trace_files(tmp_path, monkeypatch):
     trace0 = (tmp_path / "traces" / "trace_phase0.log").read_text().splitlines()
     assert trace0[0].startswith("step 0: proposals=[")
     assert (tmp_path / "traces" / "transcript.log").exists()
+
+
+def verify_artifact(tmp_path, doc, *extra):
+    """Run ``verify`` on path n=8 against the given artifact document."""
+    graph_file = tmp_path / "p8.txt"
+    assert run_cli("gen", "--family", "path", "--n", "8", "--output", str(graph_file)) == 0
+    artifact = tmp_path / "artifact.json"
+    artifact.write_text(json.dumps(doc))
+    return run_cli("verify", "--input", str(graph_file), "--artifact", str(artifact), *extra)
+
+
+def test_verify_counts_coverage_against_the_graph(tmp_path, capsys):
+    doc = {"n": 1, "b": 3, "clusters": [{"terminal": 0, "nodes": [0]}], "unclustered": []}
+    assert verify_artifact(tmp_path, doc) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] coverage-at-least-half (covered 1 of 8, need 4)" in out
+    assert "[FAIL] partition (clusters and unclustered hold 1 nodes, universe has 8)" in out
+
+
+def test_verify_rejects_out_of_range_cluster_node(tmp_path, capsys):
+    doc = {"clusters": [{"terminal": 0, "nodes": [0, 1, 2, 3, 99]}], "unclustered": [4, 5, 6, 7]}
+    assert verify_artifact(tmp_path, doc) == 1
+    assert "[FAIL] nodes-in-range (node 99 outside 0..7)" in capsys.readouterr().out
+
+
+def test_verify_rejects_out_of_range_mis_node(tmp_path, capsys):
+    assert verify_artifact(tmp_path, {"mis": [0, 2, 4, 6, 9999]}) == 1
+    assert "[FAIL] nodes-in-range (node 9999 outside 0..7)" in capsys.readouterr().out
+
+
+def test_verify_diameter_bound_comes_from_the_graph(tmp_path, monkeypatch):
+    import strongcluster.cli as cli
+
+    seen = []
+    real = cli.check_clustering
+
+    def spy(g, clustering, b, ids=None):
+        seen.append((b, clustering.b, clustering.n))
+        return real(g, clustering, b, ids)
+
+    monkeypatch.setattr(cli, "check_clustering", spy)
+    doc = {"n": 8, "b": 1000, "clusters": [{"terminal": 0, "nodes": list(range(8))}],
+           "unclustered": []}
+    assert verify_artifact(tmp_path, doc) == 0
+    assert seen == [(3, 3, 8)]
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ({"n": 8, "b": 3, "clusters": [{"terminal": 0, "nodes": [0]}]}, "'unclustered'"),
+        ({"clusters": [{"nodes": [0]}], "unclustered": []}, "'terminal'"),
+        ({"clusters": {}, "unclustered": []}, "'clusters'"),
+        ({"colors": 1, "color_of": [0, 0, 0]}, "3 entries for 8 nodes"),
+        ({"colors": "1", "color_of": [0] * 8}, "'colors'"),
+        ({"mis": [0, "2"]}, "'mis'"),
+        ([0, 2], "JSON object"),
+    ],
+)
+def test_verify_malformed_artifact_exits_2(tmp_path, capsys, doc, message):
+    assert verify_artifact(tmp_path, doc) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: artifact") and message in err

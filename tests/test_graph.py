@@ -1,6 +1,10 @@
+import itertools
 from collections import deque
 
 import pytest
+
+from conftest import corpus_entries
+from strongcluster.cluster import strong_cluster
 
 from strongcluster.graph import (
     GraphError,
@@ -12,7 +16,7 @@ from strongcluster.graph import (
     parse_edge_list,
     write_edge_list,
 )
-from strongcluster.gen import splitmix_at
+from strongcluster.gen import FamilySpec, generate, splitmix_at
 
 
 def bfs_oracle(adj, alive, source):
@@ -26,6 +30,18 @@ def bfs_oracle(adj, alive, source):
                 dist[w] = dist[u] + 1
                 queue.append(w)
     return dist
+
+
+def diameter_oracle(adj, nodes):
+    """All-pairs diameter by one plain BFS per node; None when disconnected."""
+    alive = set(nodes)
+    worst = 0
+    for s in alive:
+        dist = bfs_oracle(adj, alive, s)
+        if len(dist) != len(alive):
+            return None
+        worst = max(worst, max(dist.values()))
+    return worst
 
 
 def random_graph(n, edge_prob_q, seed):
@@ -207,6 +223,61 @@ def test_diameter_monotone_under_added_edges():
     more, _ = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)])
     s = {0, 1, 2, 3, 4, 5}
     assert induced_diameter(more, s) <= induced_diameter(base, s)
+
+
+def all_graphs(n):
+    pairs = list(itertools.combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        yield build_graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])[0]
+
+
+def test_diameter_matches_oracle_on_every_induced_subgraph_up_to_5_nodes():
+    checked = 0
+    for n in range(1, 6):
+        subsets = [
+            [v for v in range(n) if mask >> v & 1] for mask in range(1, 1 << n)
+        ]
+        for g in all_graphs(n):
+            for nodes in subsets:
+                assert induced_diameter(g, nodes) == diameter_oracle(g.adj, nodes), (
+                    f"n={n} adj={g.adj} nodes={nodes}"
+                )
+                checked += 1
+    assert checked == 32767
+
+
+def test_diameter_matches_oracle_on_every_6_node_graph():
+    nodes = range(6)
+    for g in all_graphs(6):
+        assert induced_diameter(g, nodes) == diameter_oracle(g.adj, nodes), f"adj={g.adj}"
+
+
+def test_diameter_matches_oracle_on_corpus_clusters():
+    for name, g, ids in corpus_entries(512):
+        for terminal, members in strong_cluster(g, ids).clustering.clusters:
+            assert induced_diameter(g, members) == diameter_oracle(g.adj, members), (
+                f"{name}: cluster of terminal {terminal}"
+            )
+
+
+def test_diameter_across_source_blocks():
+    # 32 x 64 grid: 2048 nodes, two source blocks, corner to corner 31 + 63.
+    g, _ = generate(FamilySpec("grid", n=2048, w=32))
+    assert induced_diameter(g, range(2048)) == 94
+    # A 1024-node star with two 10-node tails at its centre: only sources in
+    # the second block (the tails) reach the far ends, 10 + 10 hops apart.
+    star = [(0, v) for v in range(1, 1024)]
+    tails = [(0, 1024), (0, 1034)] + [(v, v + 1) for v in range(1024, 1043) if v != 1033]
+    g, _ = build_graph(1045, star + tails)
+    assert induced_diameter(g, range(1044)) == 20
+    assert induced_diameter(g, range(1045)) is None
+    assert induced_diameter(g, [v for v in range(1044) if v != 1030]) is None
+
+
+def test_diameter_rejects_out_of_range_node():
+    g, _ = build_graph(2, [(0, 1)])
+    with pytest.raises(GraphError):
+        induced_diameter(g, {0, 2})
 
 
 def test_edge_list_roundtrip():

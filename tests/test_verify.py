@@ -191,3 +191,38 @@ def test_report_rendering():
     doc = report.to_json_dict()
     assert doc["all_pass"] is False
     assert doc["checks"][0]["name"] == "ruling-radius"
+
+
+def test_mis_rejects_out_of_range_nodes():
+    g, _ = p3()
+    report = check_mis(g, [0, 2, 7, -1])
+    assert [c.witness for c in report.failures()] == ["node -1 outside 0..2"]
+
+
+def test_clustering_rejects_out_of_range_nodes_before_other_checks():
+    g, ids = p3()
+    bad = Clustering(
+        n=3, b=ids.b,
+        clusters=((0, (0, 1)),),
+        unclustered=(5,),
+        ruling_radius_bound=4 * ids.b**3,
+    )
+    report = check_clustering(g, bad, ids.b)
+    assert [(c.name, c.passed, c.witness) for c in report.checks] == [
+        ("nodes-in-range", False, "node 5 outside 0..2")
+    ]
+
+
+def test_clustering_rejects_lists_that_miss_or_repeat_nodes():
+    g, ids = build_graph(4, [])
+    short = Clustering(
+        n=4, b=ids.b,
+        clusters=((0, (0,)), (2, (2,))),
+        unclustered=(1,),
+        ruling_radius_bound=4 * ids.b**3,
+    )
+    report = check_clustering(g, short, ids.b)
+    assert [c.name for c in report.failures()] == ["partition"]
+    repeated = dataclasses.replace(short, unclustered=(1, 3, 3))
+    report = check_clustering(g, repeated, ids.b)
+    assert [c.witness for c in report.failures()] == ["1 repeated entries"]
