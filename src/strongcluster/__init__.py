@@ -54,7 +54,6 @@ from .sim import (
     Simulator,
     round_budget,
     run_protocol,
-    validate_message,
 )
 from .verify import (
     CheckResult,

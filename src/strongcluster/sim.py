@@ -35,8 +35,10 @@ DIE / LEAVE.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Iterable
 
 from .cluster import Clustering, clustering_from_survivors
@@ -62,8 +64,29 @@ class MsgTag(Enum):
     DIE = "die"
     LEAVE = "leave"
 
+    # Members are singletons compared by identity, so the identity hash is
+    # consistent; Enum's own __hash__ hashes the name in Python code, which
+    # is too slow for the per-message width lookup.
+    __hash__ = object.__hash__
 
-@dataclass(frozen=True)
+
+# EnumType defines __getattr__, so every ``MsgTag.X`` lookup takes CPython's
+# slow attribute path; the node program, which compares and builds tags per
+# message, uses these aliases instead.
+_BFS_TOKEN = MsgTag.BFS_TOKEN
+_COLOR = MsgTag.COLOR
+_ANCESTOR_FLAG = MsgTag.ANCESTOR_FLAG
+_SIZE_PARTIAL = MsgTag.SIZE_PARTIAL
+_WEIGHT_PARTIAL = MsgTag.WEIGHT_PARTIAL
+_PROPOSE = MsgTag.PROPOSE
+_DECISION = MsgTag.DECISION
+_OUTCOME = MsgTag.OUTCOME
+_REHANG = MsgTag.REHANG
+_DIE = MsgTag.DIE
+_LEAVE = MsgTag.LEAVE
+
+
+@dataclass(frozen=True, slots=True)
 class Message:
     tag: MsgTag
     data: tuple[int, ...] = ()
@@ -97,11 +120,6 @@ def message_bit_budget(b: int) -> int:
     return 4 * b + 16
 
 
-def validate_message(m: Message, b: int) -> bool:
-    """True iff the payload respects the per-message bit budget."""
-    return payload_bits(m, b) <= message_bit_budget(b)
-
-
 @dataclass(frozen=True)
 class RoundStats:
     rounds: int
@@ -122,6 +140,7 @@ class Calendar:
     """Fixed global round calendar for b phases; shared knowledge of all nodes."""
 
     _STAGES = ("A", "B", "C", "D", "E", "F", "G", "H")
+    _STAGE_INDEX = {name: i for i, name in enumerate(_STAGES)}
 
     def __init__(self, b: int):
         self.b = b
@@ -134,44 +153,36 @@ class Calendar:
             starts.append(starts[-1] + ln)
         self.phase_start = starts[:-1]
         self.total = starts[-1]
-
-    def _stage_offsets(self, L: int) -> list[tuple[str, int, int]]:
-        spans = [1, L, L, 1, L, L, 1, L]
-        out = []
-        off = 0
-        for name, span in zip(self._STAGES, spans):
-            out.append((name, off, span))
-            off += span
-        return out
+        # Per phase: the offset of each stage inside a step block, then the
+        # block length; stage i spans [starts[i], starts[i + 1]).
+        self._stage_starts = [
+            list(accumulate((1, L, L, 1, L, L, 1, L), initial=0)) for L in self.L
+        ]
 
     def locate(self, r: int) -> RoundCtx:
         if not 0 <= r < self.total:
             raise ProtocolViolation(f"round {r} outside budget {self.total}")
-        p = 0
-        while p + 1 < self.b and self.phase_start[p + 1] <= r:
-            p += 1
+        p = bisect_right(self.phase_start, r) - 1
         rp = r - self.phase_start[p]
         L = self.L[p]
         if rp < L:
             return RoundCtx(round=r, phase=p, stage="bfs", step=-1, rel=rp + 1)
-        q = rp - L
-        step, o = divmod(q, self.block[p])
-        for name, off, span in self._stage_offsets(L):
-            if o < off + span:
-                return RoundCtx(round=r, phase=p, stage=name, step=step, rel=o - off + 1)
-        raise AssertionError("unreachable")
+        step, o = divmod(rp - L, self.block[p])
+        starts = self._stage_starts[p]
+        i = bisect_right(starts, o) - 1
+        return RoundCtx(round=r, phase=p, stage=self._STAGES[i], step=step, rel=o - starts[i] + 1)
 
     def abs_round(self, p: int, stage: str, step: int, rel: int) -> int:
         base = self.phase_start[p]
         if stage == "bfs":
             return base + rel - 1
-        L = self.L[p]
-        for name, off, span in self._stage_offsets(L):
-            if name == stage:
-                if not 1 <= rel <= span:
-                    raise ProtocolViolation(f"relative round {rel} outside stage {stage}")
-                return base + L + step * self.block[p] + off + rel - 1
-        raise ProtocolViolation(f"unknown stage {stage}")
+        i = self._STAGE_INDEX.get(stage)
+        if i is None:
+            raise ProtocolViolation(f"unknown stage {stage}")
+        starts = self._stage_starts[p]
+        if not 1 <= rel <= starts[i + 1] - starts[i]:
+            raise ProtocolViolation(f"relative round {rel} outside stage {stage}")
+        return base + self.L[p] + step * self.block[p] + starts[i] + rel - 1
 
 
 def round_budget(n: int, b: int) -> int:
@@ -284,7 +295,7 @@ class _Node:
     def _ingest(self, ctx, inbox, out, wakes) -> None:
         first_tokens: list[tuple[int, int]] = []
         for port, m in inbox:
-            if m.tag is MsgTag.BFS_TOKEN:
+            if m.tag is _BFS_TOKEN:
                 root, dist, pflag = m.data
                 if ctx.phase == 0:
                     self.port_id[port] = root
@@ -296,26 +307,26 @@ class _Node:
                     self.children.add(port)
                 if self.depth is None:
                     first_tokens.append((port, dist))
-            elif m.tag is MsgTag.COLOR:
+            elif m.tag is _COLOR:
                 root, depth = m.data
                 self.nbr_root[port] = root
                 self.nbr_depth[port] = depth
                 if self._bit(root, ctx.phase) == 0:
                     self.red_ports.add(port)
-            elif m.tag is MsgTag.ANCESTOR_FLAG:
+            elif m.tag is _ANCESTOR_FLAG:
                 if not self.flagged:
                     self.flagged = True
                     if not self.flag_sent and self.children:
                         for c in self.children:
-                            out.append((c, Message(MsgTag.ANCESTOR_FLAG)))
+                            out.append((c, Message(_ANCESTOR_FLAG)))
                         self.flag_sent = True
                     fire = self.cal.abs_round(
                         ctx.phase, "C", ctx.step, self.cal.L[ctx.phase] - self.depth
                     )
                     wakes.append(fire)
-            elif m.tag is MsgTag.SIZE_PARTIAL:
+            elif m.tag is _SIZE_PARTIAL:
                 self.acc_size += m.data[0]
-            elif m.tag is MsgTag.PROPOSE:
+            elif m.tag is _PROPOSE:
                 self.pending_props.append((port, m.data[0]))
                 if self.parent_port is not None:
                     fire = self.cal.abs_round(
@@ -326,7 +337,7 @@ class _Node:
                 else:
                     wakes.append(self.cal.abs_round(ctx.phase, "F", ctx.step, 1))
                 wakes.append(self.cal.abs_round(ctx.phase, "G", ctx.step, 1))
-            elif m.tag is MsgTag.WEIGHT_PARTIAL:
+            elif m.tag is _WEIGHT_PARTIAL:
                 wsum, count = m.data
                 self.wsum_children += wsum
                 self.count_children += count
@@ -340,29 +351,29 @@ class _Node:
                         wakes.append(fire)
                 elif wsum > 0:
                     wakes.append(self.cal.abs_round(ctx.phase, "F", ctx.step, 1))
-            elif m.tag is MsgTag.DECISION:
+            elif m.tag is _DECISION:
                 self.decision = bool(m.data[0])
                 for c in self.e_contrib_ports:
-                    out.append((c, Message(MsgTag.DECISION, m.data)))
-            elif m.tag is MsgTag.OUTCOME:
+                    out.append((c, Message(_DECISION, m.data)))
+            elif m.tag is _OUTCOME:
                 self.outcome = bool(m.data[0])
-            elif m.tag is MsgTag.REHANG:
+            elif m.tag is _REHANG:
                 root, sender_depth = m.data
                 self.root_id = root
                 self.depth = sender_depth + 1
                 for c in self.children:
-                    out.append((c, Message(MsgTag.REHANG, (root, self.depth))))
+                    out.append((c, Message(_REHANG, (root, self.depth))))
                 # Rehang waves always complete inside stage H; the guard keeps
                 # the terminal-computation path from scheduling anything.
                 if ctx.stage == "H" and ctx.step + 1 < self.cal.t:
                     self.recolor_due = (ctx.phase, ctx.step + 1)
                     wakes.append(self.cal.abs_round(ctx.phase, "A", ctx.step + 1, 1))
-            elif m.tag is MsgTag.DIE:
+            elif m.tag is _DIE:
                 self.alive = False
                 for c in self.children:
-                    out.append((c, Message(MsgTag.DIE)))
+                    out.append((c, Message(_DIE)))
                 return
-            elif m.tag is MsgTag.LEAVE:
+            elif m.tag is _LEAVE:
                 self.children.discard(port)
         if first_tokens and self.depth is None:
             dists = {d for _, d in first_tokens}
@@ -395,18 +406,18 @@ class _Node:
                 self.announced = True
                 for port in range(self.deg):
                     flag = 1 if port == self.parent_port else 0
-                    out.append((port, Message(MsgTag.BFS_TOKEN, (self.root_id, self.depth, flag))))
+                    out.append((port, Message(_BFS_TOKEN, (self.root_id, self.depth, flag))))
             return
         red = self._is_red_self(ctx.phase)
         if stage == "A":
             if self.recolor_due == (ctx.phase, ctx.step):
                 self.recolor_due = None
                 for port in range(self.deg):
-                    out.append((port, Message(MsgTag.COLOR, (self.root_id, self.depth))))
+                    out.append((port, Message(_COLOR, (self.root_id, self.depth))))
         elif stage == "B":
             if not red and self.red_ports and not self.flag_sent and self.children:
                 for c in self.children:
-                    out.append((c, Message(MsgTag.ANCESTOR_FLAG)))
+                    out.append((c, Message(_ANCESTOR_FLAG)))
                 self.flag_sent = True
             if rel == 1 and not red and self.red_ports:
                 wakes.append(self.cal.abs_round(ctx.phase, "D", ctx.step, 1))
@@ -418,13 +429,13 @@ class _Node:
                 and rel == L - self.depth
             ):
                 self.c_fired = True
-                out.append((self.parent_port, Message(MsgTag.SIZE_PARTIAL, (1 + self.acc_size,))))
+                out.append((self.parent_port, Message(_SIZE_PARTIAL, (1 + self.acc_size,))))
         elif stage == "D":
             if not red and self.red_ports and not self.flagged:
                 weight = 1 + self.acc_size
                 target = min(self.red_ports, key=lambda q: self.port_id[q])
                 self.proposed_port = target
-                out.append((target, Message(MsgTag.PROPOSE, (weight,))))
+                out.append((target, Message(_PROPOSE, (weight,))))
         elif stage == "E":
             if (
                 red
@@ -436,7 +447,7 @@ class _Node:
                 if ctx.step == 0 or w > 0:
                     count = 1 + self.count_children if ctx.step == 0 else 0
                     self.e_fired = True
-                    out.append((self.parent_port, Message(MsgTag.WEIGHT_PARTIAL, (w, count))))
+                    out.append((self.parent_port, Message(_WEIGHT_PARTIAL, (w, count))))
         elif stage == "F":
             if rel == 1 and red and self.parent_port is None:
                 if ctx.step == 0:
@@ -448,30 +459,30 @@ class _Node:
                     if grow:
                         self.my_size += w
                     for c in self.e_contrib_ports:
-                        out.append((c, Message(MsgTag.DECISION, (1 if grow else 0,))))
+                        out.append((c, Message(_DECISION, (1 if grow else 0,))))
         elif stage == "G":
             if rel == 1 and self.pending_props:
                 assert self.decision is not None, "receipt point missed the decision"
                 bit = 1 if self.decision else 0
                 for port, _ in self.pending_props:
-                    out.append((port, Message(MsgTag.OUTCOME, (bit,))))
+                    out.append((port, Message(_OUTCOME, (bit,))))
         elif stage == "H":
             if rel == 1 and self.outcome is not None:
                 if self.parent_port is not None:
-                    out.append((self.parent_port, Message(MsgTag.LEAVE)))
+                    out.append((self.parent_port, Message(_LEAVE)))
                 if self.outcome:
                     self.parent_port = self.proposed_port
                     self.root_id = self.nbr_root[self.proposed_port]
                     self.depth = self.nbr_depth[self.proposed_port] + 1
                     for c in self.children:
-                        out.append((c, Message(MsgTag.REHANG, (self.root_id, self.depth))))
+                        out.append((c, Message(_REHANG, (self.root_id, self.depth))))
                     if ctx.step + 1 < self.cal.t:
                         self.recolor_due = (ctx.phase, ctx.step + 1)
                         wakes.append(self.cal.abs_round(ctx.phase, "A", ctx.step + 1, 1))
                 else:
                     self.alive = False
                     for c in self.children:
-                        out.append((c, Message(MsgTag.DIE)))
+                        out.append((c, Message(_DIE)))
 
 
 class Simulator:
@@ -513,6 +524,9 @@ class Simulator:
         self.heap_set: set[int] = set()
         self.messages_total = 0
         self.max_bits = 0
+        # b is fixed for the run, so each tag's width is computed once here.
+        self.widths = {tag: payload_bits(Message(tag), ids.b) for tag in MsgTag}
+        self.bit_budget = message_bit_budget(ids.b)
         self.events: list[tuple[int, int, int, str, tuple[int, ...]]] | None = (
             [] if record_events else None
         )
@@ -530,42 +544,46 @@ class Simulator:
         self.wake_rounds.setdefault(r, set()).add(v)
         self._push_round(r)
 
-    def _deliver(self, sender: int, port: int, m: Message, r: int) -> None:
-        if not validate_message(m, self.ids.b):
+    def _deliver(self, sender: int, port: int, m: Message, r: int) -> int:
+        """Queue one message for the next round; returns its payload width."""
+        bits = self.widths[m.tag]
+        if bits > self.bit_budget:
             raise ProtocolViolation(
-                f"message {m.tag.value} of {payload_bits(m, self.ids.b)} bits exceeds "
-                f"budget {message_bit_budget(self.ids.b)}"
+                f"message {m.tag.value} of {bits} bits exceeds budget {self.bit_budget}"
             )
-        if port >= len(self.g.adj[sender]):
+        adj = self.g.adj[sender]
+        if not 0 <= port < len(adj):
             raise ProtocolViolation(f"node {sender} sent on missing port {port}")
-        self.messages_total += 1
-        self.max_bits = max(self.max_bits, payload_bits(m, self.ids.b))
-        recipient = self.g.adj[sender][port]
-        back = self.rev_port[sender][port]
+        recipient = adj[port]
+        # Sends in the final round land at cal.total; their processing is
+        # the nodes' terminal computation after the last round.
         tgt = r + 1
-        if tgt < self.cal.total:
-            self.pending.setdefault(tgt, {}).setdefault(recipient, []).append((back, m))
-            self._push_round(tgt)
-        else:
-            # Final-round sends are delivered; their processing is the
-            # nodes' terminal computation after the last round.
-            self.pending.setdefault(self.cal.total, {}).setdefault(recipient, []).append((back, m))
+        inboxes = self.pending.get(tgt)
+        if inboxes is None:
+            inboxes = self.pending[tgt] = {}
+            if tgt < self.cal.total:
+                self._push_round(tgt)
+        inboxes.setdefault(recipient, []).append((self.rev_port[sender][port], m))
         if self.events is not None:
             self.events.append((r, sender, recipient, m.tag.value, m.data))
+        return bits
 
     def _run_round(self, r: int, participants: set[int]) -> None:
         ctx = self.cal.locate(r)
         inboxes = self.pending.pop(r, {})
         traffic = 0
         bits_max = 0
-        for v in sorted(participants | set(inboxes)):
+        for v in sorted(participants | inboxes.keys()):
             out, wakes = self.nodes[v].on_round(ctx, inboxes.get(v, []))
             for port, m in out:
-                self._deliver(v, port, m, r)
-                traffic += 1
-                bits_max = max(bits_max, payload_bits(m, self.ids.b))
+                bits = self._deliver(v, port, m, r)
+                if bits > bits_max:
+                    bits_max = bits
+            traffic += len(out)
             for rw in wakes:
                 self._schedule_wake(v, rw, r)
+        self.messages_total += traffic
+        self.max_bits = max(self.max_bits, bits_max)
         if self.transcript is not None and traffic:
             self.transcript.append(f"round {r}: msgs={traffic} bits_max={bits_max}")
 

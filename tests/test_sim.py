@@ -1,5 +1,12 @@
+import hashlib
+import os
+import subprocess
+import sys
+
 import pytest
 
+import strongcluster
+from strongcluster import sim as sim_module
 from strongcluster.cluster import strong_cluster
 from strongcluster.gen import FamilySpec, generate, splitmix_at
 from strongcluster.graph import build_graph
@@ -7,12 +14,13 @@ from strongcluster.sim import (
     Calendar,
     Message,
     MsgTag,
+    ProtocolViolation,
+    RoundStats,
     Simulator,
     message_bit_budget,
     payload_bits,
     round_budget,
     run_protocol,
-    validate_message,
 )
 
 
@@ -60,15 +68,128 @@ def test_calendar_locate_roundtrip():
 
 def test_message_bit_budget_boundaries():
     b = 3
-    assert validate_message(Message(MsgTag.WEIGHT_PARTIAL, (5, 2)), b)
+    assert payload_bits(Message(MsgTag.WEIGHT_PARTIAL, (5, 2)), b) <= message_bit_budget(b)
     assert payload_bits(Message(MsgTag.BFS_TOKEN, (0, 0, 0)), b) <= message_bit_budget(b)
-    # The budget itself is the boundary: 4b+16 passes, one more would not.
-    class _Fat:
-        tag = MsgTag.BFS_TOKEN
+    # Every tag fits the 4b+16 budget; test_oversized_message_is_rejected
+    # shows that a width equal to the budget passes and one more does not.
     for bb in range(1, 20):
         for tag in MsgTag:
             m = Message(tag, (0, 0, 0))
             assert payload_bits(m, bb) <= message_bit_budget(bb)
+
+
+def _field_layout(b):
+    d = (4 * b**3 + 1).bit_length()
+    return {
+        MsgTag.BFS_TOKEN: b + d + 1,  # root id, distance, parent flag
+        MsgTag.COLOR: b + d,  # root id, depth
+        MsgTag.ANCESTOR_FLAG: 1,
+        MsgTag.SIZE_PARTIAL: b + 1,  # subtree size <= 2^b
+        MsgTag.WEIGHT_PARTIAL: 2 * (b + 1),  # weight sum, node count
+        MsgTag.PROPOSE: b + 1,  # proposal weight
+        MsgTag.DECISION: 1,
+        MsgTag.OUTCOME: 1,
+        MsgTag.REHANG: b + d,  # root id, depth
+        MsgTag.DIE: 1,
+        MsgTag.LEAVE: 1,
+    }
+
+
+def test_payload_bits_match_field_layout():
+    for b in range(1, 21):
+        layout = _field_layout(b)
+        assert set(layout) == set(MsgTag)
+        for tag in MsgTag:
+            assert payload_bits(Message(tag), b) == layout[tag], (b, tag)
+
+
+def test_width_table_does_not_leak_across_b():
+    # Two b values in one process, in both orders, must match what a fresh
+    # interpreter computes for each graph alone.
+    specs = {"path-4": (4, 2), "path-64": (64, 6)}
+    in_process = {}
+    for name in ("path-64", "path-4", "path-64"):
+        n, b = specs[name]
+        g, ids = generate(FamilySpec("path", n=n))
+        assert ids.b == b
+        _, stats, _ = run_protocol(g, ids)
+        assert in_process.setdefault(name, stats.max_message_bits) == stats.max_message_bits
+    src = os.path.dirname(os.path.dirname(strongcluster.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for name, (n, b) in specs.items():
+        code = (
+            "from strongcluster.gen import FamilySpec, generate\n"
+            "from strongcluster.sim import run_protocol\n"
+            f"g, ids = generate(FamilySpec('path', n={n}))\n"
+            "print(run_protocol(g, ids)[1].max_message_bits)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert int(out.stdout) == in_process[name], name
+    assert in_process["path-4"] < in_process["path-64"]
+
+
+def _k2_simulator(patch_node0=None):
+    g, ids = build_graph(2, [(0, 1)])
+    sim = Simulator(g, ids)
+    if patch_node0 is not None:
+        real = sim.nodes[0].on_round
+
+        def on_round(ctx, inbox):
+            out, wakes = real(ctx, inbox)
+            extra_out, extra_wakes = patch_node0(ctx)
+            return out + extra_out, wakes + extra_wakes
+
+        sim.nodes[0].on_round = on_round
+    return sim
+
+
+def test_oversized_message_is_rejected(monkeypatch):
+    # No tag can exceed 4b+16 under the field layout, so the budget is
+    # lowered instead: a message exactly at the budget passes, one bit
+    # over is a violation.
+    widest = payload_bits(Message(MsgTag.BFS_TOKEN), 1)
+    assert widest == max(_field_layout(1).values())
+    monkeypatch.setattr(sim_module, "message_bit_budget", lambda b: widest)
+    _, stats = _k2_simulator().run()
+    assert stats.max_message_bits == widest
+    monkeypatch.setattr(sim_module, "message_bit_budget", lambda b: widest - 1)
+    with pytest.raises(ProtocolViolation, match="bfs of 5 bits exceeds budget 4"):
+        _k2_simulator().run()
+
+
+@pytest.mark.parametrize("port", [1, -1])
+def test_send_on_missing_port_is_rejected(port):
+    sim = _k2_simulator(lambda ctx: ([(port, Message(MsgTag.LEAVE))], []))
+    with pytest.raises(ProtocolViolation, match=f"node 0 sent on missing port {port}"):
+        sim.run()
+
+
+def test_wake_at_or_before_now_is_rejected():
+    for back in (0, 1):
+        sim = _k2_simulator(lambda ctx: ([], [ctx.round - back] if ctx.round >= back else []))
+        with pytest.raises(ProtocolViolation, match="non-future wake"):
+            sim.run()
+
+
+def test_wake_beyond_budget_is_rejected():
+    sim = _k2_simulator(lambda ctx: ([], [sim.cal.total]))
+    with pytest.raises(ProtocolViolation, match=f"wake {sim.cal.total} beyond budget"):
+        sim.run()
+
+
+def test_calendar_rejects_unknown_stage_and_relative_round():
+    cal = Calendar(2)
+    with pytest.raises(ProtocolViolation, match="unknown stage"):
+        cal.abs_round(0, "Z", 0, 1)
+    L = cal.L[1]
+    assert cal.abs_round(1, "B", 0, L) + 1 == cal.abs_round(1, "C", 0, 1)
+    for stage, rel in (("A", 0), ("A", 2), ("B", L + 1), ("H", 0)):
+        with pytest.raises(ProtocolViolation, match="relative round"):
+            cal.abs_round(1, stage, 0, rel)
+    for r in (-1, cal.total):
+        with pytest.raises(ProtocolViolation, match="outside budget"):
+            cal.locate(r)
 
 
 def test_k2_exact_rounds_and_clustering():
@@ -189,3 +310,44 @@ def test_messages_scale_with_change_not_rounds():
     _, stats, _ = run_protocol(g, ids)
     assert stats.rounds == round_budget(64, 6)
     assert stats.messages_total < stats.rounds
+
+
+# Recorded on the simulator before its hot path was reworked: the round
+# statistics and the SHA-256 of the transcript lines and of the event log
+# (one repr per event), each joined by newlines.
+GOLDEN = {
+    "path-64": (
+        lambda: generate(FamilySpec("path", n=64)),
+        RoundStats(rounds=1095126, messages_total=2037, max_message_bits=17),
+        849,
+        "0ec52326f219deb98f44ec9749668aa6add1dab5ebd7c3f40763f4bd4a2cac3f",
+        "0b1dc35eddc0c329d369ade84eeba017e4666523cf25a218953c1112ff1d7b01",
+    ),
+    "random-14-901": (
+        lambda: random_connected(14, 901),
+        RoundStats(rounds=104068, messages_total=318, max_message_bits=14),
+        53,
+        "3d9aeaa5be6e54babc2f6252fba60f8fc306abd34c5ffe2c9142e448e3a01da1",
+        "3ccd4c6dd11d83cd30a79c84963ffac0ae974a89d8907acd1f12302d33344f7c",
+    ),
+    "gnp-128-ids11": (
+        lambda: generate(FamilySpec("gnp", n=128, p=3 / 128, seed=128, id_seed=11)),
+        RoundStats(rounds=2700103, messages_total=5091, max_message_bits=19),
+        416,
+        "7d0a4600aad1658a5976fa94bfaf23a0014650e0f2f2789e8e09aa0c1c8a0b46",
+        "2b9da69aae96fb273a8182c310ab8435015a56e6fbef308c3cc002b2e174a045",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_stats_transcript_and_events(name):
+    make, stats, n_lines, lines_sha, events_sha = GOLDEN[name]
+    g, ids = make()
+    lines: list[str] = []
+    sim = Simulator(g, ids, transcript=lines, record_events=True)
+    _, got = sim.run()
+    assert got == stats
+    assert len(lines) == n_lines and len(sim.events) == stats.messages_total
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == lines_sha
+    assert hashlib.sha256("\n".join(map(repr, sim.events)).encode()).hexdigest() == events_sha
