@@ -136,16 +136,16 @@ def strong_cluster(
     if backend != "reference":
         raise GraphError(f"unknown backend {backend!r}")
 
-    alive_set = set(range(g.n)) if alive is None else set(alive)
-    q = set(alive_set)
+    start = set(range(g.n)) if alive is None else set(alive)
+    alive_nodes: Iterable[int] = start
+    q: Iterable[int] = start
     phases: list[PhaseResult] = []
     for p in range(ids.b):
-        res = run_phase(g, alive_set, q, p, ids, debug=debug)
+        res = run_phase(g, alive_nodes, q, p, ids, debug=debug)
         phases.append(res)
-        alive_set = set(res.survivors)
-        q = set(res.terminals_out)
-    start = set(range(g.n)) if alive is None else set(alive)
-    clustering = clustering_from_survivors(g, ids.b, start, alive_set, q)
+        alive_nodes = res.survivors
+        q = res.terminals_out
+    clustering = clustering_from_survivors(g, ids.b, start, alive_nodes, q)
     return ClusterRun(clustering=clustering, phases=tuple(phases))
 
 

@@ -3,10 +3,15 @@
 Forest edits have value semantics at the public API (``rehang_subtree`` and
 ``delete_subtrees`` return fresh forests).  The phase engine owns private
 copies and uses the in-place variants; both paths run the same mutation code.
+
+Per-node fields are lists of length ``g.n``, but child lists exist only for
+nodes that have children, so building a forest on a small alive set inside
+a large graph allocates one container per parent, not one per graph node.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .graph import Graph, IdAssignment, multi_source_bfs
@@ -22,8 +27,10 @@ class RootedForest:
 
     ``parent[v]`` is None for roots and for non-members; membership is
     authoritative in ``member``.  ``depth[v]`` counts hops to the root and
-    ``root_of[v]`` names it.  ``children`` mirrors ``parent``.  ``tree_size``
-    maps each root to its member count.
+    ``root_of[v]`` names it.  ``children`` mirrors ``parent`` sparsely: it
+    maps each member that has children to the list of them, and holds no
+    key for a leaf or a non-member.  ``tree_size`` maps each root to its
+    member count.
     """
 
     n: int
@@ -31,7 +38,7 @@ class RootedForest:
     parent: list[int | None]
     depth: list[int | None]
     root_of: list[int | None]
-    children: list[list[int]]
+    children: dict[int, list[int]]
     tree_size: dict[int, int]
 
     def copy(self) -> "RootedForest":
@@ -41,7 +48,7 @@ class RootedForest:
             parent=list(self.parent),
             depth=list(self.depth),
             root_of=list(self.root_of),
-            children=[list(c) for c in self.children],
+            children={u: list(c) for u, c in self.children.items()},
             tree_size=dict(self.tree_size),
         )
 
@@ -57,13 +64,14 @@ class RootedForest:
     # -- internal mutators: callers must uphold preconditions ---------------
 
     def _collect_subtree(self, v: int) -> list[int]:
+        children = self.children
         out = [v]
         stack = [v]
         while stack:
-            u = stack.pop()
-            for c in self.children[u]:
-                out.append(c)
-                stack.append(c)
+            kids = children.get(stack.pop())
+            if kids:
+                out.extend(kids)
+                stack.extend(kids)
         return out
 
     def _rehang_inplace(self, v: int, new_parent: int) -> list[int]:
@@ -74,12 +82,15 @@ class RootedForest:
         delta = self.depth[new_parent] + 1 - self.depth[v]
         old_parent = self.parent[v]
         if old_parent is not None:
-            self.children[old_parent].remove(v)
+            siblings = self.children[old_parent]
+            siblings.remove(v)
+            if not siblings:
+                del self.children[old_parent]
         else:
             # v was a root; its tree is absorbed wholesale.
             del self.tree_size[v]
         self.parent[v] = new_parent
-        self.children[new_parent].append(v)
+        self.children.setdefault(new_parent, []).append(v)
         for u in moved:
             self.depth[u] += delta
             self.root_of[u] = new_root
@@ -94,7 +105,10 @@ class RootedForest:
         old_parent = self.parent[v]
         old_root = self.root_of[v]
         if old_parent is not None:
-            self.children[old_parent].remove(v)
+            siblings = self.children[old_parent]
+            siblings.remove(v)
+            if not siblings:
+                del self.children[old_parent]
             self.tree_size[old_root] -= len(gone)
         else:
             del self.tree_size[v]
@@ -103,7 +117,7 @@ class RootedForest:
             self.parent[u] = None
             self.depth[u] = None
             self.root_of[u] = None
-            self.children[u] = []
+            self.children.pop(u, None)
         return gone
 
 
@@ -115,28 +129,20 @@ def bfs_forest(g: Graph, alive, terminals, ids: IdAssignment | None = None) -> R
     from the terminals.
     """
     alive_set = set(alive)
-    term_set = set(terminals)
-    dm = multi_source_bfs(g, alive_set, term_set, ids)
-    for v in alive_set:
-        if dm.dist[v] is None:
-            raise ForestError(f"alive node {v} unreachable from terminals")
+    dm = multi_source_bfs(g, alive_set, terminals, ids)
+    dist, parent = dm.dist, dm.parent
     member = [False] * g.n
-    parent: list[int | None] = [None] * g.n
-    depth: list[int | None] = [None] * g.n
-    root_of: list[int | None] = [None] * g.n
-    children: list[list[int]] = [[] for _ in range(g.n)]
-    tree_size: dict[int, int] = {t: 0 for t in term_set}
+    children: dict[int, list[int]] = {}
     for v in sorted(alive_set):
+        if dist[v] is None:
+            raise ForestError(f"alive node {v} unreachable from terminals")
         member[v] = True
-        parent[v] = dm.parent[v]
-        depth[v] = dm.dist[v]
-        root_of[v] = dm.origin[v]
-        tree_size[dm.origin[v]] += 1
-        if dm.parent[v] is not None:
-            children[dm.parent[v]].append(v)
+        if parent[v] is not None:
+            children.setdefault(parent[v], []).append(v)
+    root_of = list(dm.origin)
     return RootedForest(
-        n=g.n, member=member, parent=parent, depth=depth,
-        root_of=root_of, children=children, tree_size=tree_size,
+        n=g.n, member=member, parent=list(parent), depth=list(dist), root_of=root_of,
+        children=children, tree_size=dict(Counter(root_of[v] for v in alive_set)),
     )
 
 
@@ -190,14 +196,19 @@ def delete_subtrees(f: RootedForest, vs) -> RootedForest:
 
 
 def audit_depths(f: RootedForest) -> None:
-    """Re-derive every member's depth by walking parent links; raise on drift.
+    """Re-derive depths, roots and child lists from parent links; raise on drift.
 
     Rehang arithmetic is the step most prone to off-by-one errors, so debug
-    runs re-check the incrementally maintained depths structurally.
+    runs re-check the incrementally maintained depths structurally.  The
+    child lists must mirror ``parent`` exactly: each member with a parent
+    appears once under it, and no key names a leaf or a non-member.
     """
+    expected_children: dict[int, list[int]] = {}
     for v in range(f.n):
         if not f.member[v]:
             continue
+        if f.parent[v] is not None:
+            expected_children.setdefault(f.parent[v], []).append(v)
         hops = 0
         u = v
         while f.parent[u] is not None:
@@ -211,6 +222,13 @@ def audit_depths(f: RootedForest) -> None:
             raise ForestError(f"root drift at node {v}: stored {f.root_of[v]}, walked {u}")
         if (f.depth[v] == 0) != (f.parent[v] is None):
             raise ForestError(f"root flag drift at node {v}")
+    for u in sorted(f.children.keys() | expected_children.keys()):
+        stored = f.children.get(u)
+        if stored is None or sorted(stored) != expected_children.get(u):
+            raise ForestError(
+                f"children drift at node {u}: stored {stored}, "
+                f"parent links give {expected_children.get(u)}"
+            )
     total = sum(1 for v in range(f.n) if f.member[v])
     if total != f.member_count():
         raise ForestError("tree_size totals disagree with membership")

@@ -165,30 +165,31 @@ def multi_source_bfs(
     parent: list[int | None] = [None] * g.n
     origin: list[int | None] = [None] * g.n
 
-    frontier = sorted(source_set)
-    for s in frontier:
+    layer = list(source_set)
+    for s in layer:
         dist[s] = 0
         origin[s] = s
 
-    key = (lambda v: v) if ids is None else (lambda v: ids.ids[v])
+    key = range(g.n) if ids is None else ids.ids
 
-    layer = frontier
-    d = 0
+    # One pass per layer: the first layer-d neighbour to reach w claims it,
+    # and a later one with a smaller identifier takes over.
+    d = 1
     while layer:
         nxt: list[int] = []
         for u in layer:
+            ku = key[u]
             for w in g.adj[u]:
-                if w in alive_set and dist[w] is None:
-                    dist[w] = d + 1
-                    nxt.append(w)
-        nxt = sorted(set(nxt))
+                if w in alive_set:
+                    dw = dist[w]
+                    if dw is None:
+                        dist[w] = d
+                        parent[w] = u
+                        nxt.append(w)
+                    elif dw == d and ku < key[parent[w]]:
+                        parent[w] = u
         for v in nxt:
-            best = None
-            for w in g.adj[v]:
-                if w in alive_set and dist[w] == d and (best is None or key(w) < key(best)):
-                    best = w
-            parent[v] = best
-            origin[v] = origin[best]
+            origin[v] = origin[parent[v]]
         layer = nxt
         d += 1
 

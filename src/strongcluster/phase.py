@@ -9,10 +9,11 @@ read only the step's starting forest, so resolution order does not matter.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .forest import RootedForest, bfs_forest
+from .forest import RootedForest, audit_depths, bfs_forest
 from .graph import Graph, IdAssignment
 
 
@@ -166,12 +167,13 @@ def _proposals_from_candidates(
             memo[node] = val
         return memo[u]
 
+    id_of = ids.ids.__getitem__
     out: list[Proposal] = []
-    for v in sorted(candidates, key=lambda x: ids.ids[x]):
+    for v in sorted(candidates, key=id_of):
         par = f.parent[v]
         if par is not None and weak_status(par):
             continue
-        attach = min((w for w in g.adj[v] if red[w]), key=lambda x: ids.ids[x])
+        attach = min((w for w in g.adj[v] if red[w]), key=id_of)
         weight = len(f._collect_subtree(v))
         out.append(Proposal(proposer=v, weight=weight, attach_at=attach, target_root=f.root_of[attach]))
     return out
@@ -250,27 +252,23 @@ def apply_step(g: Graph, st: PhaseState) -> tuple[PhaseState, StepTrace]:
 class _DepthTally:
     """Multiset of member depths with cheap running max."""
 
-    def __init__(self, f: RootedForest):
-        self.counts: dict[int, int] = {}
-        self.max = 0
-        for v in range(f.n):
-            if f.member[v]:
-                self.add(f.depth[v])
+    def __init__(self, depths: Iterable[int]):
+        self.counts = Counter(depths)
+        self.max = max(self.counts, default=0)
 
-    def add(self, d: int) -> None:
-        self.counts[d] = self.counts.get(d, 0) + 1
-        if d > self.max:
-            self.max = d
+    def add(self, depths: Iterable[int]) -> None:
+        counts = self.counts
+        for d in depths:
+            counts[d] += 1
+            if d > self.max:
+                self.max = d
 
-    def remove(self, d: int) -> None:
-        self.counts[d] -= 1
-        if not self.counts[d]:
-            del self.counts[d]
-        while self.max and self.max not in self.counts:
+    def remove(self, depths: Iterable[int]) -> None:
+        counts = self.counts
+        for d in depths:
+            counts[d] -= 1
+        while self.max and not counts[self.max]:
             self.max -= 1
-
-    def current_max(self) -> int:
-        return self.max if self.counts else 0
 
 
 def run_phase(
@@ -297,19 +295,26 @@ def run_phase(
         raise PhaseError(f"phase index {p} out of range for b={ids.b}")
     b = ids.b
     t = step_budget(b)
+    alive_sorted = sorted(alive_set)
 
-    f = bfs_forest(g, alive_set, q_set, ids)
+    f = bfs_forest(g, alive_sorted, q_set, ids)
     f0_depth = tuple(f.depth)
-    red = [f.member[v] and ids.bit(f.root_of[v], p) == 0 for v in range(g.n)]
+    if debug:
+        audit_depths(f)
 
+    # Setup touches only the alive nodes: every other node is a non-member.
+    shift = b - 1 - p
+    id_of, root_of, adj = ids.ids, f.root_of, g.adj
+    red = [False] * g.n
     red_nbr_count = [0] * g.n
-    for v in range(g.n):
-        if red[v]:
-            for w in g.adj[v]:
+    for v in alive_sorted:
+        if not (id_of[root_of[v]] >> shift) & 1:
+            red[v] = True
+            for w in adj[v]:
                 red_nbr_count[w] += 1
-    candidates = {v for v in range(g.n) if f.member[v] and not red[v] and red_nbr_count[v] > 0}
+    candidates = {v for v in alive_sorted if not red[v] and red_nbr_count[v]}
 
-    tally = _DepthTally(f)
+    tally = _DepthTally(f.depth[v] for v in alive_sorted)
     traces: list[StepTrace] = []
     declined_seen: dict[int, int] = {}
     declined_freeze: dict[int, list[tuple[int, int]]] = {}
@@ -334,14 +339,14 @@ def run_phase(
             if decisions[pr.target_root]:
                 delta = f.depth[pr.attach_at] + 1 - f.depth[pr.proposer]
                 moved = f._rehang_inplace(pr.proposer, pr.attach_at)
-                for u in moved:
-                    tally.remove(f.depth[u] - delta)
-                    tally.add(f.depth[u])
+                if delta:
+                    new_depths = [f.depth[u] for u in moved]
+                    tally.remove(d - delta for d in new_depths)
+                    tally.add(new_depths)
                 recolored_step.extend(moved)
             else:
                 doomed = f._collect_subtree(pr.proposer)
-                for u in doomed:
-                    tally.remove(f.depth[u])
+                tally.remove(f.depth[u] for u in doomed)
                 f._delete_subtree_inplace(pr.proposer)
                 deleted_step.extend(doomed)
 
@@ -361,7 +366,7 @@ def run_phase(
             grows=tuple(sorted(r for r, ok in decisions.items() if ok)),
             declines=tuple(sorted(r for r, ok in decisions.items() if not ok)),
             deleted=tuple(sorted(deleted_step)),
-            max_depth=tally.current_max(),
+            max_depth=tally.max,
             red_sizes=red_sizes,
             snapshot=snapshot() if debug else None,
         )
@@ -379,7 +384,7 @@ def run_phase(
             _debug_step_checks(g, f, ids, p, j, f0_depth, red, candidates, trace, declined_freeze)
         j += 1
 
-    final_max = tally.current_max()
+    final_max = tally.max
     shared_snapshot = snapshot() if debug else None
     while len(traces) < t:
         traces.append(
@@ -389,16 +394,16 @@ def run_phase(
             )
         )
 
-    survivors = tuple(f.members())
+    member = f.member
+    survivors = tuple(v for v in alive_sorted if member[v])
     terminals_out = tuple(f.roots())
-    deleted_all = tuple(sorted(alive_set.difference(survivors)))
+    deleted_all = tuple(v for v in alive_sorted if not member[v])
     assert set(terminals_out) <= q_set
-    assert not set(survivors) & set(deleted_all)
-    assert set(survivors) | set(deleted_all) == alive_set
+    assert len(survivors) == f.member_count(), "forest gained a member outside the alive set"
     return PhaseResult(
         p=p,
         b=b,
-        alive_in=tuple(sorted(alive_set)),
+        alive_in=tuple(alive_sorted),
         terminals_in=tuple(sorted(q_set)),
         survivors=survivors,
         terminals_out=terminals_out,
@@ -421,8 +426,6 @@ def _debug_step_checks(
     trace: StepTrace,
     declined_freeze: dict[int, list[tuple[int, int]]],
 ) -> None:
-    from .forest import audit_depths
-
     audit_depths(f)
     for v in range(g.n):
         if not f.member[v]:

@@ -658,7 +658,7 @@ def _forest_from_views(g: Graph, id_to_index: dict[int, int], views: list[dict])
     parent: list[int | None] = [None] * n
     depth: list[int | None] = [None] * n
     root_of: list[int | None] = [None] * n
-    children: list[list[int]] = [[] for _ in range(n)]
+    children: dict[int, list[int]] = {}
     tree_size: dict[int, int] = {}
     for v in range(n):
         if not member[v]:
@@ -668,12 +668,8 @@ def _forest_from_views(g: Graph, id_to_index: dict[int, int], views: list[dict])
         root_of[v] = id_to_index[vw["root_id"]]
         if vw["parent_port"] is not None:
             parent[v] = g.adj[v][vw["parent_port"]]
+            children.setdefault(parent[v], []).append(v)
         tree_size[root_of[v]] = tree_size.get(root_of[v], 0) + 1
-    for v in range(n):
-        if member[v] and parent[v] is not None:
-            children[parent[v]].append(v)
-    for c in children:
-        c.sort()
     return RootedForest(n=n, member=member, parent=parent, depth=depth,
                         root_of=root_of, children=children, tree_size=tree_size)
 

@@ -2,13 +2,15 @@ import json
 
 import pytest
 
+from conftest import corpus_entries
 from strongcluster.cluster import (
     mis_via_decomposition,
     network_decomposition,
     strong_cluster,
 )
 from strongcluster.gen import FamilySpec, generate, splitmix_at
-from strongcluster.graph import build_graph, connected_components, multi_source_bfs
+from strongcluster.graph import IdAssignment, build_graph, connected_components, multi_source_bfs
+from strongcluster.phase import run_phase
 from strongcluster.verify import check_clustering, check_decomposition, check_mis
 
 
@@ -182,3 +184,99 @@ def test_residual_alive_subset_keeps_identifiers():
     assert run.clustering.n == 2
     covered = run.clustering.covered_nodes()
     assert covered <= {2, 3}
+
+
+def test_one_shot_alive_iterator_gives_equal_clusterings_on_both_backends():
+    g, ids = generate(FamilySpec("path", n=12))
+    ref = strong_cluster(g, ids, alive=iter(range(8))).clustering
+    sim = strong_cluster(g, ids, backend="simulated", alive=iter(range(8))).clustering
+    assert ref.n == 8
+    assert ref == sim
+    assert ref == strong_cluster(g, ids, alive=set(range(8))).clustering
+
+
+def _induced_relabelled(g, ids, nodes):
+    """G[nodes] on 0..k-1 in sorted node order, keeping identifiers and b."""
+    index = {v: i for i, v in enumerate(nodes)}
+    edges = [(index[u], index[w]) for u in nodes for w in g.adj[u] if w in index and u < w]
+    sub, _ = build_graph(len(nodes), edges)
+    return sub, IdAssignment(b=ids.b, ids=tuple(ids.ids[v] for v in nodes))
+
+
+def _phase_in_node_space(res, nodes, n):
+    """A phase result on G[nodes] restated in the host graph's node indices."""
+    lift = nodes.__getitem__
+
+    def lift_opt(v):
+        return None if v is None else nodes[v]
+
+    f = res.final_forest
+    per_node = {
+        "member": [False] * n, "parent": [None] * n, "depth": [None] * n,
+        "root_of": [None] * n, "f0_depth": [None] * n,
+    }
+    for i, v in enumerate(nodes):
+        per_node["member"][v] = f.member[i]
+        per_node["parent"][v] = lift_opt(f.parent[i])
+        per_node["depth"][v] = f.depth[i]
+        per_node["root_of"][v] = lift_opt(f.root_of[i])
+        per_node["f0_depth"][v] = res.f0_depth[i]
+    traces = [
+        (
+            tr.j,
+            [(lift(pr.proposer), pr.weight, lift(pr.attach_at), lift(pr.target_root))
+             for pr in tr.proposals],
+            [lift(r) for r in tr.grows], [lift(r) for r in tr.declines],
+            [lift(v) for v in tr.deleted], tr.max_depth,
+            {lift(r): size for r, size in tr.red_sizes.items()},
+        )
+        for tr in res.step_traces
+    ]
+    return {
+        "survivors": [lift(v) for v in res.survivors],
+        "terminals_out": [lift(v) for v in res.terminals_out],
+        "deleted": [lift(v) for v in res.deleted],
+        "children": {lift(u): [lift(c) for c in kids] for u, kids in f.children.items()},
+        "tree_size": {lift(r): size for r, size in f.tree_size.items()},
+        "traces": traces,
+        **per_node,
+    }
+
+
+def _phase_as_is(res):
+    f = res.final_forest
+    return {
+        "survivors": list(res.survivors),
+        "terminals_out": list(res.terminals_out),
+        "deleted": list(res.deleted),
+        "children": f.children,
+        "tree_size": f.tree_size,
+        "traces": [
+            (
+                tr.j,
+                [(pr.proposer, pr.weight, pr.attach_at, pr.target_root) for pr in tr.proposals],
+                list(tr.grows), list(tr.declines), list(tr.deleted), tr.max_depth,
+                tr.red_sizes,
+            )
+            for tr in res.step_traces
+        ],
+        "member": f.member, "parent": f.parent, "depth": f.depth,
+        "root_of": f.root_of, "f0_depth": list(res.f0_depth),
+    }
+
+
+def test_phase_on_residual_matches_phase_on_induced_subgraph():
+    # A phase on the unclustered remainder must see only that remainder: the
+    # same phase on G[rest], relabelled, gives the same result node for node.
+    residuals = 0
+    for name, g, ids in corpus_entries(256):
+        rest = list(strong_cluster(g, ids).clustering.unclustered)
+        if not rest:
+            continue
+        residuals += 1
+        sub, sub_ids = _induced_relabelled(g, ids, rest)
+        for p in range(ids.b):
+            host = run_phase(g, rest, rest, p, ids)
+            local = run_phase(sub, range(len(rest)), range(len(rest)), p, sub_ids)
+            assert _phase_as_is(host) == _phase_in_node_space(local, rest, g.n), f"{name} p={p}"
+    assert residuals > 0

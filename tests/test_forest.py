@@ -120,7 +120,7 @@ def test_delete_leaf():
     f2 = delete_subtrees(f, [2])
     assert f2.member_count() == 2
     assert not f2.member[2]
-    assert f2.children[1] == []
+    assert 1 not in f2.children
 
 
 def test_delete_inner_subtree():
@@ -170,3 +170,38 @@ def test_audit_after_edit_chains():
     audit_depths(f)
     assert f.member_count() == 6
     assert f.tree_size == {0: 2, 4: 4}
+
+
+def test_children_mirror_parent_through_rehang_and_delete():
+    # Tree 0: 0 - 1 - 2 with 3 under 1; tree 4: 4 - 5.  Moving 1's subtree
+    # under 5 empties 0's child list; deleting 3 then empties 1's.
+    g, ids = build_graph(6, [(0, 1), (1, 2), (1, 3), (4, 5), (1, 5)])
+    f = bfs_forest(g, set(range(6)), {0, 4}, ids)
+    assert f.children == {0: [1], 1: [2, 3], 4: [5]}
+    audit_depths(f)
+    f = rehang_subtree(f, 1, 5, g)
+    assert f.children == {1: [2, 3], 4: [5], 5: [1]}
+    audit_depths(f)
+    f = delete_subtrees(f, [3])
+    assert f.children == {1: [2], 4: [5], 5: [1]}
+    audit_depths(f)
+    f = delete_subtrees(f, [1])
+    assert f.children == {4: [5]}
+    audit_depths(f)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda c: c[0].append(2),   # a node listed under a parent it does not have
+        lambda c: c[1].append(2),   # listed twice
+        lambda c: c.__setitem__(2, []),  # an entry for a childless node
+        lambda c: c.pop(0),         # a parent with its entry missing
+    ],
+)
+def test_audit_rejects_children_that_drift_from_parent(corrupt):
+    g, ids = p3()
+    f = bfs_forest(g, {0, 1, 2}, {0}, ids)
+    corrupt(f.children)
+    with pytest.raises(ForestError, match="children drift"):
+        audit_depths(f)

@@ -8,6 +8,7 @@ from strongcluster.cluster import strong_cluster
 
 from strongcluster.graph import (
     GraphError,
+    IdAssignment,
     build_graph,
     connected_components,
     default_bits,
@@ -169,6 +170,57 @@ def test_bfs_matches_oracle_exhaustively_on_tiny_graphs():
                 for v in alive:
                     expect = min((d[v] for d in per_source if v in d), default=None)
                     assert dm.dist[v] == expect
+
+
+def bfs_tree_oracle(n, adj, alive, sources, key):
+    """Distances, parents and origins of a multi-source BFS, by definition.
+
+    Distances come from a plain BFS seeded with every source; the parent of v
+    is its alive neighbour one layer closer with the smallest identifier, and
+    origin(v) is the source at the end of v's parent chain.
+    """
+    dist = dict.fromkeys(sources, 0)
+    queue = deque(sources)
+    while queue:
+        u = queue.popleft()
+        for w in adj[u]:
+            if w in alive and w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    parent = [None] * n
+    for v, dv in dist.items():
+        if dv:
+            parent[v] = min((w for w in adj[v] if dist.get(w) == dv - 1), key=key)
+    origin = [None] * n
+    for v in dist:
+        u = v
+        while parent[u] is not None:
+            u = parent[u]
+        origin[v] = u
+    return tuple(dist.get(v) for v in range(n)), tuple(parent), tuple(origin)
+
+
+def test_bfs_parent_and_origin_match_oracle_on_every_graph_up_to_6_nodes():
+    # Every graph on 1..6 nodes, identity and reversed identifiers, all nodes
+    # and all nodes minus the last alive, one source and two sources.
+    checked = 0
+    for n in range(1, 7):
+        id_choices = [
+            IdAssignment(b=default_bits(n), ids=tuple(range(n))),
+            IdAssignment(b=default_bits(n), ids=tuple(reversed(range(n)))),
+        ]
+        alive_choices = [set(range(n)), set(range(n - 1))] if n > 1 else [{0}]
+        for g in all_graphs(n):
+            for ids in id_choices:
+                for alive in alive_choices:
+                    for sources in {(min(alive),), (min(alive), max(alive))}:
+                        dm = multi_source_bfs(g, alive, sources, ids)
+                        expect = bfs_tree_oracle(n, g.adj, alive, sources, ids.ids.__getitem__)
+                        assert (dm.dist, dm.parent, dm.origin) == expect, (
+                            f"adj={g.adj} ids={ids.ids} alive={alive} sources={sources}"
+                        )
+                        checked += 1
+    assert checked > 250_000
 
 
 def test_components_k2():

@@ -64,7 +64,7 @@ def test_propose_set_ancestor_rule():
     parent = [None, None, 1, 2]
     depth = [0, 0, 1, 2]
     root_of = [0, 1, 1, 1]
-    children = [[], [2], [3], []]
+    children = {1: [2], 2: [3]}
     f = RootedForest(n=4, member=member, parent=parent, depth=depth,
                      root_of=root_of, children=children, tree_size={0: 1, 1: 3})
     st = PhaseState(p=0, j=0, forest=f, ids=ids)
@@ -126,7 +126,7 @@ def test_apply_step_decline_deletes_proposer_subtree():
     parent = [None, 0, 0, 0, 0, 0, 0, None]
     depth = [0, 1, 1, 1, 1, 1, 1, 0]
     root_of = [0, 0, 0, 0, 0, 0, 0, 7]
-    children = [[1, 2, 3, 4, 5, 6], [], [], [], [], [], [], []]
+    children = {0: [1, 2, 3, 4, 5, 6]}
     f = RootedForest(n=8, member=member, parent=parent, depth=depth,
                      root_of=root_of, children=children, tree_size={0: 7, 7: 1})
     st = PhaseState(p=0, j=0, forest=f, ids=ids)
