@@ -1,9 +1,5 @@
 """Rooted forests over graph nodes: BFS construction, rehang, subtree deletion.
 
-Forest edits have value semantics at the public API (``rehang_subtree`` and
-``delete_subtrees`` return fresh forests).  The phase engine owns private
-copies and uses the in-place variants; both paths run the same mutation code.
-
 Per-node fields are lists of length ``g.n``, but child lists exist only for
 nodes that have children, so building a forest on a small alive set inside
 a large graph allocates one container per parent, not one per graph node.
@@ -18,7 +14,7 @@ from .graph import Graph, IdAssignment, multi_source_bfs
 
 
 class ForestError(ValueError):
-    """Invalid forest edit or query."""
+    """Alive node unreachable from the terminals, or drifted forest state."""
 
 
 @dataclass
@@ -61,9 +57,10 @@ class RootedForest:
     def member_count(self) -> int:
         return sum(self.tree_size.values())
 
-    # -- internal mutators: callers must uphold preconditions ---------------
+    # -- subtree query and in-place edits; callers uphold the preconditions --
 
-    def _collect_subtree(self, v: int) -> list[int]:
+    def subtree(self, v: int) -> list[int]:
+        """Member v and all its descendants, v first."""
         children = self.children
         out = [v]
         stack = [v]
@@ -74,9 +71,13 @@ class RootedForest:
                 stack.extend(kids)
         return out
 
-    def _rehang_inplace(self, v: int, new_parent: int) -> list[int]:
-        """Reattach subtree(v) under new_parent; returns the moved nodes."""
-        moved = self._collect_subtree(v)
+    def rehang(self, v: int, new_parent: int) -> list[int]:
+        """Reattach subtree(v) under new_parent; returns the moved nodes.
+
+        new_parent must be a graph neighbor of v and a member of another
+        tree, so it cannot lie inside subtree(v).
+        """
+        moved = self.subtree(v)
         new_root = self.root_of[new_parent]
         old_root = self.root_of[v]
         delta = self.depth[new_parent] + 1 - self.depth[v]
@@ -99,9 +100,9 @@ class RootedForest:
             self.tree_size[old_root] -= len(moved)
         return moved
 
-    def _delete_subtree_inplace(self, v: int) -> list[int]:
-        """Remove subtree(v) from the forest; returns the removed nodes."""
-        gone = self._collect_subtree(v)
+    def delete_subtree(self, v: int) -> list[int]:
+        """Remove subtree(v) of member v from the forest; returns the removed nodes."""
+        gone = self.subtree(v)
         old_parent = self.parent[v]
         old_root = self.root_of[v]
         if old_parent is not None:
@@ -144,55 +145,6 @@ def bfs_forest(g: Graph, alive, terminals, ids: IdAssignment | None = None) -> R
         n=g.n, member=member, parent=list(parent), depth=list(dist), root_of=root_of,
         children=children, tree_size=dict(Counter(root_of[v] for v in alive_set)),
     )
-
-
-def subtree_nodes(f: RootedForest, v: int) -> list[int]:
-    """All nodes of the subtree rooted at v (v included), sorted."""
-    if not f.member[v]:
-        raise ForestError(f"node {v} is not a forest member")
-    return sorted(f._collect_subtree(v))
-
-
-def rehang_subtree(f: RootedForest, v: int, new_parent: int, g: Graph) -> RootedForest:
-    """New forest with subtree(v) reattached under new_parent.
-
-    new_parent must be a member of a different tree and a graph neighbor
-    of v; attaching below v itself would create a cycle and is rejected.
-    """
-    if not f.member[v]:
-        raise ForestError(f"node {v} is not a forest member")
-    if not f.member[new_parent]:
-        raise ForestError(f"new parent {new_parent} is not a forest member")
-    if f.root_of[new_parent] == f.root_of[v]:
-        raise ForestError(f"new parent {new_parent} is in the same tree as {v}")
-    if not g.has_edge(v, new_parent):
-        raise ForestError(f"new parent {new_parent} is not a graph neighbor of {v}")
-    if new_parent in f._collect_subtree(v):
-        raise ForestError(f"new parent {new_parent} lies inside the subtree of {v}")
-    out = f.copy()
-    out._rehang_inplace(v, new_parent)
-    return out
-
-
-def delete_subtrees(f: RootedForest, vs) -> RootedForest:
-    """New forest with the subtrees rooted at ``vs`` removed.
-
-    The subtrees must be pairwise disjoint; overlap is rejected.
-    """
-    roots = list(vs)
-    for v in roots:
-        if not f.member[v]:
-            raise ForestError(f"node {v} is not a forest member")
-    seen: set[int] = set()
-    for v in roots:
-        sub = f._collect_subtree(v)
-        if seen.intersection(sub):
-            raise ForestError("overlapping subtrees in delete set")
-        seen.update(sub)
-    out = f.copy()
-    for v in roots:
-        out._delete_subtree_inplace(v)
-    return out
 
 
 def audit_depths(f: RootedForest) -> None:

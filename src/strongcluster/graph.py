@@ -39,9 +39,6 @@ class Graph:
     adj: tuple[tuple[int, ...], ...]
     edge_count: int
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
@@ -52,10 +49,6 @@ class Graph:
                 if u < v:
                     yield (u, v)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        # Neighbor lists are sorted; linear scan is fine at desk scale.
-        return v in self.adj[u]
-
 
 @dataclass(frozen=True)
 class IdAssignment:
@@ -63,12 +56,6 @@ class IdAssignment:
 
     b: int
     ids: tuple[int, ...]
-
-    def bit(self, node: int, p: int) -> int:
-        """Bit p of the node's identifier, 0-based from the most significant."""
-        if not 0 <= p < self.b:
-            raise GraphError(f"bit index {p} out of range for b={self.b}")
-        return (self.ids[node] >> (self.b - 1 - p)) & 1
 
 
 @dataclass(frozen=True)
@@ -83,9 +70,6 @@ class DistMap:
     dist: tuple[int | None, ...]
     parent: tuple[int | None, ...]
     origin: tuple[int | None, ...]
-
-    def reachable(self, v: int) -> bool:
-        return self.dist[v] is not None
 
 
 def build_graph(

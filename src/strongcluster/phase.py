@@ -69,26 +69,6 @@ class StepTrace:
         )
 
 
-@dataclass
-class PhaseState:
-    """Forest plus phase/step coordinates; colors derive from the root bit."""
-
-    p: int
-    j: int
-    forest: RootedForest
-    ids: IdAssignment
-
-    @property
-    def t(self) -> int:
-        return step_budget(self.ids.b)
-
-    def is_red(self, v: int) -> bool:
-        root = self.forest.root_of[v]
-        if root is None:
-            raise PhaseError(f"node {v} is not a forest member")
-        return self.ids.bit(root, self.p) == 0
-
-
 @dataclass(frozen=True)
 class PhaseResult:
     """Outcome of one phase: survivors, surviving terminals, final forest.
@@ -107,37 +87,6 @@ class PhaseResult:
     final_forest: RootedForest
     step_traces: tuple[StepTrace, ...]
     f0_depth: tuple[int | None, ...]
-
-
-def split_terminals(ids: IdAssignment, q: Iterable[int], p: int) -> tuple[set[int], set[int]]:
-    """Split terminals by bit p of their identifier: (bit 0 -> red, bit 1 -> blue)."""
-    if p >= ids.b:
-        raise PhaseError(f"phase index {p} out of range for b={ids.b}")
-    red, blue = set(), set()
-    for q_node in q:
-        (red if ids.bit(q_node, p) == 0 else blue).add(q_node)
-    return red, blue
-
-
-def _red_flags(st: PhaseState) -> list[bool]:
-    f = st.forest
-    return [
-        bool(f.member[v] and st.ids.bit(f.root_of[v], st.p) == 0)
-        for v in range(f.n)
-    ]
-
-
-def _candidates_from_scratch(g: Graph, st: PhaseState, red: list[bool]) -> set[int]:
-    """Blue members with at least one red graph neighbor."""
-    f = st.forest
-    out = set()
-    for v in range(g.n):
-        if f.member[v] and not red[v]:
-            for w in g.adj[v]:
-                if red[w]:
-                    out.add(v)
-                    break
-    return out
 
 
 def _proposals_from_candidates(
@@ -174,16 +123,9 @@ def _proposals_from_candidates(
         if par is not None and weak_status(par):
             continue
         attach = min((w for w in g.adj[v] if red[w]), key=id_of)
-        weight = len(f._collect_subtree(v))
+        weight = len(f.subtree(v))
         out.append(Proposal(proposer=v, weight=weight, attach_at=attach, target_root=f.root_of[attach]))
     return out
-
-
-def compute_propose_set(g: Graph, st: PhaseState) -> list[Proposal]:
-    """Propose set of the current step, sorted by proposer identifier."""
-    red = _red_flags(st)
-    candidates = _candidates_from_scratch(g, st, red)
-    return _proposals_from_candidates(g, st.ids, st.forest, red, candidates)
 
 
 def grow_decisions(
@@ -202,51 +144,6 @@ def grow_decisions(
             raise PhaseError(f"no size for targeted root {pr.target_root}")
         totals[pr.target_root] = totals.get(pr.target_root, 0) + pr.weight
     return {r: 2 * b * w >= red_tree_sizes[r] for r, w in totals.items()}
-
-
-def _apply_edits(
-    g: Graph,
-    f: RootedForest,
-    proposals: list[Proposal],
-    decisions: Mapping[int, bool],
-) -> tuple[list[int], list[int]]:
-    """Mutate f per the step's decisions; returns (recolored, deleted) nodes.
-
-    Proposer subtrees are pairwise disjoint and attach points sit in red
-    trees untouched by deletions, so applying in proposal order is safe.
-    """
-    recolored: list[int] = []
-    deleted: list[int] = []
-    for pr in proposals:
-        if decisions[pr.target_root]:
-            recolored.extend(f._rehang_inplace(pr.proposer, pr.attach_at))
-        else:
-            deleted.extend(f._delete_subtree_inplace(pr.proposer))
-    return recolored, deleted
-
-
-def apply_step(g: Graph, st: PhaseState) -> tuple[PhaseState, StepTrace]:
-    """One step, value-semantic: returns the successor state and its trace."""
-    if st.j >= st.t:
-        raise PhaseError(f"step {st.j} exceeds budget t={st.t}")
-    red = _red_flags(st)
-    candidates = _candidates_from_scratch(g, st, red)
-    proposals = _proposals_from_candidates(g, st.ids, st.forest, red, candidates)
-    red_sizes = {pr.target_root: st.forest.tree_size[pr.target_root] for pr in proposals}
-    decisions = grow_decisions(proposals, red_sizes, st.ids.b)
-    nf = st.forest.copy()
-    _, deleted = _apply_edits(g, nf, proposals, decisions)
-    max_depth = max((nf.depth[v] for v in range(nf.n) if nf.member[v]), default=0)
-    trace = StepTrace(
-        j=st.j,
-        proposals=tuple(proposals),
-        grows=tuple(sorted(r for r, ok in decisions.items() if ok)),
-        declines=tuple(sorted(r for r, ok in decisions.items() if not ok)),
-        deleted=tuple(sorted(deleted)),
-        max_depth=max_depth,
-        red_sizes=red_sizes,
-    )
-    return PhaseState(p=st.p, j=st.j + 1, forest=nf, ids=st.ids), trace
 
 
 class _DepthTally:
@@ -284,8 +181,9 @@ def run_phase(
     Once the propose set is empty nothing can change in later steps (red
     adjacency only appears through recoloring, which only proposals cause),
     so the loop stops early and pads the remaining traces as empty.  Debug
-    runs additionally assert the step-level depth/growth/immutability claims
-    and audit incremental state against recomputation.
+    runs record a member snapshot in every trace and audit the incremental
+    bookkeeping (depths, child lists, candidate set) against recomputation;
+    ``verify.check_step_invariants`` checks the step claims on the snapshots.
     """
     alive_set = set(alive)
     q_set = set(q)
@@ -317,7 +215,6 @@ def run_phase(
     tally = _DepthTally(f.depth[v] for v in alive_sorted)
     traces: list[StepTrace] = []
     declined_seen: dict[int, int] = {}
-    declined_freeze: dict[int, list[tuple[int, int]]] = {}
 
     def snapshot() -> dict[int, tuple[bool, int, int]]:
         return {
@@ -338,16 +235,16 @@ def run_phase(
         for pr in proposals:
             if decisions[pr.target_root]:
                 delta = f.depth[pr.attach_at] + 1 - f.depth[pr.proposer]
-                moved = f._rehang_inplace(pr.proposer, pr.attach_at)
+                moved = f.rehang(pr.proposer, pr.attach_at)
                 if delta:
                     new_depths = [f.depth[u] for u in moved]
                     tally.remove(d - delta for d in new_depths)
                     tally.add(new_depths)
                 recolored_step.extend(moved)
             else:
-                doomed = f._collect_subtree(pr.proposer)
+                doomed = f.subtree(pr.proposer)
                 tally.remove(f.depth[u] for u in doomed)
-                f._delete_subtree_inplace(pr.proposer)
+                f.delete_subtree(pr.proposer)
                 deleted_step.extend(doomed)
 
         for u in recolored_step:
@@ -375,13 +272,13 @@ def run_phase(
         for r in trace.declines:
             assert r not in declined_seen, f"tree {r} declined twice"
             declined_seen[r] = j
-            if debug:
-                declined_freeze[r] = sorted(
-                    (v, f.depth[v]) for v in range(g.n) if f.member[v] and f.root_of[v] == r
-                )
 
         if debug:
-            _debug_step_checks(g, f, ids, p, j, f0_depth, red, candidates, trace, declined_freeze)
+            audit_depths(f)
+            assert candidates == {
+                v for v in range(g.n)
+                if f.member[v] and not red[v] and any(red[w] for w in g.adj[v])
+            }, "candidate set drifted from recomputation"
         j += 1
 
     final_max = tally.max
@@ -413,48 +310,3 @@ def run_phase(
         f0_depth=f0_depth,
     )
 
-
-def _debug_step_checks(
-    g: Graph,
-    f: RootedForest,
-    ids: IdAssignment,
-    p: int,
-    j: int,
-    f0_depth: tuple[int | None, ...],
-    red: list[bool],
-    candidates: set[int],
-    trace: StepTrace,
-    declined_freeze: dict[int, list[tuple[int, int]]],
-) -> None:
-    audit_depths(f)
-    for v in range(g.n):
-        if not f.member[v]:
-            continue
-        if red[v]:
-            assert f.depth[v] <= f0_depth[v] + 2 * (j + 1), f"red depth claim broken at {v}"
-        else:
-            assert f.depth[v] == f0_depth[v], f"blue depth changed at {v}"
-    # Accepted trees grew by the guaranteed factor.
-    b = ids.b
-    for r in trace.grows:
-        before = trace.red_sizes[r]
-        after = f.tree_size[r]
-        assert 2 * b * after >= (2 * b + 1) * before, f"growth factor broken at root {r}"
-    # Declined trees are frozen and separated from blue nodes.
-    for r, frozen in declined_freeze.items():
-        now = sorted((v, f.depth[v]) for v in range(g.n) if f.member[v] and f.root_of[v] == r)
-        assert now == frozen, f"declined tree {r} changed after declining"
-        for v, _ in frozen:
-            for w in g.adj[v]:
-                assert not (f.member[w] and not red[w]), (
-                    f"declined tree {r} still touches blue node {w}"
-                )
-    # Incremental candidate bookkeeping agrees with recomputation.
-    rebuilt = set()
-    for v in range(g.n):
-        if f.member[v] and not red[v] and any(red[w] for w in g.adj[v]):
-            rebuilt.add(v)
-    assert candidates == rebuilt, "candidate set drifted from recomputation"
-    # Every proposer subtree left the blue forest this step.
-    for pr in trace.proposals:
-        assert (not f.member[pr.proposer]) or red[pr.proposer]

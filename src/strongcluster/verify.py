@@ -210,14 +210,16 @@ def check_step_invariants(
 ) -> Report:
     """Step-level claims from the recorded traces of one phase.
 
-    Depth and immutability claims need debug snapshots; when absent, those
-    entries report pass=True vacuously with a note, while the arithmetic
-    claims (growth, blame accounting) always run.
+    The depth, growth, proposer and frozen-tree claims read the post-step
+    member snapshots of a debug run.  Without them (a non-debug or simulated
+    phase) those entries pass unchecked and say so in their names; only the
+    blame ledger and the deletion budget run on every phase.
     """
     name = _Names(ids)
     checks: list[CheckResult] = []
     b = phase.b
-    have_snapshots = all(tr.snapshot is not None for tr in phase.step_traces)
+    have_snapshots = bool(phase.step_traces) and all(tr.snapshot is not None for tr in phase.step_traces)
+    skipped = "" if have_snapshots else " (no snapshots, skipped)"
 
     depth_witness = None
     if have_snapshots:
@@ -233,13 +235,7 @@ def check_step_invariants(
                     break
             if depth_witness:
                 break
-    checks.append(
-        CheckResult(
-            "step-depth-claims" if have_snapshots else "step-depth-claims (no snapshots, skipped)",
-            depth_witness is None,
-            depth_witness,
-        )
-    )
+    checks.append(CheckResult(f"step-depth-claims{skipped}", depth_witness is None, depth_witness))
 
     growth_witness = None
     if have_snapshots:
@@ -252,7 +248,20 @@ def check_step_invariants(
                     break
             if growth_witness:
                 break
-    checks.append(CheckResult("accepted-tree-growth", growth_witness is None, growth_witness))
+    checks.append(CheckResult(f"accepted-tree-growth{skipped}", growth_witness is None, growth_witness))
+
+    # After its step, each proposer has joined a red tree or been deleted.
+    proposer_witness = None
+    if have_snapshots:
+        for tr in phase.step_traces:
+            for pr in tr.proposals:
+                state = tr.snapshot.get(pr.proposer)
+                if state is not None and not state[0]:
+                    proposer_witness = f"step {tr.j}: proposer {name(pr.proposer)} still blue"
+                    break
+            if proposer_witness:
+                break
+    checks.append(CheckResult(f"proposers-resolved{skipped}", proposer_witness is None, proposer_witness))
 
     blame_witness = None
     declines_seen: set[int] = set()
@@ -318,7 +327,7 @@ def check_step_invariants(
                     break
             if freeze_witness:
                 break
-    checks.append(CheckResult("declined-tree-frozen", freeze_witness is None, freeze_witness))
+    checks.append(CheckResult(f"declined-tree-frozen{skipped}", freeze_witness is None, freeze_witness))
 
     return Report(tuple(checks))
 

@@ -1,13 +1,6 @@
 import pytest
 
-from strongcluster.forest import (
-    ForestError,
-    audit_depths,
-    bfs_forest,
-    delete_subtrees,
-    rehang_subtree,
-    subtree_nodes,
-)
+from strongcluster.forest import ForestError, audit_depths, bfs_forest
 from strongcluster.graph import build_graph
 
 
@@ -48,33 +41,28 @@ def test_bfs_forest_rejects_unreachable():
 def test_subtree_of_interior_node():
     g, ids = p3()
     f = bfs_forest(g, {0, 1, 2}, {0}, ids)
-    assert subtree_nodes(f, 1) == [1, 2]
-    assert subtree_nodes(f, 2) == [2]
-    assert subtree_nodes(f, 0) == [0, 1, 2]
+    assert sorted(f.subtree(1)) == [1, 2]
+    assert f.subtree(2) == [2]
+    assert sorted(f.subtree(0)) == [0, 1, 2]
 
 
 def test_subtree_of_singleton_root():
     g, ids = build_graph(1, [])
     f = bfs_forest(g, {0}, {0}, ids)
-    assert subtree_nodes(f, 0) == [0]
-
-
-def test_subtree_rejects_non_member():
-    g, ids = p3()
-    f = bfs_forest(g, {0, 1}, {0}, ids)
-    with pytest.raises(ForestError):
-        subtree_nodes(f, 2)
+    assert f.subtree(0) == [0]
 
 
 def test_rehang_singleton_under_root():
     g, ids = p3()
     f = bfs_forest(g, {0, 1, 2}, {0, 1, 2}, ids)
-    f2 = rehang_subtree(f, 1, 0, g)
+    f2 = f.copy()
+    assert f2.rehang(1, 0) == [1]
     assert f2.parent[1] == 0
     assert f2.depth[1] == 1
     assert f2.tree_size == {0: 2, 2: 1}
-    # Original untouched (value semantics).
+    # The copy shares no state with the original.
     assert f.parent[1] is None
+    assert f.tree_size == {0: 1, 1: 1, 2: 1}
     audit_depths(f2)
 
 
@@ -84,7 +72,8 @@ def test_rehang_chain_depth_formula():
     g, ids = build_graph(4, [(0, 1), (1, 2), (1, 3)])
     f = bfs_forest(g, {0, 1, 2, 3}, {0, 3}, ids)
     assert f.depth == [0, 1, 2, 0]
-    f2 = rehang_subtree(f, 1, 3, g)
+    f2 = f.copy()
+    f2.rehang(1, 3)
     assert f2.depth[1] == 1
     assert f2.depth[2] == 2
     assert f2.root_of[1] == 3 and f2.root_of[2] == 3
@@ -92,32 +81,19 @@ def test_rehang_chain_depth_formula():
     audit_depths(f2)
 
 
-def test_rehang_rejects_descendant_target():
-    g, ids = p3()
-    f = bfs_forest(g, {0, 1, 2}, {0, 1}, ids)
-    # subtree(1) = {1, 2}; rehang of 1 under 2 would cycle; also same tree.
-    with pytest.raises(ForestError):
-        rehang_subtree(f, 1, 2, g)
-
-
-def test_rehang_rejects_non_neighbor():
-    g, ids = build_graph(3, [(0, 1)])
-    f = bfs_forest(g, {0, 1, 2}, {0, 2}, ids)
-    with pytest.raises(ForestError, match="neighbor"):
-        rehang_subtree(f, 2, 0, g)
-
-
 def test_rehang_preserves_member_count():
     g, ids = build_graph(4, [(0, 1), (1, 2), (1, 3)])
     f = bfs_forest(g, {0, 1, 2, 3}, {0, 3}, ids)
-    f2 = rehang_subtree(f, 1, 3, g)
+    f2 = f.copy()
+    f2.rehang(1, 3)
     assert f2.member_count() == f.member_count()
 
 
 def test_delete_leaf():
     g, ids = p3()
     f = bfs_forest(g, {0, 1, 2}, {0}, ids)
-    f2 = delete_subtrees(f, [2])
+    f2 = f.copy()
+    assert f2.delete_subtree(2) == [2]
     assert f2.member_count() == 2
     assert not f2.member[2]
     assert 1 not in f2.children
@@ -126,31 +102,28 @@ def test_delete_leaf():
 def test_delete_inner_subtree():
     g, ids = p3()
     f = bfs_forest(g, {0, 1, 2}, {0}, ids)
-    f2 = delete_subtrees(f, [1])
+    f2 = f.copy()
+    assert sorted(f2.delete_subtree(1)) == [1, 2]
     assert f2.members() == [0]
     assert f2.tree_size == {0: 1}
+    assert f.members() == [0, 1, 2]
 
 
 def test_delete_empty_is_identity():
     g, ids = p3()
     f = bfs_forest(g, {0, 1, 2}, {0}, ids)
-    f2 = delete_subtrees(f, [])
+    f2 = f.copy()
     assert f2.members() == f.members()
     assert f2.parent == f.parent
-
-
-def test_delete_rejects_overlap():
-    g, ids = p3()
-    f = bfs_forest(g, {0, 1, 2}, {0}, ids)
-    with pytest.raises(ForestError, match="overlap"):
-        delete_subtrees(f, [1, 2])
 
 
 def test_delete_reduces_by_subtree_sizes():
     g, ids = build_graph(6, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5)])
     f = bfs_forest(g, set(range(6)), {0}, ids)
-    f2 = delete_subtrees(f, [1, 3])
-    assert f.member_count() - f2.member_count() == len(subtree_nodes(f, 1)) + len(subtree_nodes(f, 3))
+    f2 = f.copy()
+    for v in (1, 3):
+        f2.delete_subtree(v)
+    assert f.member_count() - f2.member_count() == len(f.subtree(1)) + len(f.subtree(3))
     audit_depths(f2)
 
 
@@ -162,11 +135,11 @@ def test_audit_after_edit_chains():
     f = bfs_forest(g, set(range(7)), {0, 4}, ids)
     assert f.tree_size == {0: 4, 4: 3}
     audit_depths(f)
-    f = rehang_subtree(f, 6, 5, g)
+    f.rehang(6, 5)
     assert f.tree_size == {0: 3, 4: 4}
     assert f.depth[6] == 2
     audit_depths(f)
-    f = delete_subtrees(f, [2])
+    f.delete_subtree(2)
     audit_depths(f)
     assert f.member_count() == 6
     assert f.tree_size == {0: 2, 4: 4}
@@ -179,13 +152,13 @@ def test_children_mirror_parent_through_rehang_and_delete():
     f = bfs_forest(g, set(range(6)), {0, 4}, ids)
     assert f.children == {0: [1], 1: [2, 3], 4: [5]}
     audit_depths(f)
-    f = rehang_subtree(f, 1, 5, g)
+    f.rehang(1, 5)
     assert f.children == {1: [2, 3], 4: [5], 5: [1]}
     audit_depths(f)
-    f = delete_subtrees(f, [3])
+    f.delete_subtree(3)
     assert f.children == {1: [2], 4: [5], 5: [1]}
     audit_depths(f)
-    f = delete_subtrees(f, [1])
+    f.delete_subtree(1)
     assert f.children == {4: [5]}
     audit_depths(f)
 

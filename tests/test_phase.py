@@ -5,15 +5,14 @@ from strongcluster.graph import build_graph
 from strongcluster.gen import splitmix_at
 from strongcluster.phase import (
     PhaseError,
-    PhaseState,
     Proposal,
-    apply_step,
-    compute_propose_set,
+    StepTrace,
+    _proposals_from_candidates,
     grow_decisions,
     run_phase,
-    split_terminals,
     step_budget,
 )
+from strongcluster.verify import check_step_invariants
 
 
 def k2():
@@ -24,36 +23,81 @@ def p3():
     return build_graph(3, [(0, 1), (1, 2)])
 
 
+def k3():
+    return build_graph(3, [(0, 1), (0, 2), (1, 2)])
+
+
+def step_from_scratch(g, f, ids, p, j=0):
+    """One step recomputed from f alone, applied to a copy of f.
+
+    The cross-check for run_phase's incremental red flags, candidate set and
+    depth tally: returns (the forest after the step, the step's trace).
+    """
+    shift = ids.b - 1 - p
+    red = [f.member[v] and not (ids.ids[f.root_of[v]] >> shift) & 1 for v in range(g.n)]
+    candidates = {
+        v for v in range(g.n)
+        if f.member[v] and not red[v] and any(red[w] for w in g.adj[v])
+    }
+    proposals = _proposals_from_candidates(g, ids, f, red, candidates)
+    red_sizes = {pr.target_root: f.tree_size[pr.target_root] for pr in proposals}
+    decisions = grow_decisions(proposals, red_sizes, ids.b)
+    nf = f.copy()
+    deleted = []
+    for pr in proposals:
+        if decisions[pr.target_root]:
+            nf.rehang(pr.proposer, pr.attach_at)
+        else:
+            deleted.extend(nf.delete_subtree(pr.proposer))
+    trace = StepTrace(
+        j=j,
+        proposals=tuple(proposals),
+        grows=tuple(sorted(r for r, ok in decisions.items() if ok)),
+        declines=tuple(sorted(r for r, ok in decisions.items() if not ok)),
+        deleted=tuple(sorted(deleted)),
+        max_depth=max((nf.depth[v] for v in nf.members()), default=0),
+        red_sizes=red_sizes,
+    )
+    return nf, trace
+
+
+# On K3 with identifiers 0, 1, 2 (b = 2) every blue terminal proposes to red
+# terminal 0 and is accepted, so the blue terminals are the proposers and the
+# red ones are the terminals that remain.
+
 def test_split_terminals_msb():
-    _, ids = build_graph(3, [])
-    red, blue = split_terminals(ids, {0, 1, 2}, 0)
-    assert red == {0, 1} and blue == {2}
+    g, ids = k3()
+    res = run_phase(g, {0, 1, 2}, {0, 1, 2}, 0, ids)
+    assert res.terminals_out == (0, 1)
+    assert [pr.proposer for pr in res.step_traces[0].proposals] == [2]
 
 
 def test_split_terminals_second_bit():
-    _, ids = build_graph(3, [])
-    red, blue = split_terminals(ids, {0, 1, 2}, 1)
-    assert red == {0, 2} and blue == {1}
+    g, ids = k3()
+    res = run_phase(g, {0, 1, 2}, {0, 1, 2}, 1, ids)
+    assert res.terminals_out == (0, 2)
+    assert [pr.proposer for pr in res.step_traces[0].proposals] == [1]
 
 
 def test_split_terminals_empty():
-    _, ids = build_graph(3, [])
-    assert split_terminals(ids, set(), 0) == (set(), set())
+    g, ids = k3()
+    res = run_phase(g, set(), set(), 0, ids)
+    assert res.survivors == res.terminals_out == ()
+    assert all(not tr.proposals for tr in res.step_traces)
 
 
 def test_split_terminals_rejects_large_phase():
-    _, ids = build_graph(2, [(0, 1)])
+    g, ids = build_graph(2, [(0, 1)])
     with pytest.raises(PhaseError):
-        split_terminals(ids, {0, 1}, 1)
+        run_phase(g, {0, 1}, {0, 1}, 1, ids)
 
 
 def test_propose_set_p3_second_phase():
     # Terminals {0, 1}; bit 1 makes 0 red and 1 blue; node 1 roots the tree {1, 2}.
     g, ids = p3()
     f = bfs_forest(g, {0, 1, 2}, {0, 1}, ids)
-    st = PhaseState(p=1, j=0, forest=f, ids=ids)
-    props = compute_propose_set(g, st)
-    assert props == [Proposal(proposer=1, weight=2, attach_at=0, target_root=0)]
+    _, trace = step_from_scratch(g, f, ids, 1)
+    assert trace.proposals == (Proposal(proposer=1, weight=2, attach_at=0, target_root=0),)
 
 
 def test_propose_set_ancestor_rule():
@@ -67,17 +111,15 @@ def test_propose_set_ancestor_rule():
     children = {1: [2], 2: [3]}
     f = RootedForest(n=4, member=member, parent=parent, depth=depth,
                      root_of=root_of, children=children, tree_size={0: 1, 1: 3})
-    st = PhaseState(p=0, j=0, forest=f, ids=ids)
-    props = compute_propose_set(g, st)
-    assert props == [Proposal(proposer=2, weight=2, attach_at=0, target_root=0)]
+    _, trace = step_from_scratch(g, f, ids, 0)
+    assert trace.proposals == (Proposal(proposer=2, weight=2, attach_at=0, target_root=0),)
 
 
 def test_propose_set_empty_without_red_adjacency():
     g, ids = build_graph(4, [(0, 1), (2, 3)])
     f = bfs_forest(g, {0, 1, 2, 3}, {0, 2}, ids)
-    st = PhaseState(p=1, j=0, forest=f, ids=ids)
     # Terminals 0 and 2 both have bit 1 cases: 0 -> red, 2 -> red; no blues at all.
-    assert compute_propose_set(g, st) == []
+    assert step_from_scratch(g, f, ids, 1)[1].proposals == ()
 
 
 def test_grow_threshold_boundary():
@@ -96,25 +138,23 @@ def test_grow_rejects_missing_size():
 def test_apply_step_k2_first_step():
     g, ids = k2()
     f = bfs_forest(g, {0, 1}, {0, 1}, ids)
-    st = PhaseState(p=0, j=0, forest=f, ids=ids)
-    st2, trace = apply_step(g, st)
+    f2, trace = step_from_scratch(g, f, ids, 0)
     assert trace.proposals == (Proposal(proposer=1, weight=1, attach_at=0, target_root=0),)
     assert trace.grows == (0,) and trace.declines == ()
     assert trace.deleted == ()
-    assert st2.forest.parent[1] == 0
-    assert st2.forest.depth[1] == 1
-    assert st2.forest.tree_size == {0: 2}
-    assert st2.j == 1
+    assert f2.parent[1] == 0
+    assert f2.depth[1] == 1
+    assert f2.tree_size == {0: 2}
+    assert f.parent[1] is None
 
 
 def test_apply_step_fixed_point_on_empty_propose_set():
     g, ids = build_graph(2, [])
     f = bfs_forest(g, {0, 1}, {0, 1}, ids)
-    st = PhaseState(p=0, j=0, forest=f, ids=ids)
-    st2, trace = apply_step(g, st)
+    f2, trace = step_from_scratch(g, f, ids, 0)
     assert trace.proposals == () and trace.deleted == ()
-    assert st2.forest.parent == f.parent
-    assert st2.forest.tree_size == f.tree_size
+    assert f2.parent == f.parent
+    assert f2.tree_size == f.tree_size
 
 
 def test_apply_step_decline_deletes_proposer_subtree():
@@ -129,15 +169,14 @@ def test_apply_step_decline_deletes_proposer_subtree():
     children = {0: [1, 2, 3, 4, 5, 6]}
     f = RootedForest(n=8, member=member, parent=parent, depth=depth,
                      root_of=root_of, children=children, tree_size={0: 7, 7: 1})
-    st = PhaseState(p=0, j=0, forest=f, ids=ids)
-    st2, trace = apply_step(g, st)
+    f2, trace = step_from_scratch(g, f, ids, 0)
     assert trace.proposals == (Proposal(proposer=7, weight=1, attach_at=1, target_root=0),)
     assert trace.declines == (0,) and trace.grows == ()
     assert trace.deleted == (7,)
-    assert not st2.forest.member[7]
-    assert st2.forest.tree_size == {0: 7}
+    assert not f2.member[7]
+    assert f2.tree_size == {0: 7}
     # Red tree untouched.
-    assert st2.forest.parent[:7] == parent[:7]
+    assert f2.parent[:7] == parent[:7]
 
 
 def test_run_phase_k2_hand_trace():
@@ -210,9 +249,11 @@ def random_connected_graph(n, seed):
 def test_run_phase_debug_invariants_random(seed):
     g, ids = random_connected_graph(12 + seed, seed)
     res = run_phase(g, set(range(g.n)), set(range(g.n)), 0, ids, debug=True)
+    assert check_step_invariants(g, res, ids).all_pass
     # Chain the next phase to exercise nontrivial starting forests too.
     if ids.b > 1 and res.survivors:
-        run_phase(g, set(res.survivors), set(res.terminals_out), 1, ids, debug=True)
+        res1 = run_phase(g, set(res.survivors), set(res.terminals_out), 1, ids, debug=True)
+        assert check_step_invariants(g, res1, ids).all_pass
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -220,33 +261,26 @@ def test_run_phase_matches_stepwise_apply(seed):
     g, ids = random_connected_graph(10 + seed, 77 + seed)
     res = run_phase(g, set(range(g.n)), set(range(g.n)), 0, ids)
     f = bfs_forest(g, set(range(g.n)), set(range(g.n)), ids)
-    st = PhaseState(p=0, j=0, forest=f, ids=ids)
     for tr in res.step_traces:
-        st, tr2 = apply_step(g, st)
-        assert tr2.proposals == tr.proposals
-        assert tr2.grows == tr.grows
-        assert tr2.declines == tr.declines
-        assert tr2.deleted == tr.deleted
-        assert tr2.max_depth == tr.max_depth
-    assert sorted(st.forest.members()) == list(res.survivors)
-    assert st.forest.parent == res.final_forest.parent
-    assert st.forest.depth == res.final_forest.depth
+        f, tr2 = step_from_scratch(g, f, ids, 0, tr.j)
+        assert tr2 == tr
+    assert f.members() == list(res.survivors)
+    assert f.parent == res.final_forest.parent
+    assert f.depth == res.final_forest.depth
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_proposer_subtrees_disjoint_and_cover_candidates(seed):
     g, ids = random_connected_graph(14, 200 + seed)
     f = bfs_forest(g, set(range(g.n)), set(range(g.n)), ids)
-    st = PhaseState(p=0, j=0, forest=f, ids=ids)
-    from strongcluster.forest import subtree_nodes
-    props = compute_propose_set(g, st)
+    _, trace = step_from_scratch(g, f, ids, 0)
     covered = set()
-    for pr in props:
-        sub = set(subtree_nodes(st.forest, pr.proposer))
+    for pr in trace.proposals:
+        sub = set(f.subtree(pr.proposer))
         assert not covered & sub
         covered |= sub
     # Every red-adjacent blue node lies in exactly one proposer subtree.
-    red = {v for v in range(g.n) if st.is_red(v)}
+    red = {v for v in range(g.n) if not ids.ids[f.root_of[v]] >> (ids.b - 1)}
     for v in range(g.n):
         if v not in red and any(w in red for w in g.adj[v]):
             assert v in covered

@@ -131,6 +131,35 @@ def test_step_invariants_reject_excess_blame():
     assert "blame-ledger" in {c.name for c in report.failures()}
 
 
+def test_step_invariants_reject_blue_proposer():
+    # Path 0 - 1 - 2 with red terminal 1 between blue terminals 0 and 2: both
+    # propose to tree 1 and it grows.  Forge proposer 2 as still blue at its
+    # old depth; the tree still grew enough, so only the proposer claim sees it.
+    g, ids = build_graph(3, [(0, 1), (1, 2)], ids=[2, 0, 3])
+    res = run_phase(g, {0, 1, 2}, {0, 1, 2}, 0, ids, debug=True)
+    tr = res.step_traces[0]
+    assert [pr.proposer for pr in tr.proposals] == [0, 2] and tr.grows == (1,)
+    forged_snapshot = dict(tr.snapshot)
+    forged_snapshot[2] = (False, 0, 2)
+    traces = (dataclasses.replace(tr, snapshot=forged_snapshot),) + res.step_traces[1:]
+    forged = dataclasses.replace(res, step_traces=traces)
+    report = check_step_invariants(g, forged, ids)
+    assert [c.name for c in report.failures()] == ["proposers-resolved"]
+    assert check_step_invariants(g, res, ids).all_pass
+
+
+def test_step_invariants_label_claims_without_snapshots_skipped():
+    # A simulated phase records no traces and a non-debug phase records traces
+    # without snapshots: the snapshot claims must say they did not run.
+    g, ids = build_graph(2, [(0, 1)])
+    simulated = strong_cluster(g, ids, backend="simulated").phases[0]
+    plain = run_phase(g, {0, 1}, {0, 1}, 0, ids)
+    for phase in (simulated, plain):
+        names = [c.name for c in check_step_invariants(g, phase, ids).checks]
+        for claim in ("step-depth-claims", "accepted-tree-growth", "proposers-resolved", "declined-tree-frozen"):
+            assert f"{claim} (no snapshots, skipped)" in names
+
+
 def test_decomposition_oracle_accepts_grid():
     g, ids = generate(FamilySpec("grid", n=64, w=8))
     d, _ = network_decomposition(g, ids)
