@@ -214,7 +214,6 @@ def run_phase(
 
     tally = _DepthTally(f.depth[v] for v in alive_sorted)
     traces: list[StepTrace] = []
-    declined_seen: dict[int, int] = {}
 
     def snapshot() -> dict[int, tuple[bool, int, int]]:
         return {
@@ -268,10 +267,6 @@ def run_phase(
             snapshot=snapshot() if debug else None,
         )
         traces.append(trace)
-
-        for r in trace.declines:
-            assert r not in declined_seen, f"tree {r} declined twice"
-            declined_seen[r] = j
 
         if debug:
             audit_depths(f)

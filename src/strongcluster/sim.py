@@ -26,10 +26,22 @@ simulator skips waking nodes that provably would do nothing (no delivery, no
 due timer), which is what keeps large instances affordable; the lockstep
 driver wakes everyone every round and must behave identically.
 
-Tag vocabulary: BFS_TOKEN (BFS wave), COLOR (recolor announcements),
-ANCESTOR_FLAG, SIZE_PARTIAL and WEIGHT_PARTIAL (the two convergecast
-families), PROPOSE, DECISION, and the outcome family OUTCOME / REHANG /
-DIE / LEAVE.
+State layout: the ``Simulator`` holds node state in per-node lists (parent
+port, depth, BFS depth, root id, red flag, child ports, neighbor data, the
+convergecast accumulators, ...).  One wakeup of node v is one call of
+``Simulator._wake``, which reads and writes slot v of those lists and
+nothing else besides its inbox.  Fields that belong to one step or one
+phase carry an epoch stamp, the step's first round or the phase index that
+wrote them, and read as empty once that epoch has passed, so nothing is
+cleared between steps.  The red flag is recomputed only when the node's
+root or the phase changes.  At each phase boundary the simulator reads the
+phase's forest straight from the lists.
+
+A message is a plain ``(tag, data)`` tuple.  Tag vocabulary: BFS_TOKEN (BFS
+wave), COLOR (recolor announcements), ANCESTOR_FLAG, SIZE_PARTIAL and
+WEIGHT_PARTIAL (the two convergecast families), PROPOSE, DECISION, and the
+outcome family OUTCOME / REHANG / DIE / LEAVE.  A payload's width depends
+only on its tag.
 """
 
 from __future__ import annotations
@@ -85,11 +97,10 @@ _REHANG = MsgTag.REHANG
 _DIE = MsgTag.DIE
 _LEAVE = MsgTag.LEAVE
 
-
-@dataclass(frozen=True, slots=True)
-class Message:
-    tag: MsgTag
-    data: tuple[int, ...] = ()
+# Messages without data are the same tuple every time.
+_FLAG_MSG = (_ANCESTOR_FLAG, ())
+_LEAVE_MSG = (_LEAVE, ())
+_DIE_MSG = (_DIE, ())
 
 
 def depth_bits(b: int) -> int:
@@ -97,8 +108,8 @@ def depth_bits(b: int) -> int:
     return (4 * b**3 + 1).bit_length()
 
 
-def payload_bits(m: Message, b: int) -> int:
-    """Encoded payload width of a message under the fixed field layout."""
+def payload_bits(tag: MsgTag, b: int) -> int:
+    """Encoded payload width of a message with this tag under the fixed field layout."""
     d = depth_bits(b)
     sizes = {
         MsgTag.BFS_TOKEN: b + d + 1,
@@ -113,7 +124,7 @@ def payload_bits(m: Message, b: int) -> int:
         MsgTag.DIE: 1,
         MsgTag.LEAVE: 1,
     }
-    return sizes[m.tag]
+    return sizes[tag]
 
 
 def message_bit_budget(b: int) -> int:
@@ -192,299 +203,6 @@ def round_budget(n: int, b: int) -> int:
     return Calendar(b).total
 
 
-class _Node:
-    """Local program of one node; sees only its own state and its inbox."""
-
-    def __init__(self, my_id: int, degree: int, ids_b: int, cal: Calendar, alive: bool):
-        self.my_id = my_id
-        self.deg = degree
-        self.b = ids_b
-        self.cal = cal
-        self.alive = alive
-        self.port_id: dict[int, int] = {}
-        self.phase_key = -1
-        self.step_key = (-1, -1)
-        self.prev_view: dict | None = None
-        self._phase_fields_clear()
-
-    # -- state layout --------------------------------------------------------
-
-    def _phase_fields_clear(self) -> None:
-        self.is_terminal = False
-        self.parent_port: int | None = None
-        self.depth: int | None = None
-        self.bfs_depth0: int | None = None
-        self.root_id: int | None = None
-        self.children: set[int] = set()
-        self.announced = False
-        self.nbr_root: dict[int, int] = {}
-        self.nbr_depth: dict[int, int] = {}
-        self.red_ports: set[int] = set()
-        self.my_size: int | None = None
-        self.recolor_due: tuple[int, int] | None = None
-        self.candidate_scheduled = False
-        self._step_fields_clear()
-
-    def _step_fields_clear(self) -> None:
-        self.flagged = False
-        self.flag_sent = False
-        self.c_fired = False
-        self.acc_size = 0
-        self.pending_props: list[tuple[int, int]] = []
-        self.wsum_children = 0
-        self.count_children = 0
-        self.e_contrib_ports: list[int] = []
-        self.e_fired = False
-        self.decision: bool | None = None
-        self.outcome: bool | None = None
-        self.proposed_port: int | None = None
-
-    def _bit(self, id_value: int, p: int) -> int:
-        return (id_value >> (self.b - 1 - p)) & 1
-
-    def _is_red_self(self, p: int) -> bool:
-        return self.root_id is not None and self._bit(self.root_id, p) == 0
-
-    def view(self) -> dict:
-        return {
-            "alive": self.alive,
-            "parent_port": self.parent_port,
-            "depth": self.depth,
-            "bfs_depth0": self.bfs_depth0,
-            "root_id": self.root_id,
-        }
-
-    def _phase_reset(self, ctx: RoundCtx, wakes: list[int]) -> None:
-        self.prev_view = self.view()
-        self.phase_key = ctx.phase
-        self.step_key = (ctx.phase, -2)
-        was_root = self.parent_port is None
-        self._phase_fields_clear()
-        self.is_terminal = was_root
-        if self.is_terminal:
-            self.depth = 0
-            self.bfs_depth0 = 0
-            self.root_id = self.my_id
-        p = ctx.phase
-        if p + 1 < self.cal.b:
-            wakes.append(self.cal.phase_start[p + 1])
-        if self.is_terminal and self._bit(self.my_id, p) == 0:
-            # Red roots must run stage F of step 0 to learn their tree size.
-            wakes.append(self.cal.abs_round(p, "F", 0, 1))
-
-    def _step_reset(self, ctx: RoundCtx) -> None:
-        self.step_key = (ctx.phase, ctx.step)
-        self._step_fields_clear()
-
-    # -- transition ----------------------------------------------------------
-
-    def on_round(self, ctx: RoundCtx, inbox: list[tuple[int, Message]]):
-        out: list[tuple[int, Message]] = []
-        wakes: list[int] = []
-        if not self.alive:
-            return out, wakes
-        if ctx.phase != self.phase_key:
-            self._phase_reset(ctx, wakes)
-        if ctx.stage != "bfs" and (ctx.phase, ctx.step) != self.step_key:
-            self._step_reset(ctx)
-        self._ingest(ctx, inbox, out, wakes)
-        if self.alive:
-            self._act(ctx, out, wakes)
-        return out, wakes
-
-    def _ingest(self, ctx, inbox, out, wakes) -> None:
-        first_tokens: list[tuple[int, int]] = []
-        for port, m in inbox:
-            if m.tag is _BFS_TOKEN:
-                root, dist, pflag = m.data
-                if ctx.phase == 0:
-                    self.port_id[port] = root
-                self.nbr_root[port] = root
-                self.nbr_depth[port] = dist
-                if self._bit(root, ctx.phase) == 0:
-                    self.red_ports.add(port)
-                if pflag:
-                    self.children.add(port)
-                if self.depth is None:
-                    first_tokens.append((port, dist))
-            elif m.tag is _COLOR:
-                root, depth = m.data
-                self.nbr_root[port] = root
-                self.nbr_depth[port] = depth
-                if self._bit(root, ctx.phase) == 0:
-                    self.red_ports.add(port)
-            elif m.tag is _ANCESTOR_FLAG:
-                if not self.flagged:
-                    self.flagged = True
-                    if not self.flag_sent and self.children:
-                        for c in self.children:
-                            out.append((c, Message(_ANCESTOR_FLAG)))
-                        self.flag_sent = True
-                    fire = self.cal.abs_round(
-                        ctx.phase, "C", ctx.step, self.cal.L[ctx.phase] - self.depth
-                    )
-                    wakes.append(fire)
-            elif m.tag is _SIZE_PARTIAL:
-                self.acc_size += m.data[0]
-            elif m.tag is _PROPOSE:
-                self.pending_props.append((port, m.data[0]))
-                if self.parent_port is not None:
-                    fire = self.cal.abs_round(
-                        ctx.phase, "E", ctx.step, self.cal.L[ctx.phase] - self.depth
-                    )
-                    if fire > ctx.round:
-                        wakes.append(fire)
-                else:
-                    wakes.append(self.cal.abs_round(ctx.phase, "F", ctx.step, 1))
-                wakes.append(self.cal.abs_round(ctx.phase, "G", ctx.step, 1))
-            elif m.tag is _WEIGHT_PARTIAL:
-                wsum, count = m.data
-                self.wsum_children += wsum
-                self.count_children += count
-                if wsum > 0:
-                    self.e_contrib_ports.append(port)
-                if self.parent_port is not None:
-                    fire = self.cal.abs_round(
-                        ctx.phase, "E", ctx.step, self.cal.L[ctx.phase] - self.depth
-                    )
-                    if fire > ctx.round:
-                        wakes.append(fire)
-                elif wsum > 0:
-                    wakes.append(self.cal.abs_round(ctx.phase, "F", ctx.step, 1))
-            elif m.tag is _DECISION:
-                self.decision = bool(m.data[0])
-                for c in self.e_contrib_ports:
-                    out.append((c, Message(_DECISION, m.data)))
-            elif m.tag is _OUTCOME:
-                self.outcome = bool(m.data[0])
-            elif m.tag is _REHANG:
-                root, sender_depth = m.data
-                self.root_id = root
-                self.depth = sender_depth + 1
-                for c in self.children:
-                    out.append((c, Message(_REHANG, (root, self.depth))))
-                # Rehang waves always complete inside stage H; the guard keeps
-                # the terminal-computation path from scheduling anything.
-                if ctx.stage == "H" and ctx.step + 1 < self.cal.t:
-                    self.recolor_due = (ctx.phase, ctx.step + 1)
-                    wakes.append(self.cal.abs_round(ctx.phase, "A", ctx.step + 1, 1))
-            elif m.tag is _DIE:
-                self.alive = False
-                for c in self.children:
-                    out.append((c, Message(_DIE)))
-                return
-            elif m.tag is _LEAVE:
-                self.children.discard(port)
-        if first_tokens and self.depth is None:
-            dists = {d for _, d in first_tokens}
-            assert len(dists) == 1, "first BFS tokens must share one distance"
-            self.depth = dists.pop() + 1
-            self.bfs_depth0 = self.depth
-            parent = min((port for port, _ in first_tokens), key=lambda q: self.port_id[q])
-            self.parent_port = parent
-            self.root_id = self.nbr_root[parent]
-            if self._is_red_self(ctx.phase):
-                fire_rel = self.cal.L[ctx.phase] - self.depth
-                wakes.append(self.cal.abs_round(ctx.phase, "E", 0, fire_rel))
-        # A blue node seeing red neighbors during the BFS stage is a step-0
-        # candidate; it must wake for that step's flag and proposal rounds.
-        if (
-            ctx.stage == "bfs"
-            and not self.candidate_scheduled
-            and self.root_id is not None
-            and not self._is_red_self(ctx.phase)
-            and self.red_ports
-        ):
-            self.candidate_scheduled = True
-            wakes.append(self.cal.abs_round(ctx.phase, "B", 0, 1))
-            wakes.append(self.cal.abs_round(ctx.phase, "D", 0, 1))
-
-    def _act(self, ctx, out, wakes) -> None:
-        stage, rel, L = ctx.stage, ctx.rel, self.cal.L[ctx.phase]
-        if stage == "bfs":
-            if self.depth is not None and not self.announced:
-                self.announced = True
-                for port in range(self.deg):
-                    flag = 1 if port == self.parent_port else 0
-                    out.append((port, Message(_BFS_TOKEN, (self.root_id, self.depth, flag))))
-            return
-        red = self._is_red_self(ctx.phase)
-        if stage == "A":
-            if self.recolor_due == (ctx.phase, ctx.step):
-                self.recolor_due = None
-                for port in range(self.deg):
-                    out.append((port, Message(_COLOR, (self.root_id, self.depth))))
-        elif stage == "B":
-            if not red and self.red_ports and not self.flag_sent and self.children:
-                for c in self.children:
-                    out.append((c, Message(_ANCESTOR_FLAG)))
-                self.flag_sent = True
-            if rel == 1 and not red and self.red_ports:
-                wakes.append(self.cal.abs_round(ctx.phase, "D", ctx.step, 1))
-        elif stage == "C":
-            if (
-                not red
-                and self.flagged
-                and not self.c_fired
-                and rel == L - self.depth
-            ):
-                self.c_fired = True
-                out.append((self.parent_port, Message(_SIZE_PARTIAL, (1 + self.acc_size,))))
-        elif stage == "D":
-            if not red and self.red_ports and not self.flagged:
-                weight = 1 + self.acc_size
-                target = min(self.red_ports, key=lambda q: self.port_id[q])
-                self.proposed_port = target
-                out.append((target, Message(_PROPOSE, (weight,))))
-        elif stage == "E":
-            if (
-                red
-                and self.parent_port is not None
-                and not self.e_fired
-                and rel == L - self.depth
-            ):
-                w = sum(x for _, x in self.pending_props) + self.wsum_children
-                if ctx.step == 0 or w > 0:
-                    count = 1 + self.count_children if ctx.step == 0 else 0
-                    self.e_fired = True
-                    out.append((self.parent_port, Message(_WEIGHT_PARTIAL, (w, count))))
-        elif stage == "F":
-            if rel == 1 and red and self.parent_port is None:
-                if ctx.step == 0:
-                    self.my_size = 1 + self.count_children
-                w = sum(x for _, x in self.pending_props) + self.wsum_children
-                if w > 0:
-                    grow = 2 * self.b * w >= self.my_size
-                    self.decision = grow
-                    if grow:
-                        self.my_size += w
-                    for c in self.e_contrib_ports:
-                        out.append((c, Message(_DECISION, (1 if grow else 0,))))
-        elif stage == "G":
-            if rel == 1 and self.pending_props:
-                assert self.decision is not None, "receipt point missed the decision"
-                bit = 1 if self.decision else 0
-                for port, _ in self.pending_props:
-                    out.append((port, Message(_OUTCOME, (bit,))))
-        elif stage == "H":
-            if rel == 1 and self.outcome is not None:
-                if self.parent_port is not None:
-                    out.append((self.parent_port, Message(_LEAVE)))
-                if self.outcome:
-                    self.parent_port = self.proposed_port
-                    self.root_id = self.nbr_root[self.proposed_port]
-                    self.depth = self.nbr_depth[self.proposed_port] + 1
-                    for c in self.children:
-                        out.append((c, Message(_REHANG, (self.root_id, self.depth))))
-                    if ctx.step + 1 < self.cal.t:
-                        self.recolor_due = (ctx.phase, ctx.step + 1)
-                        wakes.append(self.cal.abs_round(ctx.phase, "A", ctx.step + 1, 1))
-                else:
-                    self.alive = False
-                    for c in self.children:
-                        out.append((c, Message(_DIE)))
-
-
 class Simulator:
     """Delivers messages, enforces the bit budget, and counts rounds.
 
@@ -505,56 +223,339 @@ class Simulator:
     ):
         if (1 << ids.b) < g.n:
             raise GraphError(f"2^b < n: b={ids.b}, n={g.n}")
+        if driver not in ("event", "lockstep"):
+            raise ValueError(f"unknown driver {driver!r}")
+        self.alive0 = set(range(g.n)) if alive is None else set(alive)
+        for v in self.alive0:
+            if not 0 <= v < g.n:
+                raise GraphError(f"alive node {v} out of range")
+        n = g.n
         self.g = g
         self.ids = ids
         self.cal = Calendar(ids.b)
         self.driver = driver
         self.transcript = transcript
-        self.alive0 = set(range(g.n)) if alive is None else set(alive)
-        self.nodes = [
-            _Node(ids.ids[v], g.degree(v), ids.b, self.cal, v in self.alive0)
-            for v in range(g.n)
-        ]
-        pos = [{w: i for i, w in enumerate(g.adj[v])} for v in range(g.n)]
-        self.rev_port = [[pos[w][v] for w in g.adj[v]] for v in range(g.n)]
-        self.id_to_index = {ids.ids[v]: v for v in range(g.n)}
-        self.pending: dict[int, dict[int, list[tuple[int, Message]]]] = {}
+        pos = [{w: i for i, w in enumerate(g.adj[v])} for v in range(n)]
+        self.rev_port = [[pos[w][v] for w in g.adj[v]] for v in range(n)]
+        self.id_to_index = {ids.ids[v]: v for v in range(n)}
+        self.pending: dict[int, dict[int, list[tuple[int, tuple]]]] = {}
         self.wake_rounds: dict[int, set[int]] = {}
         self.heap: list[int] = []
         self.heap_set: set[int] = set()
         self.messages_total = 0
         self.max_bits = 0
         # b is fixed for the run, so each tag's width is computed once here.
-        self.widths = {tag: payload_bits(Message(tag), ids.b) for tag in MsgTag}
+        self.widths = {tag: payload_bits(tag, ids.b) for tag in MsgTag}
         self.bit_budget = message_bit_budget(ids.b)
         self.events: list[tuple[int, int, int, str, tuple[int, ...]]] | None = (
             [] if record_events else None
         )
+
+        # Node state, one slot per node.  Ports are indices into g.adj[v].
+        self.my_id = ids.ids
+        self.degree = [len(a) for a in g.adj]
+        self.alive = [v in self.alive0 for v in range(n)]
+        self.phase_of = [-1] * n  # phase whose fields the node holds
+        self.parent: list[int | None] = [None] * n  # parent port; None at a root
+        self.depth: list[int | None] = [None] * n
+        self.bfs_depth: list[int | None] = [None] * n  # depth in the phase's BFS forest
+        self.root: list[int | None] = [None] * n  # root identifier
+        self.red = [False] * n  # root's phase bit is 0
+        self.children: list[set[int] | None] = [None] * n  # child ports
+        self.port_id: list[dict[int, int] | None] = [None] * n  # learned in phase 0
+        self.nbr: list[dict[int, tuple] | None] = [None] * n  # port -> (root, depth, ...)
+        self.red_nbr: list[int | None] = [None] * n  # min-identifier red neighbor port
+        self.candidate = [-1] * n  # phase in which step-0 candidacy was scheduled
+        self.my_size = [0] * n  # red root: size of its tree
+        self.proposed: list[int | None] = [None] * n  # port proposed to
+        # Step-stamped fields: valid only while the stamp equals the step's
+        # first round.
+        self.recolor = [-1] * n  # step in which to announce the new color
+        self.flagged = [-1] * n
+        self.flag_sent = [-1] * n
+        self.size_at = [-1] * n
+        self.size_acc = [0] * n  # subtree size below, stage C
+        self.e_at = [-1] * n  # stamp of the stage-E fields below
+        self.e_weight = [0] * n  # proposal plus child weights, stage E
+        self.e_count = [0] * n  # child tree sizes, stage E of step 0
+        self.e_ports: list[list[int] | None] = [None] * n  # children that sent weight
+        self.props: list[list[int] | None] = [None] * n  # proposer ports
+        self.decided = [-1] * n
+        self.decision = [0] * n  # 1 grow, 0 decline
+        self.p = self.stage_first = self.stage_end = -1
+
+    # -- round context -------------------------------------------------------
+
+    def _enter(self, r: int) -> None:
+        """Set the round context the node program reads for round r."""
+        if self.stage_first <= r < self.stage_end:
+            return
+        ctx = self.cal.locate(r)
+        if ctx.phase != self.p:
+            cal, p = self.cal, ctx.phase
+            L, st = cal.L[p], cal._stage_starts[p]
+            self.p = p
+            self.shift = cal.b - 1 - p
+            self.block = cal.block[p]
+            self.first_step = cal.phase_start[p] + L
+            self.next_phase = cal.phase_start[p + 1] if p + 1 < cal.b else None
+            # Offsets from a step's first round: rel 1 of stages B, D, F and
+            # G, and the convergecast rounds of C and E (rel L - depth) plus
+            # the depth.
+            self.to_b, self.to_d, self.to_f, self.to_g = st[1], st[3], st[5], st[6]
+            self.to_c_fire = st[2] + L - 1
+            self.to_e_fire = st[4] + L - 1
+        self.stage, self.step = ctx.stage, ctx.step
+        # The step epoch; the BFS stage computes step-0 rounds from it.
+        self.epoch = self.first_step + max(ctx.step, 0) * self.block
+        self.stage_first = r - ctx.rel + 1  # the stage's rel 1
+        self.stage_end = self.stage_first + (1 if ctx.stage in ("A", "D", "G") else self.cal.L[ctx.phase])
+
+    # -- node program --------------------------------------------------------
+
+    def _wake(self, v: int, r: int, inbox, out: list, wakes: list) -> None:
+        """Node v's transition at round r: ingest the inbox, then act.
+
+        Reads and writes slot v of the state lists only.  Sends go to
+        ``out`` as (port, message) pairs, timer requests to ``wakes``.
+        """
+        if not self.alive[v]:
+            return
+        p, stage, S, shift = self.p, self.stage, self.epoch, self.shift
+        announce = False  # the node learns its BFS depth in this wakeup
+        if self.phase_of[v] != p:
+            self.phase_of[v] = p
+            if p == 0:
+                self.port_id[v], self.nbr[v] = {}, {}
+            self.children[v] = set()
+            self.red_nbr[v] = None
+            if self.next_phase is not None:
+                wakes.append(self.next_phase)
+            if self.parent[v] is None:  # a root of the last phase is a terminal
+                announce = True
+                self.depth[v] = self.bfs_depth[v] = 0
+                root = self.root[v] = self.my_id[v]
+                self.red[v] = not (root >> shift) & 1
+                if self.red[v]:
+                    # Red roots must run stage F of step 0 to learn their tree size.
+                    wakes.append(S + self.to_f)
+            else:
+                self.parent[v] = self.depth[v] = self.bfs_depth[v] = self.root[v] = None
+                self.red[v] = False
+
+        first = None  # port of the minimum-identifier first BFS token
+        outcome = None
+        for port, m in inbox:
+            tag, data = m
+            if tag is _BFS_TOKEN or tag is _COLOR:
+                root = data[0]
+                pid = self.port_id[v]
+                if tag is _BFS_TOKEN:
+                    if p == 0:
+                        pid[port] = root
+                    if data[2]:
+                        self.children[v].add(port)
+                    if self.depth[v] is None:
+                        if first is None:
+                            first, first_dist = port, data[1]
+                        else:
+                            assert data[1] == first_dist, "first BFS tokens must share one distance"
+                            if pid[port] < pid[first]:
+                                first = port
+                self.nbr[v][port] = data
+                if not (root >> shift) & 1:
+                    best = self.red_nbr[v]
+                    if best is None or pid[port] < pid[best]:
+                        self.red_nbr[v] = port
+            elif tag is _WEIGHT_PARTIAL or tag is _PROPOSE:
+                w = data[0]
+                if self.e_at[v] != S:
+                    self.e_at[v] = S
+                    self.e_weight[v] = self.e_count[v] = 0
+                    self.e_ports[v], self.props[v] = [], []
+                self.e_weight[v] += w
+                if tag is _PROPOSE:
+                    self.props[v].append(port)
+                    wakes.append(S + self.to_g)
+                else:
+                    self.e_count[v] += data[1]
+                    if w > 0:
+                        self.e_ports[v].append(port)
+                if self.parent[v] is not None:
+                    fire = S + self.to_e_fire - self.depth[v]
+                    if fire > r:
+                        wakes.append(fire)
+                elif w > 0:
+                    wakes.append(S + self.to_f)
+            elif tag is _DECISION:
+                self.decided[v] = S
+                self.decision[v] = data[0]
+                if self.e_at[v] == S:
+                    for c in self.e_ports[v]:
+                        out.append((c, m))
+            elif tag is _OUTCOME:
+                # Sent at rel 1 of stage G, so it arrives at rel 1 of stage H.
+                outcome = data[0]
+            elif tag is _ANCESTOR_FLAG:
+                if self.flagged[v] != S:
+                    self.flagged[v] = S
+                    if self.flag_sent[v] != S and self.children[v]:
+                        for c in self.children[v]:
+                            out.append((c, m))
+                        self.flag_sent[v] = S
+                    wakes.append(S + self.to_c_fire - self.depth[v])
+            elif tag is _SIZE_PARTIAL:
+                if self.size_at[v] != S:
+                    self.size_at[v] = S
+                    self.size_acc[v] = 0
+                self.size_acc[v] += data[0]
+            elif tag is _REHANG:
+                root, sender_depth = data
+                d = self.depth[v] = sender_depth + 1
+                self.root[v] = root
+                self.red[v] = not (root >> shift) & 1
+                fwd = (_REHANG, (root, d))
+                for c in self.children[v]:
+                    out.append((c, fwd))
+                # Rehang waves always complete inside stage H; the guard keeps
+                # the terminal computation from scheduling anything.
+                if stage == "H" and self.step + 1 < self.cal.t:
+                    self.recolor[v] = S + self.block
+                    wakes.append(S + self.block)
+            elif tag is _DIE:
+                self.alive[v] = False
+                for c in self.children[v]:
+                    out.append((c, m))
+                return
+            elif tag is _LEAVE:
+                self.children[v].discard(port)
+
+        if first is not None:
+            announce = True
+            d = self.depth[v] = self.bfs_depth[v] = first_dist + 1
+            self.parent[v] = first
+            root = self.root[v] = self.nbr[v][first][0]
+            self.red[v] = not (root >> shift) & 1
+            if self.red[v]:
+                wakes.append(S + self.to_e_fire - d)
+        if stage == "bfs":
+            # A blue node seeing red neighbors during the BFS stage is a
+            # step-0 candidate; it must wake for that step's flag and
+            # proposal rounds.
+            if (self.candidate[v] != p and self.red_nbr[v] is not None
+                    and self.root[v] is not None and not self.red[v]):
+                self.candidate[v] = p
+                wakes.append(S + self.to_b)
+                wakes.append(S + self.to_d)
+            if announce:
+                pp, root, d = self.parent[v], self.root[v], self.depth[v]
+                token = (_BFS_TOKEN, (root, d, 0))
+                for port in range(self.degree[v]):
+                    out.append((port, (_BFS_TOKEN, (root, d, 1)) if port == pp else token))
+            return
+
+        red = self.red[v]
+        if stage == "E":
+            if red and r == S + self.to_e_fire - self.depth[v] and self.parent[v] is not None:
+                cur = self.e_at[v] == S
+                w = self.e_weight[v] if cur else 0
+                if self.step == 0:
+                    count = 1 + (self.e_count[v] if cur else 0)
+                    out.append((self.parent[v], (_WEIGHT_PARTIAL, (w, count))))
+                elif w > 0:
+                    out.append((self.parent[v], (_WEIGHT_PARTIAL, (w, 0))))
+        elif stage == "F":
+            if r == self.stage_first and red and self.parent[v] is None:
+                cur = self.e_at[v] == S
+                if self.step == 0:
+                    self.my_size[v] = 1 + (self.e_count[v] if cur else 0)
+                w = self.e_weight[v] if cur else 0
+                if w > 0:
+                    grow = 2 * self.cal.b * w >= self.my_size[v]
+                    self.decided[v] = S
+                    self.decision[v] = bit = 1 if grow else 0
+                    if grow:
+                        self.my_size[v] += w
+                    msg = (_DECISION, (bit,))
+                    for c in self.e_ports[v]:
+                        out.append((c, msg))
+        elif stage == "A":
+            if self.recolor[v] == S:
+                msg = (_COLOR, (self.root[v], self.depth[v]))
+                for port in range(self.degree[v]):
+                    out.append((port, msg))
+        elif stage == "B":
+            if not red and self.red_nbr[v] is not None:
+                if self.flag_sent[v] != S and self.children[v]:
+                    for c in self.children[v]:
+                        out.append((c, _FLAG_MSG))
+                    self.flag_sent[v] = S
+                if r == self.stage_first:
+                    wakes.append(S + self.to_d)
+        elif stage == "C":
+            if not red and self.flagged[v] == S and r == S + self.to_c_fire - self.depth[v]:
+                size = 1 + (self.size_acc[v] if self.size_at[v] == S else 0)
+                out.append((self.parent[v], (_SIZE_PARTIAL, (size,))))
+        elif stage == "D":
+            target = self.red_nbr[v]
+            if not red and target is not None and self.flagged[v] != S:
+                weight = 1 + (self.size_acc[v] if self.size_at[v] == S else 0)
+                self.proposed[v] = target
+                out.append((target, (_PROPOSE, (weight,))))
+        elif stage == "G":
+            if r == self.stage_first and self.e_at[v] == S and self.props[v]:
+                assert self.decided[v] == S, "receipt point missed the decision"
+                msg = (_OUTCOME, (self.decision[v],))
+                for port in self.props[v]:
+                    out.append((port, msg))
+        elif stage == "H":
+            if r == self.stage_first and outcome is not None:
+                pp = self.parent[v]
+                if pp is not None:
+                    out.append((pp, _LEAVE_MSG))
+                if outcome:
+                    target = self.proposed[v]
+                    data = self.nbr[v][target]
+                    root, d = data[0], data[1] + 1
+                    self.parent[v], self.root[v], self.depth[v] = target, root, d
+                    self.red[v] = not (root >> shift) & 1
+                    msg = (_REHANG, (root, d))
+                    for c in self.children[v]:
+                        out.append((c, msg))
+                    if self.step + 1 < self.cal.t:
+                        self.recolor[v] = S + self.block
+                        wakes.append(S + self.block)
+                else:
+                    self.alive[v] = False
+                    for c in self.children[v]:
+                        out.append((c, _DIE_MSG))
+
+    # -- scheduling and delivery ---------------------------------------------
 
     def _push_round(self, r: int) -> None:
         if r not in self.heap_set:
             self.heap_set.add(r)
             heapq.heappush(self.heap, r)
 
-    def _schedule_wake(self, v: int, r: int, now: int) -> None:
-        if r <= now:
-            raise ProtocolViolation(f"node {v} scheduled a non-future wake {r} at round {now}")
-        if r >= self.cal.total:
-            raise ProtocolViolation(f"node {v} scheduled wake {r} beyond budget {self.cal.total}")
-        self.wake_rounds.setdefault(r, set()).add(v)
-        self._push_round(r)
+    def _schedule_wakes(self, v: int, rounds: list[int], now: int) -> None:
+        total, wake_rounds = self.cal.total, self.wake_rounds
+        for r in rounds:
+            if r <= now:
+                raise ProtocolViolation(f"node {v} scheduled a non-future wake {r} at round {now}")
+            if r >= total:
+                raise ProtocolViolation(f"node {v} scheduled wake {r} beyond budget {total}")
+            vs = wake_rounds.get(r)
+            if vs is None:
+                wake_rounds[r] = {v}
+                self._push_round(r)
+            else:
+                vs.add(v)
 
-    def _deliver(self, sender: int, port: int, m: Message, r: int) -> int:
-        """Queue one message for the next round; returns its payload width."""
-        bits = self.widths[m.tag]
-        if bits > self.bit_budget:
-            raise ProtocolViolation(
-                f"message {m.tag.value} of {bits} bits exceeds budget {self.bit_budget}"
-            )
-        adj = self.g.adj[sender]
-        if not 0 <= port < len(adj):
-            raise ProtocolViolation(f"node {sender} sent on missing port {port}")
-        recipient = adj[port]
+    def _deliver(self, sender: int, out: list[tuple[int, tuple]], r: int) -> int:
+        """Queue one wakeup's sends for the next round; returns the widest payload."""
+        widths, budget = self.widths, self.bit_budget
+        adj, rev = self.g.adj[sender], self.rev_port[sender]
+        events = self.events
         # Sends in the final round land at cal.total; their processing is
         # the nodes' terminal computation after the last round.
         tgt = r + 1
@@ -563,115 +564,136 @@ class Simulator:
             inboxes = self.pending[tgt] = {}
             if tgt < self.cal.total:
                 self._push_round(tgt)
-        inboxes.setdefault(recipient, []).append((self.rev_port[sender][port], m))
-        if self.events is not None:
-            self.events.append((r, sender, recipient, m.tag.value, m.data))
-        return bits
+        widest, deg = 0, len(adj)
+        for port, m in out:
+            bits = widths[m[0]]
+            if bits > budget:
+                raise ProtocolViolation(f"message {m[0].value} of {bits} bits exceeds budget {budget}")
+            if bits > widest:
+                widest = bits
+            if not 0 <= port < deg:
+                raise ProtocolViolation(f"node {sender} sent on missing port {port}")
+            recipient = adj[port]
+            inbox = inboxes.get(recipient)
+            if inbox is None:
+                inboxes[recipient] = [(rev[port], m)]
+            else:
+                inbox.append((rev[port], m))
+            if events is not None:
+                events.append((r, sender, recipient, m[0].value, m[1]))
+        return widest
 
     def _run_round(self, r: int, participants: set[int]) -> None:
-        ctx = self.cal.locate(r)
-        inboxes = self.pending.pop(r, {})
+        self._enter(r)
+        inboxes = self.pending.pop(r, None)
+        if inboxes is None:
+            inboxes, woken = {}, sorted(participants)
+        else:
+            woken = sorted(participants | inboxes.keys())
+        wake, deliver, schedule = self._wake, self._deliver, self._schedule_wakes
+        out: list[tuple[int, tuple]] = []
+        wakes: list[int] = []
         traffic = 0
         bits_max = 0
-        for v in sorted(participants | inboxes.keys()):
-            out, wakes = self.nodes[v].on_round(ctx, inboxes.get(v, []))
-            for port, m in out:
-                bits = self._deliver(v, port, m, r)
+        for v in woken:
+            wake(v, r, inboxes.get(v, ()), out, wakes)
+            if out:
+                bits = deliver(v, out, r)
                 if bits > bits_max:
                     bits_max = bits
-            traffic += len(out)
-            for rw in wakes:
-                self._schedule_wake(v, rw, r)
+                traffic += len(out)
+                out.clear()
+            if wakes:
+                schedule(v, wakes, r)
+                wakes.clear()
         self.messages_total += traffic
         self.max_bits = max(self.max_bits, bits_max)
         if self.transcript is not None and traffic:
             self.transcript.append(f"round {r}: msgs={traffic} bits_max={bits_max}")
 
-    def run(self) -> tuple[list[dict], RoundStats]:
-        """Execute all phases; returns per-phase extractions plus statistics."""
-        boundaries = [self.cal.phase_start[p] + self.cal.phase_len[p] for p in range(self.cal.b)]
-        extracted: list[dict] = []
+    def run(self) -> tuple[list[PhaseResult], RoundStats]:
+        """Execute all phases; returns each phase's result plus statistics."""
+        cal = self.cal
+        boundaries = cal.phase_start[1:] + [cal.total]
+        phases: list[PhaseResult] = []
+
+        def extract_before(r: int) -> None:
+            while len(phases) < cal.b and r >= boundaries[len(phases)]:
+                phases.append(self._extract_phase(phases))
+
         if self.driver == "lockstep":
             everyone = set(range(self.g.n))
-            for r in range(self.cal.total):
-                while len(extracted) < self.cal.b and r > boundaries[len(extracted)]:
-                    extracted.append(self._extract_phase(len(extracted)))
+            for r in range(cal.total):
+                extract_before(r)
                 self._run_round(r, everyone)
         else:
             for v in self.alive0:
-                self._schedule_wake(v, 0, -1)
+                self._schedule_wakes(v, [0], -1)
             while self.heap:
                 r = heapq.heappop(self.heap)
                 self.heap_set.discard(r)
-                if r >= self.cal.total:
+                if r >= cal.total:
                     break
-                while len(extracted) < self.cal.b and r > boundaries[len(extracted)]:
-                    extracted.append(self._extract_phase(len(extracted)))
+                extract_before(r)
                 self._run_round(r, self.wake_rounds.pop(r, set()))
         # Terminal computation: process deliveries from the final round.
-        leftovers = self.pending.pop(self.cal.total, {})
-        for v, inbox in sorted(leftovers.items()):
-            node = self.nodes[v]
-            ctx = RoundCtx(round=self.cal.total, phase=self.cal.b - 1, stage="end", step=-1, rel=1)
-            out, wakes = self._finalize_node(node, ctx, inbox)
-            if out or wakes:
-                raise ProtocolViolation(f"node {v} acted after the final round")
+        leftovers = self.pending.pop(cal.total, {})
+        if leftovers:
+            self._enter(cal.total - 1)
+            self.stage = "end"
+            for v, inbox in sorted(leftovers.items()):
+                out: list = []
+                wakes: list = []
+                self._wake(v, cal.total, inbox, out, wakes)
+                if out or wakes:
+                    raise ProtocolViolation(f"node {v} acted after the final round")
         if self.pending:
             raise ProtocolViolation("messages scheduled beyond the budget")
-        while len(extracted) < self.cal.b:
-            extracted.append(self._extract_phase(len(extracted)))
-        stats = RoundStats(
-            rounds=self.cal.total,
-            messages_total=self.messages_total,
-            max_message_bits=self.max_bits,
+        extract_before(cal.total)
+        return phases, RoundStats(cal.total, self.messages_total, self.max_bits)
+
+    def _extract_phase(self, done: list[PhaseResult]) -> PhaseResult:
+        """Read the next phase's result off the state lists at its boundary."""
+        n, adj = self.g.n, self.g.adj
+        if done:
+            alive_in, terminals_in = done[-1].survivors, done[-1].terminals_out
+        else:
+            alive_in = terminals_in = tuple(sorted(self.alive0))
+        member = list(self.alive)
+        parent: list[int | None] = [None] * n
+        depth: list[int | None] = [None] * n
+        root_of: list[int | None] = [None] * n
+        f0_depth: list[int | None] = [None] * n
+        children: dict[int, list[int]] = {}
+        tree_size: dict[int, int] = {}
+        for v in alive_in:
+            # Deletions come after the BFS stage, so every phase input has a
+            # starting depth.
+            f0_depth[v] = self.bfs_depth[v]
+            if not member[v]:
+                continue
+            depth[v] = self.depth[v]
+            root = root_of[v] = self.id_to_index[self.root[v]]
+            pp = self.parent[v]
+            if pp is not None:
+                u = parent[v] = adj[v][pp]
+                children.setdefault(u, []).append(v)
+            tree_size[root] = tree_size.get(root, 0) + 1
+        forest = RootedForest(n=n, member=member, parent=parent, depth=depth,
+                              root_of=root_of, children=children, tree_size=tree_size)
+        survivors = tuple(v for v in alive_in if member[v])
+        return PhaseResult(
+            p=len(done),
+            b=self.cal.b,
+            alive_in=alive_in,
+            terminals_in=terminals_in,
+            survivors=survivors,
+            terminals_out=tuple(forest.roots()),
+            deleted=tuple(v for v in alive_in if not member[v]),
+            final_forest=forest,
+            step_traces=(),
+            f0_depth=tuple(f0_depth),
         )
-        return extracted, stats
-
-    def _finalize_node(self, node: _Node, ctx: RoundCtx, inbox):
-        out: list = []
-        wakes: list = []
-        if node.alive:
-            node._ingest(ctx, inbox, out, wakes)
-        return out, wakes
-
-    def _extract_phase(self, p: int) -> dict:
-        views = []
-        for v in range(self.g.n):
-            node = self.nodes[v]
-            if node.phase_key == p:
-                views.append(node.view())
-            elif node.phase_key > p:
-                # Nodes reset lazily exactly once per phase, so the stash is
-                # always the view of the immediately preceding phase.
-                assert node.phase_key == p + 1 and node.prev_view is not None
-                views.append(node.prev_view)
-            else:
-                assert not node.alive, f"alive node {v} skipped phase {p}"
-                views.append({"alive": False, "parent_port": None, "depth": None,
-                              "bfs_depth0": None, "root_id": None})
-        return {"phase": p, "views": views}
-
-
-def _forest_from_views(g: Graph, id_to_index: dict[int, int], views: list[dict]) -> RootedForest:
-    n = g.n
-    member = [bool(views[v]["alive"]) for v in range(n)]
-    parent: list[int | None] = [None] * n
-    depth: list[int | None] = [None] * n
-    root_of: list[int | None] = [None] * n
-    children: dict[int, list[int]] = {}
-    tree_size: dict[int, int] = {}
-    for v in range(n):
-        if not member[v]:
-            continue
-        vw = views[v]
-        depth[v] = vw["depth"]
-        root_of[v] = id_to_index[vw["root_id"]]
-        if vw["parent_port"] is not None:
-            parent[v] = g.adj[v][vw["parent_port"]]
-            children.setdefault(parent[v], []).append(v)
-        tree_size[root_of[v]] = tree_size.get(root_of[v], 0) + 1
-    return RootedForest(n=n, member=member, parent=parent, depth=depth,
-                        root_of=root_of, children=children, tree_size=tree_size)
 
 
 def run_protocol(
@@ -688,37 +710,9 @@ def run_protocol(
     b phases.
     """
     sim = Simulator(g, ids, alive=alive, driver=driver, transcript=transcript)
-    extracted, stats = sim.run()
-    phases: list[PhaseResult] = []
-    alive_in = sorted(sim.alive0)
-    terminals_in = sorted(sim.alive0)
-    for entry in extracted:
-        p = entry["phase"]
-        views = entry["views"]
-        forest = _forest_from_views(g, sim.id_to_index, views)
-        survivors = tuple(forest.members())
-        terminals_out = tuple(forest.roots())
-        f0_depth = tuple(
-            views[v]["bfs_depth0"] if views[v]["alive"] else None for v in range(g.n)
-        )
-        deleted = tuple(sorted(set(alive_in) - set(survivors)))
-        phases.append(
-            PhaseResult(
-                p=p,
-                b=ids.b,
-                alive_in=tuple(alive_in),
-                terminals_in=tuple(terminals_in),
-                survivors=survivors,
-                terminals_out=terminals_out,
-                deleted=deleted,
-                final_forest=forest,
-                step_traces=(),
-                f0_depth=f0_depth,
-            )
-        )
-        alive_in = list(survivors)
-        terminals_in = list(terminals_out)
+    phases, stats = sim.run()
+    last = phases[-1]
     clustering = clustering_from_survivors(
-        g, ids.b, sim.alive0, alive_in, terminals_in
+        g, ids.b, sim.alive0, last.survivors, last.terminals_out
     )
     return clustering, stats, phases

@@ -213,7 +213,9 @@ def check_step_invariants(
     The depth, growth, proposer and frozen-tree claims read the post-step
     member snapshots of a debug run.  Without them (a non-debug or simulated
     phase) those entries pass unchecked and say so in their names; only the
-    blame ledger and the deletion budget run on every phase.
+    blame ledger and the deletion budget run on every phase.  The budget
+    counts the phase's ``deleted`` list, so it holds a simulated phase,
+    which records no traces, to the same bound.
     """
     name = _Names(ids)
     checks: list[CheckResult] = []
@@ -265,9 +267,7 @@ def check_step_invariants(
 
     blame_witness = None
     declines_seen: set[int] = set()
-    total_deleted = 0
     for tr in phase.step_traces:
-        total_deleted += len(tr.deleted)
         declined_weight: dict[int, int] = {}
         for pr in tr.proposals:
             if pr.target_root in tr.declines:
@@ -288,12 +288,13 @@ def check_step_invariants(
             break
     checks.append(CheckResult("blame-ledger", blame_witness is None, blame_witness))
 
-    budget_ok = 2 * b * total_deleted <= len(phase.alive_in)
+    deleted = len(phase.deleted)
+    budget_ok = 2 * b * deleted <= len(phase.alive_in)
     checks.append(
         CheckResult(
             "phase-deletion-budget",
             budget_ok,
-            None if budget_ok else f"deleted {total_deleted} of {len(phase.alive_in)} with b={b}",
+            None if budget_ok else f"deleted {deleted} of {len(phase.alive_in)} with b={b}",
         )
     )
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -6,13 +7,13 @@ import sys
 import pytest
 
 import strongcluster
+from conftest import corpus_entries
 from strongcluster import sim as sim_module
 from strongcluster.cluster import strong_cluster
 from strongcluster.gen import FamilySpec, generate, splitmix_at
-from strongcluster.graph import build_graph
+from strongcluster.graph import GraphError, build_graph
 from strongcluster.sim import (
     Calendar,
-    Message,
     MsgTag,
     ProtocolViolation,
     RoundStats,
@@ -68,14 +69,13 @@ def test_calendar_locate_roundtrip():
 
 def test_message_bit_budget_boundaries():
     b = 3
-    assert payload_bits(Message(MsgTag.WEIGHT_PARTIAL, (5, 2)), b) <= message_bit_budget(b)
-    assert payload_bits(Message(MsgTag.BFS_TOKEN, (0, 0, 0)), b) <= message_bit_budget(b)
+    assert payload_bits(MsgTag.WEIGHT_PARTIAL, b) <= message_bit_budget(b)
+    assert payload_bits(MsgTag.BFS_TOKEN, b) <= message_bit_budget(b)
     # Every tag fits the 4b+16 budget; test_oversized_message_is_rejected
     # shows that a width equal to the budget passes and one more does not.
     for bb in range(1, 20):
         for tag in MsgTag:
-            m = Message(tag, (0, 0, 0))
-            assert payload_bits(m, bb) <= message_bit_budget(bb)
+            assert payload_bits(tag, bb) <= message_bit_budget(bb)
 
 
 def _field_layout(b):
@@ -100,7 +100,7 @@ def test_payload_bits_match_field_layout():
         layout = _field_layout(b)
         assert set(layout) == set(MsgTag)
         for tag in MsgTag:
-            assert payload_bits(Message(tag), b) == layout[tag], (b, tag)
+            assert payload_bits(tag, b) == layout[tag], (b, tag)
 
 
 def test_width_table_does_not_leak_across_b():
@@ -133,14 +133,16 @@ def _k2_simulator(patch_node0=None):
     g, ids = build_graph(2, [(0, 1)])
     sim = Simulator(g, ids)
     if patch_node0 is not None:
-        real = sim.nodes[0].on_round
+        real = sim._wake
 
-        def on_round(ctx, inbox):
-            out, wakes = real(ctx, inbox)
-            extra_out, extra_wakes = patch_node0(ctx)
-            return out + extra_out, wakes + extra_wakes
+        def wake(v, r, inbox, out, wakes):
+            real(v, r, inbox, out, wakes)
+            if v == 0:
+                extra_out, extra_wakes = patch_node0(r)
+                out += extra_out
+                wakes += extra_wakes
 
-        sim.nodes[0].on_round = on_round
+        sim._wake = wake
     return sim
 
 
@@ -148,7 +150,7 @@ def test_oversized_message_is_rejected(monkeypatch):
     # No tag can exceed 4b+16 under the field layout, so the budget is
     # lowered instead: a message exactly at the budget passes, one bit
     # over is a violation.
-    widest = payload_bits(Message(MsgTag.BFS_TOKEN), 1)
+    widest = payload_bits(MsgTag.BFS_TOKEN, 1)
     assert widest == max(_field_layout(1).values())
     monkeypatch.setattr(sim_module, "message_bit_budget", lambda b: widest)
     _, stats = _k2_simulator().run()
@@ -160,20 +162,20 @@ def test_oversized_message_is_rejected(monkeypatch):
 
 @pytest.mark.parametrize("port", [1, -1])
 def test_send_on_missing_port_is_rejected(port):
-    sim = _k2_simulator(lambda ctx: ([(port, Message(MsgTag.LEAVE))], []))
+    sim = _k2_simulator(lambda r: ([(port, (MsgTag.LEAVE, ()))], []))
     with pytest.raises(ProtocolViolation, match=f"node 0 sent on missing port {port}"):
         sim.run()
 
 
 def test_wake_at_or_before_now_is_rejected():
     for back in (0, 1):
-        sim = _k2_simulator(lambda ctx: ([], [ctx.round - back] if ctx.round >= back else []))
+        sim = _k2_simulator(lambda r: ([], [r - back] if r >= back else []))
         with pytest.raises(ProtocolViolation, match="non-future wake"):
             sim.run()
 
 
 def test_wake_beyond_budget_is_rejected():
-    sim = _k2_simulator(lambda ctx: ([], [sim.cal.total]))
+    sim = _k2_simulator(lambda r: ([], [sim.cal.total]))
     with pytest.raises(ProtocolViolation, match=f"wake {sim.cal.total} beyond budget"):
         sim.run()
 
@@ -274,6 +276,61 @@ def test_alive_subset_restricts_protocol():
     assert 0 not in clustering.covered_nodes()
 
 
+def test_simulator_rejects_alive_node_out_of_range():
+    g, ids = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    for backend in ("reference", "simulated"):
+        with pytest.raises(GraphError, match="alive node 7 out of range"):
+            strong_cluster(g, ids, backend=backend, alive=[0, 1, 7])
+
+
+def test_simulator_rejects_unknown_driver():
+    g, ids = build_graph(2, [(0, 1)])
+    with pytest.raises(ValueError, match="unknown driver 'lockstp'"):
+        Simulator(g, ids, driver="lockstp")
+
+
+def _forest_fields(phase):
+    f = phase.final_forest
+    return {
+        "member": f.member,
+        "parent": f.parent,
+        "depth": f.depth,
+        "root_of": f.root_of,
+        "children": {u: sorted(c) for u, c in f.children.items()},
+        "tree_size": f.tree_size,
+        "f0_depth": phase.f0_depth,
+        "survivors": phase.survivors,
+        "terminals_out": phase.terminals_out,
+        "deleted": phase.deleted,
+    }
+
+
+def _labelled_graphs(max_n):
+    for n in range(1, max_n + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+            yield f"n={n} edges={edges}", *build_graph(n, edges)
+
+
+def test_simulated_phases_match_reference_field_by_field():
+    # Every labelled graph with n <= 5 (1099 graphs) plus the corpus up to
+    # n = 64: each phase's forest as the simulator reads it off its node
+    # state must equal the reference engine's, field by field.
+    checked = 0
+    instances = itertools.chain(_labelled_graphs(5), corpus_entries(64))
+    for name, g, ids in instances:
+        _, _, phases = run_protocol(g, ids)
+        ref = strong_cluster(g, ids).phases
+        assert len(phases) == len(ref) == ids.b, name
+        for sp, rp in zip(phases, ref):
+            got, want = _forest_fields(sp), _forest_fields(rp)
+            for field in want:
+                assert got[field] == want[field], f"{name}: phase {rp.p} {field} differs"
+        checked += 1
+    assert checked > 1099
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_lockstep_and_event_drivers_agree(seed):
     g, ids = random_connected(7 + seed, 500 + seed)
@@ -283,7 +340,7 @@ def test_lockstep_and_event_drivers_agree(seed):
     lk_out, lk_stats = lk.run()
     assert ev.events == lk.events
     assert ev_stats == lk_stats
-    assert [e["views"] for e in ev_out] == [e["views"] for e in lk_out]
+    assert ev_out == lk_out
 
 
 def test_event_driver_deterministic():

@@ -131,6 +131,43 @@ def test_step_invariants_reject_excess_blame():
     assert "blame-ledger" in {c.name for c in report.failures()}
 
 
+def test_step_invariants_reject_tree_blamed_in_two_steps():
+    # Tree 0 declines in step 0 and again in step 1; each step's blame is
+    # small and matches its deletions, so only the two-step rule sees it.
+    g, ids = build_graph(2, [(0, 1)])
+    res = run_phase(g, {0, 1}, {0, 1}, 0, ids, debug=True)
+    snap = res.step_traces[-1].snapshot
+
+    def decline(j):
+        return StepTrace(
+            j=j,
+            proposals=(Proposal(proposer=1, weight=1, attach_at=0, target_root=0),),
+            grows=(),
+            declines=(0,),
+            deleted=(1,),
+            max_depth=0,
+            red_sizes={0: 100},
+            snapshot=snap,
+        )
+
+    forged = dataclasses.replace(res, step_traces=(decline(0), decline(1)) + res.step_traces[2:])
+    report = check_step_invariants(g, forged, ids)
+    ledger = [c for c in report.failures() if c.name == "blame-ledger"]
+    assert ledger and ledger[0].witness.endswith("blamed in two steps")
+
+
+def test_step_invariants_check_deletion_budget_on_simulated_phase():
+    # A simulated phase carries no step traces; the budget must still count
+    # its deletions.  P4 at b = 2 may lose at most 4 / (2 * 2) = 1 node.
+    g, ids = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    simulated = strong_cluster(g, ids, backend="simulated").phases[0]
+    assert simulated.step_traces == () and ids.b == 2
+    assert check_step_invariants(g, simulated, ids).all_pass
+    forged = dataclasses.replace(simulated, deleted=(0, 1, 2, 3))
+    report = check_step_invariants(g, forged, ids)
+    assert [c.name for c in report.failures()] == ["phase-deletion-budget"]
+
+
 def test_step_invariants_reject_blue_proposer():
     # Path 0 - 1 - 2 with red terminal 1 between blue terminals 0 and 2: both
     # propose to tree 1 and it grows.  Forge proposer 2 as still blue at its
