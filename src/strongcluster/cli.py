@@ -200,7 +200,6 @@ def _clustering_from_doc(doc: dict, n: int, b: int) -> Clustering:
         n=n, b=b,
         clusters=tuple((_int_field(c, "terminal"), tuple(_int_list(c, "nodes"))) for c in clusters),
         unclustered=tuple(_int_list(doc, "unclustered")),
-        ruling_radius_bound=4 * b**3,
     )
 
 

@@ -30,11 +30,11 @@ class Clustering:
     b: int
     clusters: tuple[tuple[int, tuple[int, ...]], ...]
     unclustered: tuple[int, ...]
-    ruling_radius_bound: int
 
     @property
     def diameter_bound(self) -> int:
-        return 2 * self.ruling_radius_bound
+        """Twice the ruling radius 4b^3."""
+        return 8 * self.b**3
 
     def covered(self) -> int:
         return sum(len(members) for _, members in self.clusters)
@@ -111,7 +111,6 @@ def clustering_from_survivors(
         b=b,
         clusters=tuple(clusters),
         unclustered=tuple(sorted(alive_set - surv)),
-        ruling_radius_bound=4 * b**3,
     )
 
 
@@ -127,8 +126,12 @@ def strong_cluster(
     ``backend="reference"`` runs the centralized phase engine;
     ``backend="simulated"`` runs the synchronous message-passing executor and
     attaches its round statistics.  Both produce identical clusterings.
+    ``debug=True`` records per-step snapshots, which only the reference
+    backend emits, so the simulated backend rejects it.
     """
     if backend == "simulated":
+        if debug:
+            raise ValueError("backend='simulated' with debug=True: the simulator records no step traces")
         from .sim import run_protocol
 
         clustering, stats, phases = run_protocol(g, ids, alive=alive)

@@ -37,6 +37,24 @@ class RootedForest:
     children: dict[int, list[int]]
     tree_size: dict[int, int]
 
+    @classmethod
+    def from_parents(cls, n: int, members, parent, depth, root_of) -> "RootedForest":
+        """The forest on ``members`` given its per-node parent links, depths and roots.
+
+        The one place that derives ``member``, ``children`` and ``tree_size``;
+        child lists follow the order of ``members``.  The three lists are kept,
+        not copied, and must hold None for every non-member.
+        """
+        member = [False] * n
+        children: dict[int, list[int]] = {}
+        for v in members:
+            member[v] = True
+            u = parent[v]
+            if u is not None:
+                children.setdefault(u, []).append(v)
+        tree_size = dict(Counter(root_of[v] for v in members))
+        return cls(n, member, parent, depth, root_of, children, tree_size)
+
     def copy(self) -> "RootedForest":
         return RootedForest(
             n=self.n,
@@ -129,22 +147,12 @@ def bfs_forest(g: Graph, alive, terminals, ids: IdAssignment | None = None) -> R
     neighbor one layer closer).  Rejects when some alive node is unreachable
     from the terminals.
     """
-    alive_set = set(alive)
-    dm = multi_source_bfs(g, alive_set, terminals, ids)
-    dist, parent = dm.dist, dm.parent
-    member = [False] * g.n
-    children: dict[int, list[int]] = {}
-    for v in sorted(alive_set):
-        if dist[v] is None:
+    alive_sorted = sorted(alive)
+    dm = multi_source_bfs(g, alive_sorted, terminals, ids)
+    for v in alive_sorted:
+        if dm.dist[v] is None:
             raise ForestError(f"alive node {v} unreachable from terminals")
-        member[v] = True
-        if parent[v] is not None:
-            children.setdefault(parent[v], []).append(v)
-    root_of = list(dm.origin)
-    return RootedForest(
-        n=g.n, member=member, parent=list(parent), depth=list(dist), root_of=root_of,
-        children=children, tree_size=dict(Counter(root_of[v] for v in alive_set)),
-    )
+    return RootedForest.from_parents(g.n, alive_sorted, list(dm.parent), list(dm.dist), list(dm.origin))
 
 
 def audit_depths(f: RootedForest) -> None:

@@ -80,13 +80,40 @@ class PhaseResult:
     p: int
     b: int
     alive_in: tuple[int, ...]
-    terminals_in: tuple[int, ...]
     survivors: tuple[int, ...]
     terminals_out: tuple[int, ...]
     deleted: tuple[int, ...]
     final_forest: RootedForest
     step_traces: tuple[StepTrace, ...]
     f0_depth: tuple[int | None, ...]
+
+    @classmethod
+    def from_forest(
+        cls,
+        p: int,
+        b: int,
+        alive_in: tuple[int, ...],
+        forest: RootedForest,
+        step_traces: tuple[StepTrace, ...],
+        f0_depth: tuple[int | None, ...],
+    ) -> "PhaseResult":
+        """Read survivors, deletions and surviving terminals off the final forest.
+
+        ``alive_in`` is the sorted phase input; survivors and deletions keep
+        its order.
+        """
+        member = forest.member
+        return cls(
+            p=p,
+            b=b,
+            alive_in=alive_in,
+            survivors=tuple(v for v in alive_in if member[v]),
+            terminals_out=tuple(forest.roots()),
+            deleted=tuple(v for v in alive_in if not member[v]),
+            final_forest=forest,
+            step_traces=step_traces,
+            f0_depth=f0_depth,
+        )
 
 
 def _proposals_from_candidates(
@@ -204,13 +231,10 @@ def run_phase(
     shift = b - 1 - p
     id_of, root_of, adj = ids.ids, f.root_of, g.adj
     red = [False] * g.n
-    red_nbr_count = [0] * g.n
     for v in alive_sorted:
-        if not (id_of[root_of[v]] >> shift) & 1:
-            red[v] = True
-            for w in adj[v]:
-                red_nbr_count[w] += 1
-    candidates = {v for v in alive_sorted if not red[v] and red_nbr_count[v]}
+        red[v] = not (id_of[root_of[v]] >> shift) & 1
+    member = f.member
+    candidates = {w for v in alive_sorted if red[v] for w in adj[v] if member[w] and not red[w]}
 
     tally = _DepthTally(f.depth[v] for v in alive_sorted)
     traces: list[StepTrace] = []
@@ -250,7 +274,6 @@ def run_phase(
             red[u] = True
             candidates.discard(u)
             for w in g.adj[u]:
-                red_nbr_count[w] += 1
                 if f.member[w] and not red[w]:
                     candidates.add(w)
         for u in deleted_step:
@@ -286,22 +309,7 @@ def run_phase(
             )
         )
 
-    member = f.member
-    survivors = tuple(v for v in alive_sorted if member[v])
-    terminals_out = tuple(f.roots())
-    deleted_all = tuple(v for v in alive_sorted if not member[v])
-    assert set(terminals_out) <= q_set
-    assert len(survivors) == f.member_count(), "forest gained a member outside the alive set"
-    return PhaseResult(
-        p=p,
-        b=b,
-        alive_in=tuple(alive_sorted),
-        terminals_in=tuple(sorted(q_set)),
-        survivors=survivors,
-        terminals_out=terminals_out,
-        deleted=deleted_all,
-        final_forest=f,
-        step_traces=tuple(traces),
-        f0_depth=f0_depth,
-    )
-
+    result = PhaseResult.from_forest(p, b, tuple(alive_sorted), f, tuple(traces), f0_depth)
+    assert set(result.terminals_out) <= q_set
+    assert len(result.survivors) == f.member_count(), "forest gained a member outside the alive set"
+    return result

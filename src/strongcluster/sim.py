@@ -34,8 +34,9 @@ nothing else besides its inbox.  Fields that belong to one step or one
 phase carry an epoch stamp, the step's first round or the phase index that
 wrote them, and read as empty once that epoch has passed, so nothing is
 cleared between steps.  The red flag is recomputed only when the node's
-root or the phase changes.  At each phase boundary the simulator reads the
-phase's forest straight from the lists.
+root or the phase changes.  At each phase boundary the simulator reads each
+survivor's parent, depth and root off the lists and hands them to
+``RootedForest.from_parents``.
 
 A message is a plain ``(tag, data)`` tuple.  Tag vocabulary: BFS_TOKEN (BFS
 wave), COLOR (recolor announcements), ANCESTOR_FLAG, SIZE_PARTIAL and
@@ -655,45 +656,26 @@ class Simulator:
     def _extract_phase(self, done: list[PhaseResult]) -> PhaseResult:
         """Read the next phase's result off the state lists at its boundary."""
         n, adj = self.g.n, self.g.adj
-        if done:
-            alive_in, terminals_in = done[-1].survivors, done[-1].terminals_out
-        else:
-            alive_in = terminals_in = tuple(sorted(self.alive0))
-        member = list(self.alive)
+        alive_in = done[-1].survivors if done else tuple(sorted(self.alive0))
         parent: list[int | None] = [None] * n
         depth: list[int | None] = [None] * n
         root_of: list[int | None] = [None] * n
         f0_depth: list[int | None] = [None] * n
-        children: dict[int, list[int]] = {}
-        tree_size: dict[int, int] = {}
+        survivors = []
         for v in alive_in:
             # Deletions come after the BFS stage, so every phase input has a
             # starting depth.
             f0_depth[v] = self.bfs_depth[v]
-            if not member[v]:
+            if not self.alive[v]:
                 continue
+            survivors.append(v)
             depth[v] = self.depth[v]
-            root = root_of[v] = self.id_to_index[self.root[v]]
+            root_of[v] = self.id_to_index[self.root[v]]
             pp = self.parent[v]
             if pp is not None:
-                u = parent[v] = adj[v][pp]
-                children.setdefault(u, []).append(v)
-            tree_size[root] = tree_size.get(root, 0) + 1
-        forest = RootedForest(n=n, member=member, parent=parent, depth=depth,
-                              root_of=root_of, children=children, tree_size=tree_size)
-        survivors = tuple(v for v in alive_in if member[v])
-        return PhaseResult(
-            p=len(done),
-            b=self.cal.b,
-            alive_in=alive_in,
-            terminals_in=terminals_in,
-            survivors=survivors,
-            terminals_out=tuple(forest.roots()),
-            deleted=tuple(v for v in alive_in if not member[v]),
-            final_forest=forest,
-            step_traces=(),
-            f0_depth=tuple(f0_depth),
-        )
+                parent[v] = adj[v][pp]
+        forest = RootedForest.from_parents(n, survivors, parent, depth, root_of)
+        return PhaseResult.from_forest(len(done), self.cal.b, alive_in, forest, (), tuple(f0_depth))
 
 
 def run_protocol(

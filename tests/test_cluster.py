@@ -195,6 +195,16 @@ def test_one_shot_alive_iterator_gives_equal_clusterings_on_both_backends():
     assert ref == strong_cluster(g, ids, alive=set(range(8))).clustering
 
 
+def test_debug_runs_need_the_reference_backend():
+    g, ids = build_graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="backend='simulated' with debug=True"):
+        strong_cluster(g, ids, backend="simulated", debug=True)
+    run = strong_cluster(g, ids, backend="reference", debug=True)
+    assert run.phases and all(
+        p.step_traces and all(tr.snapshot is not None for tr in p.step_traces) for p in run.phases
+    )
+
+
 def _induced_relabelled(g, ids, nodes):
     """G[nodes] on 0..k-1 in sorted node order, keeping identifiers and b."""
     index = {v: i for i, v in enumerate(nodes)}

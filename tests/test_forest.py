@@ -1,6 +1,6 @@
 import pytest
 
-from strongcluster.forest import ForestError, audit_depths, bfs_forest
+from strongcluster.forest import ForestError, RootedForest, audit_depths, bfs_forest
 from strongcluster.graph import build_graph
 
 
@@ -30,6 +30,19 @@ def test_bfs_forest_all_terminals():
     f = bfs_forest(g, {0, 1, 2}, {0, 1, 2}, ids)
     assert f.depth == [0, 0, 0]
     assert f.tree_size == {0: 1, 1: 1, 2: 1}
+
+
+def test_from_parents_derives_children_and_tree_sizes_for_members_only():
+    # Trees 0 <- 1 <- {2, 3} and 4 on six nodes; node 5 is not a member.
+    parent = [None, 0, 1, 1, None, None]
+    depth = [0, 1, 2, 2, 0, None]
+    root_of = [0, 0, 0, 0, 4, None]
+    f = RootedForest.from_parents(6, [0, 1, 2, 3, 4], parent, depth, root_of)
+    assert f.member == [True] * 5 + [False]
+    assert f.children == {0: [1], 1: [2, 3]}
+    assert f.tree_size == {0: 4, 4: 1}
+    assert f.roots() == [0, 4]
+    audit_depths(f)
 
 
 def test_bfs_forest_rejects_unreachable():

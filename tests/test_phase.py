@@ -104,13 +104,10 @@ def test_propose_set_ancestor_rule():
     # Blue chain 1 <- 2 <- 3; red singleton 0 adjacent to 2 and 3 only.
     # Both 2 and 3 are red-adjacent but 3 sits below red-adjacent 2.
     g, ids = build_graph(4, [(1, 2), (2, 3), (0, 2), (0, 3)], ids=[0, 2, 1, 3])
-    member = [True] * 4
     parent = [None, None, 1, 2]
     depth = [0, 0, 1, 2]
     root_of = [0, 1, 1, 1]
-    children = {1: [2], 2: [3]}
-    f = RootedForest(n=4, member=member, parent=parent, depth=depth,
-                     root_of=root_of, children=children, tree_size={0: 1, 1: 3})
+    f = RootedForest.from_parents(4, range(4), parent, depth, root_of)
     _, trace = step_from_scratch(g, f, ids, 0)
     assert trace.proposals == (Proposal(proposer=2, weight=2, attach_at=0, target_root=0),)
 
@@ -162,13 +159,10 @@ def test_apply_step_decline_deletes_proposer_subtree():
     # At b = 3 the threshold needs 2b * 1 = 6 >= 7, which fails: decline.
     g, ids = build_graph(8, [(0, i) for i in range(1, 7)] + [(1, 7)])
     assert ids.b == 3
-    member = [True] * 8
     parent = [None, 0, 0, 0, 0, 0, 0, None]
     depth = [0, 1, 1, 1, 1, 1, 1, 0]
     root_of = [0, 0, 0, 0, 0, 0, 0, 7]
-    children = {0: [1, 2, 3, 4, 5, 6]}
-    f = RootedForest(n=8, member=member, parent=parent, depth=depth,
-                     root_of=root_of, children=children, tree_size={0: 7, 7: 1})
+    f = RootedForest.from_parents(8, range(8), parent, depth, root_of)
     f2, trace = step_from_scratch(g, f, ids, 0)
     assert trace.proposals == (Proposal(proposer=7, weight=1, attach_at=1, target_root=0),)
     assert trace.declines == (0,) and trace.grows == ()

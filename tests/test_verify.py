@@ -1,6 +1,6 @@
 import dataclasses
 
-from strongcluster.cluster import Clustering, network_decomposition, strong_cluster
+from strongcluster.cluster import Clustering, Decomposition, network_decomposition, strong_cluster
 from strongcluster.gen import FamilySpec, generate
 from strongcluster.graph import build_graph
 from strongcluster.phase import Proposal, StepTrace, run_phase
@@ -51,7 +51,6 @@ def test_clustering_rejects_adjacent_clusters():
         n=3, b=ids.b,
         clusters=((0, (0, 1)), (2, (2,))),
         unclustered=(),
-        ruling_radius_bound=4 * ids.b**3,
     )
     report = check_clustering(g, bad, ids.b)
     names = {c.name for c in report.failures()}
@@ -65,7 +64,6 @@ def test_clustering_rejects_low_coverage():
         n=4, b=ids.b,
         clusters=((0, (0,)),),
         unclustered=(1, 2, 3),
-        ruling_radius_bound=4 * ids.b**3,
     )
     report = check_clustering(g, bad, ids.b)
     assert "coverage-at-least-half" in {c.name for c in report.failures()}
@@ -77,7 +75,6 @@ def test_clustering_rejects_overlap_and_misplaced_terminal():
         n=4, b=ids.b,
         clusters=((0, (0, 1)), (2, (1, 2))),
         unclustered=(3,),
-        ruling_radius_bound=4 * ids.b**3,
     )
     report = check_clustering(g, bad, ids.b)
     assert "clusters-disjoint" in {c.name for c in report.failures()}
@@ -85,7 +82,6 @@ def test_clustering_rejects_overlap_and_misplaced_terminal():
         n=4, b=ids.b,
         clusters=((3, (0, 1)),),
         unclustered=(2, 3),
-        ruling_radius_bound=4 * ids.b**3,
     )
     report = check_clustering(g, worse, ids.b)
     assert "one-terminal-per-cluster" in {c.name for c in report.failures()}
@@ -271,7 +267,6 @@ def test_clustering_rejects_out_of_range_nodes_before_other_checks():
         n=3, b=ids.b,
         clusters=((0, (0, 1)),),
         unclustered=(5,),
-        ruling_radius_bound=4 * ids.b**3,
     )
     report = check_clustering(g, bad, ids.b)
     assert [(c.name, c.passed, c.witness) for c in report.checks] == [
@@ -285,10 +280,21 @@ def test_clustering_rejects_lists_that_miss_or_repeat_nodes():
         n=4, b=ids.b,
         clusters=((0, (0,)), (2, (2,))),
         unclustered=(1,),
-        ruling_radius_bound=4 * ids.b**3,
     )
     report = check_clustering(g, short, ids.b)
     assert [c.name for c in report.failures()] == ["partition"]
     repeated = dataclasses.replace(short, unclustered=(1, 3, 3))
     report = check_clustering(g, repeated, ids.b)
     assert [c.witness for c in report.failures()] == ["1 repeated entries"]
+
+
+def test_diameter_checks_reject_a_long_path_at_b1():
+    # At b=1 the diameter bound is 8; the 10-node path has diameter 9.
+    g, _ = build_graph(10, [(v, v + 1) for v in range(9)])
+    whole = Clustering(n=10, b=1, clusters=((0, tuple(range(10))),), unclustered=())
+    report = check_clustering(g, whole, 1)
+    assert [c.name for c in report.failures()] == ["cluster-diameter"]
+    assert "diameter 9, bound 8" in report.failures()[0].witness
+    report = check_decomposition(g, Decomposition(colors_used=1, color=(0,) * 10), 1)
+    assert [c.name for c in report.failures()] == ["per-color-clusterings"]
+    assert "diameter 9, bound 8" in report.failures()[0].witness
