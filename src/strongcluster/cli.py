@@ -221,7 +221,10 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s]
+    except ValueError:
+        raise GraphError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
     rows = ["n,b,coverage,max_diameter,rounds,rounds_per_b6"]
     for n in sizes:
         spec = FamilySpec(
@@ -305,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphError, OSError, json.JSONDecodeError) as exc:
+    except (GraphError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

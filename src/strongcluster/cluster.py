@@ -183,14 +183,19 @@ def mis_via_decomposition(g: Graph, ids: IdAssignment, d: Decomposition) -> list
     """Maximal independent set built color class by color class.
 
     Within each cluster of the current color, nodes join greedily in
-    ascending identifier order unless a neighbor already joined.  Same-color
-    clusters are non-adjacent, so their greedy passes cannot interact.
+    ascending identifier order unless a neighbor already joined.  One greedy
+    pass over all colored nodes in (color, identifier) order gives the same
+    set: the clusters of one color are the components of its class, so they
+    are non-adjacent, and a node's choice depends only on earlier colors and
+    on the earlier nodes of its own cluster, whose relative order is kept.
     """
+    color, ident = d.color, ids.ids
+    order = sorted(
+        (v for v in range(g.n) if 0 <= color[v] < d.colors_used),
+        key=lambda v: (color[v], ident[v]),
+    )
     chosen: set[int] = set()
-    for c in range(d.colors_used):
-        color_class = [v for v in range(g.n) if d.color[v] == c]
-        for comp in connected_components(g, color_class):
-            for v in sorted(comp, key=lambda x: ids.ids[x]):
-                if not any(w in chosen for w in g.adj[v]):
-                    chosen.add(v)
+    for v in order:
+        if not any(w in chosen for w in g.adj[v]):
+            chosen.add(v)
     return sorted(chosen)

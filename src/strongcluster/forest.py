@@ -55,20 +55,6 @@ class RootedForest:
         tree_size = dict(Counter(root_of[v] for v in members))
         return cls(n, member, parent, depth, root_of, children, tree_size)
 
-    def copy(self) -> "RootedForest":
-        return RootedForest(
-            n=self.n,
-            member=list(self.member),
-            parent=list(self.parent),
-            depth=list(self.depth),
-            root_of=list(self.root_of),
-            children={u: list(c) for u, c in self.children.items()},
-            tree_size=dict(self.tree_size),
-        )
-
-    def members(self) -> list[int]:
-        return [v for v in range(self.n) if self.member[v]]
-
     def roots(self) -> list[int]:
         return sorted(self.tree_size)
 

@@ -39,9 +39,6 @@ class Graph:
     adj: tuple[tuple[int, ...], ...]
     edge_count: int
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def edges(self) -> Iterable[tuple[int, int]]:
         """Yield each undirected edge once, as (u, v) with u < v, sorted."""
         for u in range(self.n):

@@ -139,62 +139,42 @@ class RoundStats:
     max_message_bits: int
 
 
-@dataclass(frozen=True)
-class RoundCtx:
-    round: int
-    phase: int
-    stage: str
-    step: int
-    rel: int
-
-
 class Calendar:
     """Fixed global round calendar for b phases; shared knowledge of all nodes."""
 
     _STAGES = ("A", "B", "C", "D", "E", "F", "G", "H")
-    _STAGE_INDEX = {name: i for i, name in enumerate(_STAGES)}
 
     def __init__(self, b: int):
         self.b = b
         self.t = step_budget(b)
         self.L = [4 * b * b * (p + 1) + 1 for p in range(b)]
-        self.block = [3 + 5 * L for L in self.L]
-        self.phase_len = [L + self.t * blk for L, blk in zip(self.L, self.block)]
-        starts = [0]
-        for ln in self.phase_len:
-            starts.append(starts[-1] + ln)
-        self.phase_start = starts[:-1]
-        self.total = starts[-1]
         # Per phase: the offset of each stage inside a step block, then the
         # block length; stage i spans [starts[i], starts[i + 1]).
-        self._stage_starts = [
+        self.stage_starts = [
             list(accumulate((1, L, L, 1, L, L, 1, L), initial=0)) for L in self.L
         ]
+        self.block = [st[-1] for st in self.stage_starts]
+        starts = list(accumulate((L + self.t * blk for L, blk in zip(self.L, self.block)), initial=0))
+        self.phase_start = starts[:-1]
+        self.total = starts[-1]
 
-    def locate(self, r: int) -> RoundCtx:
+    def locate(self, r: int) -> tuple[int, str, int, int, int]:
+        """(phase, stage, step, stage_first, stage_end) of round r.
+
+        The stage spans rounds [stage_first, stage_end); step is -1 in the
+        BFS stage.
+        """
         if not 0 <= r < self.total:
             raise ProtocolViolation(f"round {r} outside budget {self.total}")
         p = bisect_right(self.phase_start, r) - 1
-        rp = r - self.phase_start[p]
-        L = self.L[p]
-        if rp < L:
-            return RoundCtx(round=r, phase=p, stage="bfs", step=-1, rel=rp + 1)
-        step, o = divmod(rp - L, self.block[p])
-        starts = self._stage_starts[p]
+        first_step = self.phase_start[p] + self.L[p]
+        if r < first_step:
+            return p, "bfs", -1, self.phase_start[p], first_step
+        step, o = divmod(r - first_step, self.block[p])
+        starts = self.stage_starts[p]
         i = bisect_right(starts, o) - 1
-        return RoundCtx(round=r, phase=p, stage=self._STAGES[i], step=step, rel=o - starts[i] + 1)
-
-    def abs_round(self, p: int, stage: str, step: int, rel: int) -> int:
-        base = self.phase_start[p]
-        if stage == "bfs":
-            return base + rel - 1
-        i = self._STAGE_INDEX.get(stage)
-        if i is None:
-            raise ProtocolViolation(f"unknown stage {stage}")
-        starts = self._stage_starts[p]
-        if not 1 <= rel <= starts[i + 1] - starts[i]:
-            raise ProtocolViolation(f"relative round {rel} outside stage {stage}")
-        return base + self.L[p] + step * self.block[p] + starts[i] + rel - 1
+        base = r - o
+        return p, self._STAGES[i], step, base + starts[i], base + starts[i + 1]
 
 
 def round_budget(n: int, b: int) -> int:
@@ -210,7 +190,9 @@ class Simulator:
     ``driver="event"`` wakes a node only when it has deliveries or a due
     timer; ``driver="lockstep"`` wakes every node every round.  Both must
     produce identical transcripts; the lockstep driver exists to validate
-    the event scheduler on small instances.
+    the event scheduler on small instances.  One agenda decides who wakes:
+    it maps each round to the woken nodes and each of those to its inbox,
+    and a timer wake is an empty inbox.
     """
 
     def __init__(
@@ -239,10 +221,11 @@ class Simulator:
         pos = [{w: i for i, w in enumerate(g.adj[v])} for v in range(n)]
         self.rev_port = [[pos[w][v] for w in g.adj[v]] for v in range(n)]
         self.id_to_index = {ids.ids[v]: v for v in range(n)}
-        self.pending: dict[int, dict[int, list[tuple[int, tuple]]]] = {}
-        self.wake_rounds: dict[int, set[int]] = {}
+        # Round -> node -> inbox of (port, message) pairs: the nodes woken in
+        # that round, a timer wake being an empty inbox.  The heap holds each
+        # agenda round inside the budget, pushed when its entry is created.
+        self.agenda: dict[int, dict[int, list[tuple[int, tuple]]]] = {}
         self.heap: list[int] = []
-        self.heap_set: set[int] = set()
         self.messages_total = 0
         self.max_bits = 0
         # b is fixed for the run, so each tag's width is computed once here.
@@ -291,26 +274,23 @@ class Simulator:
         """Set the round context the node program reads for round r."""
         if self.stage_first <= r < self.stage_end:
             return
-        ctx = self.cal.locate(r)
-        if ctx.phase != self.p:
-            cal, p = self.cal, ctx.phase
-            L, st = cal.L[p], cal._stage_starts[p]
+        p, self.stage, self.step, self.stage_first, self.stage_end = self.cal.locate(r)
+        if p != self.p:
+            cal = self.cal
+            st = cal.stage_starts[p]
             self.p = p
             self.shift = cal.b - 1 - p
             self.block = cal.block[p]
-            self.first_step = cal.phase_start[p] + L
+            self.first_step = cal.phase_start[p] + cal.L[p]
             self.next_phase = cal.phase_start[p + 1] if p + 1 < cal.b else None
             # Offsets from a step's first round: rel 1 of stages B, D, F and
-            # G, and the convergecast rounds of C and E (rel L - depth) plus
-            # the depth.
+            # G, and the last rounds of C and E, from which the convergecast
+            # rounds subtract the depth.
             self.to_b, self.to_d, self.to_f, self.to_g = st[1], st[3], st[5], st[6]
-            self.to_c_fire = st[2] + L - 1
-            self.to_e_fire = st[4] + L - 1
-        self.stage, self.step = ctx.stage, ctx.step
+            self.to_c_fire = st[3] - 1
+            self.to_e_fire = st[5] - 1
         # The step epoch; the BFS stage computes step-0 rounds from it.
-        self.epoch = self.first_step + max(ctx.step, 0) * self.block
-        self.stage_first = r - ctx.rel + 1  # the stage's rel 1
-        self.stage_end = self.stage_first + (1 if ctx.stage in ("A", "D", "G") else self.cal.L[ctx.phase])
+        self.epoch = self.first_step + max(self.step, 0) * self.block
 
     # -- node program --------------------------------------------------------
 
@@ -533,24 +513,19 @@ class Simulator:
 
     # -- scheduling and delivery ---------------------------------------------
 
-    def _push_round(self, r: int) -> None:
-        if r not in self.heap_set:
-            self.heap_set.add(r)
-            heapq.heappush(self.heap, r)
-
     def _schedule_wakes(self, v: int, rounds: list[int], now: int) -> None:
-        total, wake_rounds = self.cal.total, self.wake_rounds
+        total, agenda = self.cal.total, self.agenda
         for r in rounds:
             if r <= now:
                 raise ProtocolViolation(f"node {v} scheduled a non-future wake {r} at round {now}")
             if r >= total:
                 raise ProtocolViolation(f"node {v} scheduled wake {r} beyond budget {total}")
-            vs = wake_rounds.get(r)
-            if vs is None:
-                wake_rounds[r] = {v}
-                self._push_round(r)
-            else:
-                vs.add(v)
+            inboxes = agenda.get(r)
+            if inboxes is None:
+                agenda[r] = {v: []}
+                heapq.heappush(self.heap, r)
+            elif v not in inboxes:
+                inboxes[v] = []
 
     def _deliver(self, sender: int, out: list[tuple[int, tuple]], r: int) -> int:
         """Queue one wakeup's sends for the next round; returns the widest payload."""
@@ -560,11 +535,11 @@ class Simulator:
         # Sends in the final round land at cal.total; their processing is
         # the nodes' terminal computation after the last round.
         tgt = r + 1
-        inboxes = self.pending.get(tgt)
+        inboxes = self.agenda.get(tgt)
         if inboxes is None:
-            inboxes = self.pending[tgt] = {}
+            inboxes = self.agenda[tgt] = {}
             if tgt < self.cal.total:
-                self._push_round(tgt)
+                heapq.heappush(self.heap, tgt)
         widest, deg = 0, len(adj)
         for port, m in out:
             bits = widths[m[0]]
@@ -584,13 +559,11 @@ class Simulator:
                 events.append((r, sender, recipient, m[0].value, m[1]))
         return widest
 
-    def _run_round(self, r: int, participants: set[int]) -> None:
+    def _run_round(self, r: int, everyone: set[int] | None = None) -> None:
+        """Wake round r's agenda entries, or with ``everyone``, every node."""
         self._enter(r)
-        inboxes = self.pending.pop(r, None)
-        if inboxes is None:
-            inboxes, woken = {}, sorted(participants)
-        else:
-            woken = sorted(participants | inboxes.keys())
+        inboxes = self.agenda.pop(r, {})
+        woken = sorted(inboxes) if everyone is None else sorted(everyone | inboxes.keys())
         wake, deliver, schedule = self._wake, self._deliver, self._schedule_wakes
         out: list[tuple[int, tuple]] = []
         wakes: list[int] = []
@@ -632,13 +605,10 @@ class Simulator:
                 self._schedule_wakes(v, [0], -1)
             while self.heap:
                 r = heapq.heappop(self.heap)
-                self.heap_set.discard(r)
-                if r >= cal.total:
-                    break
                 extract_before(r)
-                self._run_round(r, self.wake_rounds.pop(r, set()))
+                self._run_round(r)
         # Terminal computation: process deliveries from the final round.
-        leftovers = self.pending.pop(cal.total, {})
+        leftovers = self.agenda.pop(cal.total, {})
         if leftovers:
             self._enter(cal.total - 1)
             self.stage = "end"
@@ -648,7 +618,7 @@ class Simulator:
                 self._wake(v, cal.total, inbox, out, wakes)
                 if out or wakes:
                     raise ProtocolViolation(f"node {v} acted after the final round")
-        if self.pending:
+        if self.agenda:
             raise ProtocolViolation("messages scheduled beyond the budget")
         extract_before(cal.total)
         return phases, RoundStats(cal.total, self.messages_total, self.max_bits)

@@ -115,6 +115,27 @@ def test_bad_input_file_exits_2(tmp_path):
     assert run_cli("cluster", "--input", str(bad)) == 2
 
 
+def test_bench_non_integer_size_exits_2(capsys):
+    assert run_cli("bench", "--family", "path", "--sizes", "4,x") == 2
+    assert capsys.readouterr().err.startswith("error: --sizes")
+
+
+def test_non_utf8_input_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"2 1\n0 1\n# caf\xe9\n")
+    assert run_cli("cluster", "--input", str(bad)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_non_utf8_artifact_exits_2(tmp_path, capsys):
+    graph_file = tmp_path / "p3.txt"
+    assert run_cli("gen", "--family", "path", "--n", "3", "--output", str(graph_file)) == 0
+    artifact = tmp_path / "artifact.json"
+    artifact.write_bytes(b'{"mis": [0, 2], "note": "caf\xe9"}')
+    assert run_cli("verify", "--input", str(graph_file), "--artifact", str(artifact)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_conflicting_inputs_exit_2():
     assert run_cli("cluster", "--family", "path", "--n", "3", "--input", "x") == 2
     assert run_cli("cluster") == 2

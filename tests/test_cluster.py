@@ -1,9 +1,11 @@
+import itertools
 import json
 
 import pytest
 
 from conftest import corpus_entries
 from strongcluster.cluster import (
+    Decomposition,
     mis_via_decomposition,
     network_decomposition,
     strong_cluster,
@@ -157,11 +159,34 @@ def test_mis_respects_permuted_identifiers():
     assert ids.ids[s[0]] == min(ids.ids)
 
 
+def mis_per_cluster(g, ids, d):
+    """The MIS color by color, one greedy pass per cluster (a component of a color class)."""
+    chosen = set()
+    for c in range(d.colors_used):
+        color_class = [v for v in range(g.n) if d.color[v] == c]
+        for comp in connected_components(g, color_class):
+            for v in sorted(comp, key=lambda x: ids.ids[x]):
+                if not any(w in chosen for w in g.adj[v]):
+                    chosen.add(v)
+    return sorted(chosen)
+
+
+def test_mis_matches_per_cluster_passes_on_every_4_node_coloring():
+    # Every 4-node graph under two identifier orders and every color vector
+    # over {-1, 0, 1, 2}: colors outside [0, 2) are left out by both.
+    pairs = list(itertools.combinations(range(4), 2))
+    for mask in range(1 << len(pairs)):
+        edges = [e for i, e in enumerate(pairs) if mask >> i & 1]
+        for ident in ([0, 1, 2, 3], [2, 0, 3, 1]):
+            g, ids = build_graph(4, edges, ids=ident)
+            for color in itertools.product((-1, 0, 1, 2), repeat=4):
+                d = Decomposition(colors_used=2, color=color)
+                assert mis_via_decomposition(g, ids, d) == mis_per_cluster(g, ids, d), (edges, ident, color)
+
+
 def test_all_tiny_graphs_under_every_identifier_permutation():
     # Connected graphs on up to 4 nodes, every identifier permutation: the
     # guarantees are identifier-order-independent.
-    import itertools
-
     for n in range(1, 5):
         pairs = list(itertools.combinations(range(n), 2))
         for mask in range(1 << len(pairs)):

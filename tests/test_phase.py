@@ -28,7 +28,7 @@ def k3():
 
 
 def step_from_scratch(g, f, ids, p, j=0):
-    """One step recomputed from f alone, applied to a copy of f.
+    """One step recomputed from f alone, applied to a rebuilt copy of f.
 
     The cross-check for run_phase's incremental red flags, candidate set and
     depth tally: returns (the forest after the step, the step's trace).
@@ -42,7 +42,8 @@ def step_from_scratch(g, f, ids, p, j=0):
     proposals = _proposals_from_candidates(g, ids, f, red, candidates)
     red_sizes = {pr.target_root: f.tree_size[pr.target_root] for pr in proposals}
     decisions = grow_decisions(proposals, red_sizes, ids.b)
-    nf = f.copy()
+    members = [v for v in range(g.n) if f.member[v]]
+    nf = RootedForest.from_parents(g.n, members, list(f.parent), list(f.depth), list(f.root_of))
     deleted = []
     for pr in proposals:
         if decisions[pr.target_root]:
@@ -55,7 +56,7 @@ def step_from_scratch(g, f, ids, p, j=0):
         grows=tuple(sorted(r for r, ok in decisions.items() if ok)),
         declines=tuple(sorted(r for r, ok in decisions.items() if not ok)),
         deleted=tuple(sorted(deleted)),
-        max_depth=max((nf.depth[v] for v in nf.members()), default=0),
+        max_depth=max((nf.depth[v] for v in range(g.n) if nf.member[v]), default=0),
         red_sizes=red_sizes,
     )
     return nf, trace
@@ -258,7 +259,7 @@ def test_run_phase_matches_stepwise_apply(seed):
     for tr in res.step_traces:
         f, tr2 = step_from_scratch(g, f, ids, 0, tr.j)
         assert tr2 == tr
-    assert f.members() == list(res.survivors)
+    assert [v for v in range(g.n) if f.member[v]] == list(res.survivors)
     assert f.parent == res.final_forest.parent
     assert f.depth == res.final_forest.depth
 

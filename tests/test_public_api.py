@@ -1,0 +1,83 @@
+"""Every public name in the package is used by the program, not only by tests.
+
+A public function, method or class of ``src/strongcluster/`` must be
+referenced somewhere outside its own definition: in ``src/``, in the
+benchmark's ``perfbench/*.py`` (which wraps module bindings by name), or as
+an export of the package's ``__init__``.  References are matched by name: a
+bare name, an attribute, an imported name or a string constant for a
+module-level definition, and an attribute or a string constant for a
+method.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "strongcluster"
+
+# Public names that nothing in the program calls, each kept for a reason.
+ALLOWED = {
+    "check_ruling": "the ruling claim's checker; it keeps the verify.multi_source_bfs "
+                    "binding that the benchmark wraps",
+    "failures": "Report.failures, the failed checks of a report, read by callers "
+                "that inspect a report",
+    "round_budget": "the protocol's exact length, the round-count claim the acceptance "
+                    "module checks; the program's modules name it only in docstrings",
+    "check_step_invariants": "the checker of the per-step claims the acceptance module "
+                             "runs; the program's modules name it only in docstrings",
+}
+
+
+def _definitions(tree: ast.Module):
+    """(name, is_method, first line, last line) of each public top-level or class-level def."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not node.name.startswith("_"):
+                yield node.name, False, node.lineno, node.end_lineno
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_"):
+                        yield item.name, True, item.lineno, item.end_lineno
+
+
+def _references(tree: ast.Module):
+    """(name, line, is_attribute_like) for every name a module mentions."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno, False
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno, True
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1], node.lineno, False
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            yield node.value, node.lineno, True
+
+
+def unreferenced_public_names() -> list[str]:
+    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in sources}
+    refs = {path: list(_references(tree)) for path, tree in trees.items()}
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, is_method, first, last in _definitions(trees[path]):
+            used = any(
+                ref == name and (attr_like or not is_method)
+                and not (where == path and first <= line <= last)
+                for where, found in refs.items()
+                for ref, line, attr_like in found
+            )
+            if not used:
+                unused.append(f"{path.name}:{first} {name}")
+    return unused
+
+
+def test_every_public_name_is_used_outside_tests():
+    unused = [entry for entry in unreferenced_public_names() if entry.split()[-1] not in ALLOWED]
+    assert unused == [], "public API that only tests call: " + ", ".join(unused)
+
+
+def test_allowlist_names_only_unused_definitions():
+    # An allowlisted name that the program has started to use, or that is
+    # gone, leaves the list.
+    unused = {entry.split()[-1] for entry in unreferenced_public_names()}
+    assert set(ALLOWED) <= unused
