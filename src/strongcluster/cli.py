@@ -119,10 +119,10 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_decompose(args) -> int:
     g, ids = _load_graph(args)
-    d, runs = network_decomposition(g, ids, backend=args.backend)
+    d, rounds_total = network_decomposition(g, ids, backend=args.backend)
     doc = d.to_json_dict()
-    if args.backend == "simulated":
-        doc["rounds_total"] = sum(run.rounds.rounds for run in runs)
+    if rounds_total is not None:
+        doc["rounds_total"] = rounds_total
     status = 0
     if args.verify:
         report = check_decomposition(g, d, ids.b, ids)

@@ -156,27 +156,31 @@ def network_decomposition(
     g: Graph,
     ids: IdAssignment,
     backend: str = "reference",
-) -> tuple[Decomposition, tuple[ClusterRun, ...]]:
+) -> tuple[Decomposition, int | None]:
     """Color every node by repeatedly clustering the unclustered remainder.
 
     Each iteration clusters at least half of what is left, so the color count
-    stays within ceil(log2 n) + 1.
+    stays within ceil(log2 n) + 1.  Also returns the simulated rounds summed
+    over the clusterings, or None on the reference backend.
     """
     remaining = set(range(g.n))
     color: list[int] = [-1] * g.n
-    runs: list[ClusterRun] = []
+    rounds_total: int | None = None
     c = 0
     while remaining:
         run = strong_cluster(g, ids, backend=backend, alive=remaining)
         covered = run.clustering.covered_nodes()
+        if run.rounds is not None:
+            rounds_total = (rounds_total or 0) + run.rounds.rounds
+        # The run holds every phase's forest; drop it before the next one.
+        del run
         if not covered:
             raise GraphError("clustering made no progress; decomposition cannot finish")
         for v in covered:
             color[v] = c
         remaining -= covered
-        runs.append(run)
         c += 1
-    return Decomposition(colors_used=c, color=tuple(color)), tuple(runs)
+    return Decomposition(colors_used=c, color=tuple(color)), rounds_total
 
 
 def mis_via_decomposition(g: Graph, ids: IdAssignment, d: Decomposition) -> list[int]:

@@ -101,6 +101,8 @@ def _family_edges(spec: FamilySpec) -> tuple[int, list[tuple[int, int]]]:
     if fam == "grid":
         if n < 1:
             raise GraphError("grid needs n >= 1")
+        if spec.w < 0:
+            raise GraphError("grid needs w >= 0")
         w = spec.w if spec.w else max(1, int(n**0.5))
         edges = []
         for k in range(n):

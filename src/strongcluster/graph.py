@@ -96,10 +96,8 @@ def build_graph(
     g = Graph(n=n, adj=adj, edge_count=edge_count)
 
     if ids is None:
-        if b is not None and (1 << b) < n:
-            raise GraphError(f"2^b < n: b={b}, n={n}")
+        id_list = tuple(range(n))
         width = b if b is not None else default_bits(n)
-        assignment = IdAssignment(b=width, ids=tuple(range(n)))
     else:
         id_list = tuple(int(x) for x in ids)
         if len(id_list) != n:
@@ -107,13 +105,12 @@ def build_graph(
         if len(set(id_list)) != n:
             raise GraphError("identifier collision")
         width = b if b is not None else max(default_bits(n), max(id_list).bit_length())
-        if (1 << width) < n:
-            raise GraphError(f"2^b < n: b={width}, n={n}")
-        for node, value in enumerate(id_list):
-            if not 0 <= value < (1 << width):
-                raise GraphError(f"identifier {value} of node {node} needs more than {width} bits")
-        assignment = IdAssignment(b=width, ids=id_list)
-    return g, assignment
+    if (1 << width) < n:
+        raise GraphError(f"2^b < n: b={width}, n={n}")
+    for node, value in enumerate(id_list):
+        if not 0 <= value < (1 << width):
+            raise GraphError(f"identifier {value} of node {node} needs more than {width} bits")
+    return g, IdAssignment(b=width, ids=id_list)
 
 
 def _check_alive_sources(g: Graph, alive: set[int], sources: set[int]) -> None:

@@ -38,19 +38,18 @@ root or the phase changes.  At each phase boundary the simulator reads each
 survivor's parent, depth and root off the lists and hands them to
 ``RootedForest.from_parents``.
 
-A message is a plain ``(tag, data)`` tuple.  Tag vocabulary: BFS_TOKEN (BFS
-wave), COLOR (recolor announcements), ANCESTOR_FLAG, SIZE_PARTIAL and
-WEIGHT_PARTIAL (the two convergecast families), PROPOSE, DECISION, and the
-outcome family OUTCOME / REHANG / DIE / LEAVE.  A payload's width depends
-only on its tag.
+A message is a plain ``(tag, data)`` tuple, and a tag is its own name, the
+string the event log records: BFS_TOKEN = "bfs" (BFS wave), COLOR
+(recolor announcements), ANCESTOR_FLAG, SIZE_PARTIAL and WEIGHT_PARTIAL (the
+two convergecast families), PROPOSE, DECISION, and the outcome family
+OUTCOME / REHANG / DIE / LEAVE; ``TAGS`` lists them all.  A payload's width
+depends only on its tag.
 """
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
-from enum import Enum
 from itertools import accumulate
 from typing import Iterable
 
@@ -64,44 +63,25 @@ class ProtocolViolation(RuntimeError):
     """A node broke the model contract (oversized message, late event)."""
 
 
-class MsgTag(Enum):
-    BFS_TOKEN = "bfs"
-    COLOR = "color"
-    ANCESTOR_FLAG = "flag"
-    SIZE_PARTIAL = "size"
-    WEIGHT_PARTIAL = "weight"
-    PROPOSE = "propose"
-    DECISION = "decision"
-    OUTCOME = "outcome"
-    REHANG = "rehang"
-    DIE = "die"
-    LEAVE = "leave"
-
-    # Members are singletons compared by identity, so the identity hash is
-    # consistent; Enum's own __hash__ hashes the name in Python code, which
-    # is too slow for the per-message width lookup.
-    __hash__ = object.__hash__
-
-
-# EnumType defines __getattr__, so every ``MsgTag.X`` lookup takes CPython's
-# slow attribute path; the node program, which compares and builds tags per
-# message, uses these aliases instead.
-_BFS_TOKEN = MsgTag.BFS_TOKEN
-_COLOR = MsgTag.COLOR
-_ANCESTOR_FLAG = MsgTag.ANCESTOR_FLAG
-_SIZE_PARTIAL = MsgTag.SIZE_PARTIAL
-_WEIGHT_PARTIAL = MsgTag.WEIGHT_PARTIAL
-_PROPOSE = MsgTag.PROPOSE
-_DECISION = MsgTag.DECISION
-_OUTCOME = MsgTag.OUTCOME
-_REHANG = MsgTag.REHANG
-_DIE = MsgTag.DIE
-_LEAVE = MsgTag.LEAVE
+# Message tags are their names, the names the event log records.
+BFS_TOKEN = "bfs"
+COLOR = "color"
+ANCESTOR_FLAG = "flag"
+SIZE_PARTIAL = "size"
+WEIGHT_PARTIAL = "weight"
+PROPOSE = "propose"
+DECISION = "decision"
+OUTCOME = "outcome"
+REHANG = "rehang"
+DIE = "die"
+LEAVE = "leave"
+TAGS = (BFS_TOKEN, COLOR, ANCESTOR_FLAG, SIZE_PARTIAL, WEIGHT_PARTIAL, PROPOSE,
+        DECISION, OUTCOME, REHANG, DIE, LEAVE)
 
 # Messages without data are the same tuple every time.
-_FLAG_MSG = (_ANCESTOR_FLAG, ())
-_LEAVE_MSG = (_LEAVE, ())
-_DIE_MSG = (_DIE, ())
+_FLAG_MSG = (ANCESTOR_FLAG, ())
+_LEAVE_MSG = (LEAVE, ())
+_DIE_MSG = (DIE, ())
 
 
 def depth_bits(b: int) -> int:
@@ -109,21 +89,21 @@ def depth_bits(b: int) -> int:
     return (4 * b**3 + 1).bit_length()
 
 
-def payload_bits(tag: MsgTag, b: int) -> int:
+def payload_bits(tag: str, b: int) -> int:
     """Encoded payload width of a message with this tag under the fixed field layout."""
     d = depth_bits(b)
     sizes = {
-        MsgTag.BFS_TOKEN: b + d + 1,
-        MsgTag.COLOR: b + d,
-        MsgTag.ANCESTOR_FLAG: 1,
-        MsgTag.SIZE_PARTIAL: b + 1,
-        MsgTag.WEIGHT_PARTIAL: 2 * (b + 1),
-        MsgTag.PROPOSE: b + 1,
-        MsgTag.DECISION: 1,
-        MsgTag.OUTCOME: 1,
-        MsgTag.REHANG: b + d,
-        MsgTag.DIE: 1,
-        MsgTag.LEAVE: 1,
+        BFS_TOKEN: b + d + 1,
+        COLOR: b + d,
+        ANCESTOR_FLAG: 1,
+        SIZE_PARTIAL: b + 1,
+        WEIGHT_PARTIAL: 2 * (b + 1),
+        PROPOSE: b + 1,
+        DECISION: 1,
+        OUTCOME: 1,
+        REHANG: b + d,
+        DIE: 1,
+        LEAVE: 1,
     }
     return sizes[tag]
 
@@ -192,7 +172,8 @@ class Simulator:
     produce identical transcripts; the lockstep driver exists to validate
     the event scheduler on small instances.  One agenda decides who wakes:
     it maps each round to the woken nodes and each of those to its inbox,
-    and a timer wake is an empty inbox.
+    and a timer wake is an empty inbox.  The agenda is also the schedule:
+    the event driver runs its earliest round next.
     """
 
     def __init__(
@@ -204,8 +185,7 @@ class Simulator:
         transcript: list[str] | None = None,
         record_events: bool = False,
     ):
-        if (1 << ids.b) < g.n:
-            raise GraphError(f"2^b < n: b={ids.b}, n={g.n}")
+        round_budget(g.n, ids.b)  # raises unless b bits can name n nodes
         if driver not in ("event", "lockstep"):
             raise ValueError(f"unknown driver {driver!r}")
         self.alive0 = set(range(g.n)) if alive is None else set(alive)
@@ -222,14 +202,12 @@ class Simulator:
         self.rev_port = [[pos[w][v] for w in g.adj[v]] for v in range(n)]
         self.id_to_index = {ids.ids[v]: v for v in range(n)}
         # Round -> node -> inbox of (port, message) pairs: the nodes woken in
-        # that round, a timer wake being an empty inbox.  The heap holds each
-        # agenda round inside the budget, pushed when its entry is created.
+        # that round, a timer wake being an empty inbox.
         self.agenda: dict[int, dict[int, list[tuple[int, tuple]]]] = {}
-        self.heap: list[int] = []
         self.messages_total = 0
         self.max_bits = 0
         # b is fixed for the run, so each tag's width is computed once here.
-        self.widths = {tag: payload_bits(tag, ids.b) for tag in MsgTag}
+        self.widths = {tag: payload_bits(tag, ids.b) for tag in TAGS}
         self.bit_budget = message_bit_budget(ids.b)
         self.events: list[tuple[int, int, int, str, tuple[int, ...]]] | None = (
             [] if record_events else None
@@ -328,10 +306,10 @@ class Simulator:
         outcome = None
         for port, m in inbox:
             tag, data = m
-            if tag is _BFS_TOKEN or tag is _COLOR:
+            if tag == BFS_TOKEN or tag == COLOR:
                 root = data[0]
                 pid = self.port_id[v]
-                if tag is _BFS_TOKEN:
+                if tag == BFS_TOKEN:
                     if p == 0:
                         pid[port] = root
                     if data[2]:
@@ -348,14 +326,14 @@ class Simulator:
                     best = self.red_nbr[v]
                     if best is None or pid[port] < pid[best]:
                         self.red_nbr[v] = port
-            elif tag is _WEIGHT_PARTIAL or tag is _PROPOSE:
+            elif tag == WEIGHT_PARTIAL or tag == PROPOSE:
                 w = data[0]
                 if self.e_at[v] != S:
                     self.e_at[v] = S
                     self.e_weight[v] = self.e_count[v] = 0
                     self.e_ports[v], self.props[v] = [], []
                 self.e_weight[v] += w
-                if tag is _PROPOSE:
+                if tag == PROPOSE:
                     self.props[v].append(port)
                     wakes.append(S + self.to_g)
                 else:
@@ -368,16 +346,16 @@ class Simulator:
                         wakes.append(fire)
                 elif w > 0:
                     wakes.append(S + self.to_f)
-            elif tag is _DECISION:
+            elif tag == DECISION:
                 self.decided[v] = S
                 self.decision[v] = data[0]
                 if self.e_at[v] == S:
                     for c in self.e_ports[v]:
                         out.append((c, m))
-            elif tag is _OUTCOME:
+            elif tag == OUTCOME:
                 # Sent at rel 1 of stage G, so it arrives at rel 1 of stage H.
                 outcome = data[0]
-            elif tag is _ANCESTOR_FLAG:
+            elif tag == ANCESTOR_FLAG:
                 if self.flagged[v] != S:
                     self.flagged[v] = S
                     if self.flag_sent[v] != S and self.children[v]:
@@ -385,17 +363,17 @@ class Simulator:
                             out.append((c, m))
                         self.flag_sent[v] = S
                     wakes.append(S + self.to_c_fire - self.depth[v])
-            elif tag is _SIZE_PARTIAL:
+            elif tag == SIZE_PARTIAL:
                 if self.size_at[v] != S:
                     self.size_at[v] = S
                     self.size_acc[v] = 0
                 self.size_acc[v] += data[0]
-            elif tag is _REHANG:
+            elif tag == REHANG:
                 root, sender_depth = data
                 d = self.depth[v] = sender_depth + 1
                 self.root[v] = root
                 self.red[v] = not (root >> shift) & 1
-                fwd = (_REHANG, (root, d))
+                fwd = (REHANG, (root, d))
                 for c in self.children[v]:
                     out.append((c, fwd))
                 # Rehang waves always complete inside stage H; the guard keeps
@@ -403,12 +381,12 @@ class Simulator:
                 if stage == "H" and self.step + 1 < self.cal.t:
                     self.recolor[v] = S + self.block
                     wakes.append(S + self.block)
-            elif tag is _DIE:
+            elif tag == DIE:
                 self.alive[v] = False
                 for c in self.children[v]:
                     out.append((c, m))
                 return
-            elif tag is _LEAVE:
+            elif tag == LEAVE:
                 self.children[v].discard(port)
 
         if first is not None:
@@ -430,9 +408,9 @@ class Simulator:
                 wakes.append(S + self.to_d)
             if announce:
                 pp, root, d = self.parent[v], self.root[v], self.depth[v]
-                token = (_BFS_TOKEN, (root, d, 0))
+                token = (BFS_TOKEN, (root, d, 0))
                 for port in range(self.degree[v]):
-                    out.append((port, (_BFS_TOKEN, (root, d, 1)) if port == pp else token))
+                    out.append((port, (BFS_TOKEN, (root, d, 1)) if port == pp else token))
             return
 
         red = self.red[v]
@@ -442,9 +420,9 @@ class Simulator:
                 w = self.e_weight[v] if cur else 0
                 if self.step == 0:
                     count = 1 + (self.e_count[v] if cur else 0)
-                    out.append((self.parent[v], (_WEIGHT_PARTIAL, (w, count))))
+                    out.append((self.parent[v], (WEIGHT_PARTIAL, (w, count))))
                 elif w > 0:
-                    out.append((self.parent[v], (_WEIGHT_PARTIAL, (w, 0))))
+                    out.append((self.parent[v], (WEIGHT_PARTIAL, (w, 0))))
         elif stage == "F":
             if r == self.stage_first and red and self.parent[v] is None:
                 cur = self.e_at[v] == S
@@ -457,12 +435,12 @@ class Simulator:
                     self.decision[v] = bit = 1 if grow else 0
                     if grow:
                         self.my_size[v] += w
-                    msg = (_DECISION, (bit,))
+                    msg = (DECISION, (bit,))
                     for c in self.e_ports[v]:
                         out.append((c, msg))
         elif stage == "A":
             if self.recolor[v] == S:
-                msg = (_COLOR, (self.root[v], self.depth[v]))
+                msg = (COLOR, (self.root[v], self.depth[v]))
                 for port in range(self.degree[v]):
                     out.append((port, msg))
         elif stage == "B":
@@ -476,17 +454,17 @@ class Simulator:
         elif stage == "C":
             if not red and self.flagged[v] == S and r == S + self.to_c_fire - self.depth[v]:
                 size = 1 + (self.size_acc[v] if self.size_at[v] == S else 0)
-                out.append((self.parent[v], (_SIZE_PARTIAL, (size,))))
+                out.append((self.parent[v], (SIZE_PARTIAL, (size,))))
         elif stage == "D":
             target = self.red_nbr[v]
             if not red and target is not None and self.flagged[v] != S:
                 weight = 1 + (self.size_acc[v] if self.size_at[v] == S else 0)
                 self.proposed[v] = target
-                out.append((target, (_PROPOSE, (weight,))))
+                out.append((target, (PROPOSE, (weight,))))
         elif stage == "G":
             if r == self.stage_first and self.e_at[v] == S and self.props[v]:
                 assert self.decided[v] == S, "receipt point missed the decision"
-                msg = (_OUTCOME, (self.decision[v],))
+                msg = (OUTCOME, (self.decision[v],))
                 for port in self.props[v]:
                     out.append((port, msg))
         elif stage == "H":
@@ -500,7 +478,7 @@ class Simulator:
                     root, d = data[0], data[1] + 1
                     self.parent[v], self.root[v], self.depth[v] = target, root, d
                     self.red[v] = not (root >> shift) & 1
-                    msg = (_REHANG, (root, d))
+                    msg = (REHANG, (root, d))
                     for c in self.children[v]:
                         out.append((c, msg))
                     if self.step + 1 < self.cal.t:
@@ -523,7 +501,6 @@ class Simulator:
             inboxes = agenda.get(r)
             if inboxes is None:
                 agenda[r] = {v: []}
-                heapq.heappush(self.heap, r)
             elif v not in inboxes:
                 inboxes[v] = []
 
@@ -534,17 +511,14 @@ class Simulator:
         events = self.events
         # Sends in the final round land at cal.total; their processing is
         # the nodes' terminal computation after the last round.
-        tgt = r + 1
-        inboxes = self.agenda.get(tgt)
+        inboxes = self.agenda.get(r + 1)
         if inboxes is None:
-            inboxes = self.agenda[tgt] = {}
-            if tgt < self.cal.total:
-                heapq.heappush(self.heap, tgt)
+            inboxes = self.agenda[r + 1] = {}
         widest, deg = 0, len(adj)
         for port, m in out:
             bits = widths[m[0]]
             if bits > budget:
-                raise ProtocolViolation(f"message {m[0].value} of {bits} bits exceeds budget {budget}")
+                raise ProtocolViolation(f"message {m[0]} of {bits} bits exceeds budget {budget}")
             if bits > widest:
                 widest = bits
             if not 0 <= port < deg:
@@ -556,7 +530,7 @@ class Simulator:
             else:
                 inbox.append((rev[port], m))
             if events is not None:
-                events.append((r, sender, recipient, m[0].value, m[1]))
+                events.append((r, sender, recipient, m[0], m[1]))
         return widest
 
     def _run_round(self, r: int, everyone: set[int] | None = None) -> None:
@@ -603,8 +577,7 @@ class Simulator:
         else:
             for v in self.alive0:
                 self._schedule_wakes(v, [0], -1)
-            while self.heap:
-                r = heapq.heappop(self.heap)
+            while self.agenda and (r := min(self.agenda)) < cal.total:
                 extract_before(r)
                 self._run_round(r)
         # Terminal computation: process deliveries from the final round.
@@ -652,7 +625,6 @@ def run_protocol(
     g: Graph,
     ids: IdAssignment,
     alive: Iterable[int] | None = None,
-    driver: str = "event",
     transcript: list[str] | None = None,
 ) -> tuple[Clustering, RoundStats, list[PhaseResult]]:
     """Run the full protocol and assemble the clustering from survivors.
@@ -661,7 +633,7 @@ def run_protocol(
     each) is read off the final state; the round budget covers exactly the
     b phases.
     """
-    sim = Simulator(g, ids, alive=alive, driver=driver, transcript=transcript)
+    sim = Simulator(g, ids, alive=alive, transcript=transcript)
     phases, stats = sim.run()
     last = phases[-1]
     clustering = clustering_from_survivors(

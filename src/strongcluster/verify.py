@@ -125,18 +125,6 @@ def check_clustering(
     checks: list[CheckResult] = [in_range]
     diameter_bound = 8 * b**3
 
-    seen: dict[int, int] = {}
-    overlap_witness = None
-    for idx, (_, members) in enumerate(clustering.clusters):
-        for v in members:
-            if v in seen:
-                overlap_witness = f"{name(v)} in clusters {seen[v]} and {idx}"
-                break
-            seen[v] = idx
-        if overlap_witness:
-            break
-    checks.append(CheckResult("clusters-disjoint", overlap_witness is None, overlap_witness))
-
     covered = clustering.covered()
     need = ceil(clustering.n / 2)
     checks.append(
@@ -147,15 +135,20 @@ def check_clustering(
         )
     )
 
-    owner = {v: i for i, (_, members) in enumerate(clustering.clusters) for v in members}
-    listed = covered + len(clustering.unclustered)
-    distinct = len(owner.keys() | set(clustering.unclustered))
-    if distinct != listed:
-        partition_witness = f"{listed - distinct} repeated entries"
-    elif distinct != clustering.n:
-        partition_witness = f"clusters and unclustered hold {distinct} nodes, universe has {clustering.n}"
-    else:
-        partition_witness = None
+    # Each node is listed once, in one cluster or as unclustered.
+    place: dict[int, str] = {}
+    partition_witness = None
+    listings = chain(
+        ((v, f"cluster {i}") for i, (_, members) in enumerate(clustering.clusters) for v in members),
+        ((v, "unclustered") for v in clustering.unclustered),
+    )
+    for v, where in listings:
+        if v in place:
+            partition_witness = f"{name(v)} listed in {place[v]} and in {where}"
+            break
+        place[v] = where
+    if partition_witness is None and len(place) != clustering.n:
+        partition_witness = f"clusters and unclustered hold {len(place)} nodes, universe has {clustering.n}"
     checks.append(CheckResult("partition", partition_witness is None, partition_witness))
 
     conn_witness = None
@@ -172,6 +165,7 @@ def check_clustering(
     checks.append(CheckResult("clusters-connected", conn_witness is None, conn_witness))
     checks.append(CheckResult("cluster-diameter", diam_witness is None, diam_witness))
 
+    owner = {v: i for i, (_, members) in enumerate(clustering.clusters) for v in members}
     adj_witness = None
     for u, v in g.edges():
         cu, cv = owner.get(u), owner.get(v)
@@ -191,15 +185,6 @@ def check_clustering(
             break
         seen_terms.add(t)
     checks.append(CheckResult("one-terminal-per-cluster", term_witness is None, term_witness))
-
-    stray = set(clustering.unclustered) & set(owner)
-    checks.append(
-        CheckResult(
-            "unclustered-disjoint",
-            not stray,
-            None if not stray else f"{name(min(stray))} both clustered and unclustered",
-        )
-    )
     return Report(tuple(checks))
 
 

@@ -66,6 +66,14 @@ def test_verify_accepts_then_rejects_tampered_artifact(tmp_path):
     assert run_cli("verify", "--input", str(graph_file), "--artifact", str(artifact)) == 1
 
 
+def test_decompose_reports_simulated_rounds_only(tmp_path):
+    out = tmp_path / "d.json"
+    for backend, rounds in (("simulated", 2098), ("reference", None)):
+        assert run_cli("decompose", "--family", "path", "--n", "4", "--backend", backend,
+                       "--output", str(out)) == 0
+        assert json.loads(out.read_text()).get("rounds_total") == rounds
+
+
 def test_decompose_and_verify(tmp_path):
     out = tmp_path / "d.json"
     rc = run_cli("decompose", "--family", "path", "--n", "32", "--verify",
@@ -118,6 +126,11 @@ def test_bad_input_file_exits_2(tmp_path):
 def test_bench_non_integer_size_exits_2(capsys):
     assert run_cli("bench", "--family", "path", "--sizes", "4,x") == 2
     assert capsys.readouterr().err.startswith("error: --sizes")
+
+
+def test_gen_negative_grid_width_exits_2(capsys):
+    assert run_cli("gen", "--family", "grid", "--n", "4", "--w", "-1") == 2
+    assert capsys.readouterr().err == "error: grid needs w >= 0\n"
 
 
 def test_non_utf8_input_file_exits_2(tmp_path, capsys):

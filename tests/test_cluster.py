@@ -13,6 +13,7 @@ from strongcluster.cluster import (
 from strongcluster.gen import FamilySpec, generate, splitmix_at
 from strongcluster.graph import IdAssignment, build_graph, connected_components, multi_source_bfs
 from strongcluster.phase import run_phase
+from strongcluster.sim import round_budget
 from strongcluster.verify import check_clustering, check_decomposition, check_mis
 
 
@@ -97,9 +98,18 @@ def test_clustering_passes_oracle_random(seed):
 
 def test_decomposition_k2_one_color():
     g, ids = build_graph(2, [(0, 1)])
-    d, runs = network_decomposition(g, ids)
+    d, rounds_total = network_decomposition(g, ids)
     assert d.colors_used == 1
-    assert len(runs) == 1
+    assert rounds_total is None
+
+
+def test_decomposition_simulated_sums_rounds():
+    # Two clusterings, each the full calendar.
+    g, ids = generate(FamilySpec("gnp", n=15, p=2.5 / 15, seed=6, id_seed=6))
+    d, rounds_total = network_decomposition(g, ids, backend="simulated")
+    assert d == network_decomposition(g, ids)[0]
+    assert d.colors_used == 2
+    assert rounds_total == 2 * round_budget(g.n, ids.b)
 
 
 def test_decomposition_edgeless_one_color():

@@ -138,3 +138,8 @@ def test_mix64_known_values_stable():
 def test_invalid_specs_rejected(spec):
     with pytest.raises(GraphError):
         generate(spec)
+
+
+def test_grid_rejects_negative_width():
+    with pytest.raises(GraphError, match=r"^grid needs w >= 0$"):
+        generate(FamilySpec("grid", n=4, w=-1))

@@ -21,8 +21,6 @@ ALLOWED = {
                     "binding that the benchmark wraps",
     "failures": "Report.failures, the failed checks of a report, read by callers "
                 "that inspect a report",
-    "round_budget": "the protocol's exact length, the round-count claim the acceptance "
-                    "module checks; the program's modules name it only in docstrings",
     "check_step_invariants": "the checker of the per-step claims the acceptance module "
                              "runs; the program's modules name it only in docstrings",
 }

@@ -13,8 +13,8 @@ from strongcluster.cluster import strong_cluster
 from strongcluster.gen import FamilySpec, generate, splitmix_at
 from strongcluster.graph import GraphError, build_graph
 from strongcluster.sim import (
+    TAGS,
     Calendar,
-    MsgTag,
     ProtocolViolation,
     RoundStats,
     Simulator,
@@ -79,37 +79,37 @@ def test_calendar_locate_roundtrip():
 
 def test_message_bit_budget_boundaries():
     b = 3
-    assert payload_bits(MsgTag.WEIGHT_PARTIAL, b) <= message_bit_budget(b)
-    assert payload_bits(MsgTag.BFS_TOKEN, b) <= message_bit_budget(b)
+    assert payload_bits(sim_module.WEIGHT_PARTIAL, b) <= message_bit_budget(b)
+    assert payload_bits(sim_module.BFS_TOKEN, b) <= message_bit_budget(b)
     # Every tag fits the 4b+16 budget; test_oversized_message_is_rejected
     # shows that a width equal to the budget passes and one more does not.
     for bb in range(1, 20):
-        for tag in MsgTag:
+        for tag in TAGS:
             assert payload_bits(tag, bb) <= message_bit_budget(bb)
 
 
 def _field_layout(b):
     d = (4 * b**3 + 1).bit_length()
     return {
-        MsgTag.BFS_TOKEN: b + d + 1,  # root id, distance, parent flag
-        MsgTag.COLOR: b + d,  # root id, depth
-        MsgTag.ANCESTOR_FLAG: 1,
-        MsgTag.SIZE_PARTIAL: b + 1,  # subtree size <= 2^b
-        MsgTag.WEIGHT_PARTIAL: 2 * (b + 1),  # weight sum, node count
-        MsgTag.PROPOSE: b + 1,  # proposal weight
-        MsgTag.DECISION: 1,
-        MsgTag.OUTCOME: 1,
-        MsgTag.REHANG: b + d,  # root id, depth
-        MsgTag.DIE: 1,
-        MsgTag.LEAVE: 1,
+        sim_module.BFS_TOKEN: b + d + 1,  # root id, distance, parent flag
+        sim_module.COLOR: b + d,  # root id, depth
+        sim_module.ANCESTOR_FLAG: 1,
+        sim_module.SIZE_PARTIAL: b + 1,  # subtree size <= 2^b
+        sim_module.WEIGHT_PARTIAL: 2 * (b + 1),  # weight sum, node count
+        sim_module.PROPOSE: b + 1,  # proposal weight
+        sim_module.DECISION: 1,
+        sim_module.OUTCOME: 1,
+        sim_module.REHANG: b + d,  # root id, depth
+        sim_module.DIE: 1,
+        sim_module.LEAVE: 1,
     }
 
 
 def test_payload_bits_match_field_layout():
     for b in range(1, 21):
         layout = _field_layout(b)
-        assert set(layout) == set(MsgTag)
-        for tag in MsgTag:
+        assert len(TAGS) == len(layout) and set(layout) == set(TAGS)
+        for tag in TAGS:
             assert payload_bits(tag, b) == layout[tag], (b, tag)
 
 
@@ -160,7 +160,7 @@ def test_oversized_message_is_rejected(monkeypatch):
     # No tag can exceed 4b+16 under the field layout, so the budget is
     # lowered instead: a message exactly at the budget passes, one bit
     # over is a violation.
-    widest = payload_bits(MsgTag.BFS_TOKEN, 1)
+    widest = payload_bits(sim_module.BFS_TOKEN, 1)
     assert widest == max(_field_layout(1).values())
     monkeypatch.setattr(sim_module, "message_bit_budget", lambda b: widest)
     _, stats = _k2_simulator().run()
@@ -172,7 +172,7 @@ def test_oversized_message_is_rejected(monkeypatch):
 
 @pytest.mark.parametrize("port", [1, -1])
 def test_send_on_missing_port_is_rejected(port):
-    sim = _k2_simulator(lambda r: ([(port, (MsgTag.LEAVE, ()))], []))
+    sim = _k2_simulator(lambda r: ([(port, (sim_module.LEAVE, ()))], []))
     with pytest.raises(ProtocolViolation, match=f"node 0 sent on missing port {port}"):
         sim.run()
 
@@ -334,16 +334,56 @@ def test_simulated_phases_match_reference_field_by_field():
     assert checked > 1099
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_lockstep_and_event_drivers_agree(seed):
-    g, ids = random_connected(7 + seed, 500 + seed)
-    ev = Simulator(g, ids, driver="event", record_events=True)
+def _assert_drivers_agree(g, ids, alive=None):
+    ev = Simulator(g, ids, alive=alive, driver="event", record_events=True)
     ev_out, ev_stats = ev.run()
-    lk = Simulator(g, ids, driver="lockstep", record_events=True)
+    lk = Simulator(g, ids, alive=alive, driver="lockstep", record_events=True)
     lk_out, lk_stats = lk.run()
     assert ev.events == lk.events
     assert ev_stats == lk_stats
     assert ev_out == lk_out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lockstep_and_event_drivers_agree(seed):
+    g, ids = random_connected(7 + seed, 500 + seed)
+    _assert_drivers_agree(g, ids)
+
+
+def _residual_alive_sets(g, ids):
+    """The alive sets of network_decomposition's clusterings after the first."""
+    remaining = set(range(g.n))
+    while remaining:
+        remaining -= strong_cluster(g, ids, alive=remaining).clustering.covered_nodes()
+        if remaining:
+            yield frozenset(remaining)
+
+
+# Small graphs whose decomposition needs more than one clustering; most
+# small graphs are covered by the first.
+RESIDUAL_GRAPHS = {
+    "random-10-503": lambda: random_connected(10, 503),
+    "gnp-15-6": lambda: generate(FamilySpec("gnp", n=15, p=2.5 / 15, seed=6, id_seed=6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESIDUAL_GRAPHS))
+def test_lockstep_and_event_drivers_agree_on_residual_runs(name):
+    # The nodes clustered earlier keep their ports to the residual nodes but
+    # never wake.
+    g, ids = RESIDUAL_GRAPHS[name]()
+    residuals = list(_residual_alive_sets(g, ids))
+    assert residuals, name
+    for alive in residuals:
+        _assert_drivers_agree(g, ids, alive)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_lockstep_and_event_drivers_agree_on_alive_subsets(seed):
+    # A residual with more traffic than real small residuals carry: about
+    # two thirds of the nodes, in several pieces.
+    g, ids = random_connected(8, 600 + seed)
+    _assert_drivers_agree(g, ids, {v for v in range(g.n) if splitmix_at(seed, v) % 3})
 
 
 def test_event_driver_deterministic():

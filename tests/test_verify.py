@@ -1,5 +1,7 @@
 import dataclasses
 
+import pytest
+
 from strongcluster.cluster import Clustering, Decomposition, network_decomposition, strong_cluster
 from strongcluster.gen import FamilySpec, generate
 from strongcluster.graph import build_graph
@@ -77,7 +79,9 @@ def test_clustering_rejects_overlap_and_misplaced_terminal():
         unclustered=(3,),
     )
     report = check_clustering(g, bad, ids.b)
-    assert "clusters-disjoint" in {c.name for c in report.failures()}
+    assert ("partition", "node 1 listed in cluster 0 and in cluster 1") in {
+        (c.name, c.witness) for c in report.failures()
+    }
     worse = Clustering(
         n=4, b=ids.b,
         clusters=((3, (0, 1)),),
@@ -285,7 +289,25 @@ def test_clustering_rejects_lists_that_miss_or_repeat_nodes():
     assert [c.name for c in report.failures()] == ["partition"]
     repeated = dataclasses.replace(short, unclustered=(1, 3, 3))
     report = check_clustering(g, repeated, ids.b)
-    assert [c.witness for c in report.failures()] == ["1 repeated entries"]
+    assert [c.witness for c in report.failures()] == ["node 3 listed in unclustered and in unclustered"]
+
+
+@pytest.mark.parametrize(
+    "clusters, unclustered, witness",
+    [
+        # A node in two clusters.
+        (((0, (0, 1)), (3, (3, 1))), (2,), "node 1 listed in cluster 0 and in cluster 1"),
+        # A node both clustered and unclustered.
+        (((0, (0, 1)), (3, (3,))), (2, 1), "node 1 listed in cluster 0 and in unclustered"),
+        # A node listed twice inside one cluster.
+        (((0, (0, 1, 0)),), (2, 3), "node 0 listed in cluster 0 and in cluster 0"),
+    ],
+)
+def test_partition_rejects_every_repeated_listing(clusters, unclustered, witness):
+    g, ids = build_graph(4, [(0, 1), (1, 3)])
+    bad = Clustering(n=4, b=ids.b, clusters=clusters, unclustered=unclustered)
+    report = check_clustering(g, bad, ids.b)
+    assert ("partition", witness) in {(c.name, c.witness) for c in report.failures()}
 
 
 def test_diameter_checks_reject_a_long_path_at_b1():
