@@ -10,9 +10,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
+from itertools import chain
 from operator import or_
 from typing import Iterable, Sequence
+
+import numpy as np
 
 # Sources per bit-parallel BFS pass in ``induced_diameter``.
 _SOURCE_BLOCK = 1024
@@ -46,6 +49,24 @@ class Graph:
                 if u < v:
                     yield (u, v)
 
+    @cached_property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, indices)``: the neighbors of v are ``indices[indptr[v]:indptr[v + 1]]``.
+
+        Built on first use and kept on the graph, for the numpy BFS in
+        ``forest.bfs_forest`` and the phase set-up.
+        """
+        indptr = np.zeros(self.n + 1, dtype=np.intp)
+        np.cumsum(np.fromiter(map(len, self.adj), dtype=np.intp, count=self.n), out=indptr[1:])
+        indices = np.fromiter(chain.from_iterable(self.adj), dtype=np.intp, count=int(indptr[-1]))
+        return indptr, indices
+
+    @cached_property
+    def edge_tails(self) -> np.ndarray:
+        """The node each entry of ``csr``'s ``indices`` is a neighbor of."""
+        indptr = self.csr[0]
+        return np.repeat(np.arange(self.n, dtype=np.intp), np.diff(indptr))
+
 
 @dataclass(frozen=True)
 class IdAssignment:
@@ -53,6 +74,22 @@ class IdAssignment:
 
     b: int
     ids: tuple[int, ...]
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """The nodes in ascending identifier order."""
+        return np.array(sorted(range(len(self.ids)), key=self.ids.__getitem__), dtype=np.intp)
+
+    @cached_property
+    def rank(self) -> np.ndarray:
+        """Position of each node in ``order``.
+
+        Compares like the identifiers themselves but fits a machine word
+        whatever their width.
+        """
+        rank = np.empty(len(self.order), dtype=np.intp)
+        rank[self.order] = np.arange(len(self.order))
+        return rank
 
 
 @dataclass(frozen=True)

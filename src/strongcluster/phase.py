@@ -5,15 +5,24 @@ Terminal trees are colored by one identifier bit of their root: bit value 0
 is red, 1 is blue.  Red trees only grow; blue subtrees adjacent to red nodes
 either join a red tree wholesale or are deleted.  All decisions within a step
 read only the step's starting forest, so resolution order does not matter.
+
+Once a step has no proposals, no later step has any either, so the loop
+stops there.  ``PhaseResult.step_traces`` is a read-only sequence of all t
+traces that stores only the active ones and builds an idle step's trace
+when it is read.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from itertools import filterfalse
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .forest import RootedForest, audit_depths, bfs_forest
+import numpy as np
+
+from .forest import ForestLinks, RootedForest, audit_bfs, audit_depths, bfs_forest
 from .graph import Graph, IdAssignment
 
 
@@ -26,13 +35,13 @@ def step_budget(b: int) -> int:
     return 2 * b * b
 
 
-@dataclass(frozen=True)
-class Proposal:
+class Proposal(NamedTuple):
     """One blue subtree offering to join a red tree.
 
     ``attach_at`` is the proposer's minimum-identifier red neighbor; the
     target tree is the one containing it.  ``weight`` is the proposer's
-    subtree size at the start of the step.
+    subtree size at the start of the step.  A named tuple: the step loop
+    makes one per proposer, and a tuple is the cheapest immutable record.
     """
 
     proposer: int
@@ -69,12 +78,70 @@ class StepTrace:
         )
 
 
+class StepTraces(Sequence):
+    """The t step traces of one phase, read like the tuple of all of them.
+
+    Holds the traces of the active steps, which come first.  Every later
+    step is idle: its trace has no proposals, the phase's final max depth
+    and (on debug runs) the final snapshot, and is built when indexed.
+    ``len`` is t; indexing, negative indexing and iteration behave as on
+    a tuple, a slice returns a tuple, and equality compares the traces.
+    """
+
+    __slots__ = ("_active", "_t", "_max_depth", "_snapshot")
+
+    def __init__(
+        self,
+        active: tuple[StepTrace, ...],
+        t: int,
+        max_depth: int,
+        snapshot: dict[int, tuple[bool, int, int]] | None = None,
+    ):
+        self._active = active
+        self._t = t
+        self._max_depth = max_depth
+        self._snapshot = snapshot
+
+    def __len__(self) -> int:
+        return self._t
+
+    def _idle(self, j: int) -> StepTrace:
+        return StepTrace(
+            j=j, proposals=(), grows=(), declines=(), deleted=(),
+            max_depth=self._max_depth, red_sizes={}, snapshot=self._snapshot,
+        )
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[k] for k in range(*i.indices(self._t)))
+        j = operator.index(i)
+        if j < 0:
+            j += self._t
+        if not 0 <= j < self._t:
+            raise IndexError("step trace index out of range")
+        return self._active[j] if j < len(self._active) else self._idle(j)
+
+    def __iter__(self) -> Iterator[StepTrace]:
+        yield from self._active
+        for j in range(len(self._active), self._t):
+            yield self._idle(j)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (StepTraces, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"StepTraces({len(self._active)} active of {self._t})"
+
+
 @dataclass(frozen=True)
 class PhaseResult:
     """Outcome of one phase: survivors, surviving terminals, final forest.
 
     ``f0_depth`` keeps the starting BFS depth of every phase-input node
     (None for non-members); step-level depth claims are checked against it.
+    The simulated backend records no step traces: its ``step_traces`` is ().
     """
 
     p: int
@@ -83,8 +150,8 @@ class PhaseResult:
     survivors: tuple[int, ...]
     terminals_out: tuple[int, ...]
     deleted: tuple[int, ...]
-    final_forest: RootedForest
-    step_traces: tuple[StepTrace, ...]
+    final_forest: ForestLinks
+    step_traces: StepTraces | tuple[()]
     f0_depth: tuple[int | None, ...]
 
     @classmethod
@@ -93,23 +160,25 @@ class PhaseResult:
         p: int,
         b: int,
         alive_in: tuple[int, ...],
-        forest: RootedForest,
-        step_traces: tuple[StepTrace, ...],
+        forest: ForestLinks,
+        step_traces: StepTraces | tuple[()],
         f0_depth: tuple[int | None, ...],
     ) -> "PhaseResult":
         """Read survivors, deletions and surviving terminals off the final forest.
 
-        ``alive_in`` is the sorted phase input; survivors and deletions keep
-        its order.
+        ``alive_in`` is the sorted phase input; survivors, deletions and the
+        surviving terminals keep its order.
         """
-        member = forest.member
+        in_forest = forest.member.__getitem__
+        survivors = tuple(filter(in_forest, alive_in))
         return cls(
             p=p,
             b=b,
             alive_in=alive_in,
-            survivors=tuple(v for v in alive_in if member[v]),
-            terminals_out=tuple(forest.roots()),
-            deleted=tuple(v for v in alive_in if not member[v]),
+            survivors=survivors,
+            # The roots are the survivors at depth 0.
+            terminals_out=tuple(filterfalse(forest.depth.__getitem__, survivors)),
+            deleted=tuple(filterfalse(in_forest, alive_in)),
             final_forest=forest,
             step_traces=step_traces,
             f0_depth=f0_depth,
@@ -122,37 +191,43 @@ def _proposals_from_candidates(
     f: RootedForest,
     red: list[bool],
     candidates: set[int],
-) -> list[Proposal]:
+) -> tuple[list[Proposal], list[list[int]]]:
     """Proposers are candidates with no candidate strict ancestor.
 
     Ancestors live in the same blue tree, so a red-adjacent ancestor is
-    itself a candidate; the walk memoizes per-path results.
+    itself a candidate; the walk memoizes per-path results.  Returns the
+    proposals and, in the same order, each proposer's subtree, collected
+    once to weigh it: proposer subtrees are disjoint and blue, so the lists
+    stay exact through the step's rehangs and deletions, which take them
+    instead of walking again.
     """
-    memo: dict[int, bool] = {}
-
-    def weak_status(u: int) -> bool:
-        # True iff u or some ancestor of u is a candidate.
-        path = []
-        cur: int | None = u
-        while cur is not None and cur not in memo:
-            path.append(cur)
-            cur = f.parent[cur]
-        val = memo[cur] if cur is not None else False
-        for node in reversed(path):
-            val = val or (node in candidates)
-            memo[node] = val
-        return memo[u]
-
-    id_of = ids.ids.__getitem__
-    out: list[Proposal] = []
-    for v in sorted(candidates, key=id_of):
-        par = f.parent[v]
-        if par is not None and weak_status(par):
+    parent, root_of, adj, id_of = f.parent, f.root_of, g.adj, ids.ids
+    # covered[u]: u or some ancestor of u is a candidate.
+    covered: dict[int, bool] = {}
+    path: list[int] = []
+    proposals: list[Proposal] = []
+    subtrees: list[list[int]] = []
+    for v in sorted(candidates, key=id_of.__getitem__):
+        u = parent[v]
+        while u is not None and u not in covered and u not in candidates:
+            path.append(u)
+            u = parent[u]
+        # The walk stops at the root, at a settled node or at a candidate,
+        # which is covered.
+        hit = u is not None and covered.setdefault(u, True)
+        for w in path:
+            covered[w] = hit
+        path.clear()
+        if hit:
             continue
-        attach = min((w for w in g.adj[v] if red[w]), key=id_of)
-        weight = len(f.subtree(v))
-        out.append(Proposal(proposer=v, weight=weight, attach_at=attach, target_root=f.root_of[attach]))
-    return out
+        attach = -1
+        for w in adj[v]:
+            if red[w] and (attach < 0 or id_of[w] < id_of[attach]):
+                attach = w
+        sub = f.subtree(v)
+        proposals.append(Proposal(v, len(sub), attach, root_of[attach]))
+        subtrees.append(sub)
+    return proposals, subtrees
 
 
 def grow_decisions(
@@ -174,23 +249,38 @@ def grow_decisions(
 
 
 class _DepthTally:
-    """Multiset of member depths with cheap running max."""
+    """Member count per depth with a running max.
 
-    def __init__(self, depths: Iterable[int]):
-        self.counts = Counter(depths)
-        self.max = max(self.counts, default=0)
+    ``counts[d]`` is the number of members at depth d.  A tree on k nodes
+    is less than k deep, so one slot per starting member is enough.
+    """
 
-    def add(self, depths: Iterable[int]) -> None:
+    def __init__(self, depths: np.ndarray):
+        self.counts = np.bincount(depths, minlength=len(depths)).tolist()
+        self.max = int(depths.max()) if len(depths) else 0
+
+    def shift(self, depth: list[int], nodes: list[int], delta: int) -> None:
+        """``nodes``, now at ``depth``, each moved ``delta`` levels deeper."""
         counts = self.counts
-        for d in depths:
+        top = self.max
+        for u in nodes:
+            d = depth[u]
+            counts[d - delta] -= 1
             counts[d] += 1
-            if d > self.max:
-                self.max = d
+            if d > top:
+                top = d
+        self.max = top
+        self._settle()
 
-    def remove(self, depths: Iterable[int]) -> None:
+    def remove(self, depth: list[int], nodes: list[int]) -> None:
+        """``nodes``, at ``depth``, leave the forest."""
         counts = self.counts
-        for d in depths:
-            counts[d] -= 1
+        for u in nodes:
+            counts[depth[u]] -= 1
+        self._settle()
+
+    def _settle(self) -> None:
+        counts = self.counts
         while self.max and not counts[self.max]:
             self.max -= 1
 
@@ -207,10 +297,14 @@ def run_phase(
 
     Once the propose set is empty nothing can change in later steps (red
     adjacency only appears through recoloring, which only proposals cause),
-    so the loop stops early and pads the remaining traces as empty.  Debug
-    runs record a member snapshot in every trace and audit the incremental
-    bookkeeping (depths, child lists, candidate set) against recomputation;
-    ``verify.check_step_invariants`` checks the step claims on the snapshots.
+    so the loop stops early; the result's ``StepTraces`` reads the
+    remaining steps as idle.  The set-up (colors, candidates, depth counts)
+    is numpy over the alive nodes plus one mask over the CSR edges; the
+    step loop is plain Python on lists.  Debug runs audit the starting forest against
+    ``multi_source_bfs``, record a member snapshot in every trace and audit
+    the incremental bookkeeping (depths, child lists, candidate set) against
+    recomputation; ``verify.check_step_invariants`` checks the step claims
+    on the snapshots.
     """
     alive_set = set(alive)
     q_set = set(q)
@@ -225,18 +319,30 @@ def run_phase(
     f = bfs_forest(g, alive_sorted, q_set, ids)
     f0_depth = tuple(f.depth)
     if debug:
+        audit_bfs(g, f, alive_sorted, q_set, ids)
         audit_depths(f)
 
-    # Setup touches only the alive nodes: every other node is a non-member.
+    # Set-up: a tree is blue when its root's identifier bit is 1 (taken in
+    # Python, so any identifier width works), an alive node takes its root's
+    # color, and one mask over the CSR edges picks the candidates, the blue
+    # heads of edges leaving red nodes.
     shift = b - 1 - p
-    id_of, root_of, adj = ids.ids, f.root_of, g.adj
-    red = [False] * g.n
-    for v in alive_sorted:
-        red[v] = not (id_of[root_of[v]] >> shift) & 1
-    member = f.member
-    candidates = {w for v in alive_sorted if red[v] for w in adj[v] if member[w] and not red[w]}
-
-    tally = _DepthTally(f.depth[v] for v in alive_sorted)
+    n = g.n
+    id_of = ids.ids
+    blue_root = np.zeros(n, dtype=bool)
+    blue_root[[r for r in q_set if id_of[r] >> shift & 1]] = True
+    alive_arr = np.array(alive_sorted, dtype=np.intp)
+    root_arr = np.fromiter(map(f.root_of.__getitem__, alive_sorted), dtype=np.intp, count=len(alive_sorted))
+    depth_arr = np.fromiter(map(f.depth.__getitem__, alive_sorted), dtype=np.intp, count=len(alive_sorted))
+    blue_at = blue_root[root_arr]
+    red_np = np.zeros(n, dtype=bool)
+    red_np[alive_arr[~blue_at]] = True
+    blue_np = np.zeros(n, dtype=bool)
+    blue_np[alive_arr[blue_at]] = True
+    indices = g.csr[1]
+    candidates = set(indices[red_np[g.edge_tails] & blue_np[indices]].tolist())
+    red = red_np.tolist()
+    tally = _DepthTally(depth_arr)
     traces: list[StepTrace] = []
 
     def snapshot() -> dict[int, tuple[bool, int, int]]:
@@ -246,38 +352,38 @@ def run_phase(
             if f.member[v]
         }
 
+    depth, member, adj = f.depth, f.member, g.adj
+    add = candidates.add
     j = 0
     while j < t and candidates:
-        proposals = _proposals_from_candidates(g, ids, f, red, candidates)
+        proposals, subtrees = _proposals_from_candidates(g, ids, f, red, candidates)
         assert proposals, "nonempty candidate set must yield a proposer"
         red_sizes = {pr.target_root: f.tree_size[pr.target_root] for pr in proposals}
         decisions = grow_decisions(proposals, red_sizes, b)
 
         deleted_step: list[int] = []
         recolored_step: list[int] = []
-        for pr in proposals:
+        for pr, sub in zip(proposals, subtrees):
             if decisions[pr.target_root]:
-                delta = f.depth[pr.attach_at] + 1 - f.depth[pr.proposer]
-                moved = f.rehang(pr.proposer, pr.attach_at)
+                delta = depth[pr.attach_at] + 1 - depth[pr.proposer]
+                f.rehang(pr.proposer, pr.attach_at, sub)
                 if delta:
-                    new_depths = [f.depth[u] for u in moved]
-                    tally.remove(d - delta for d in new_depths)
-                    tally.add(new_depths)
-                recolored_step.extend(moved)
+                    tally.shift(depth, sub, delta)
+                recolored_step.extend(sub)
             else:
-                doomed = f.subtree(pr.proposer)
-                tally.remove(f.depth[u] for u in doomed)
-                f.delete_subtree(pr.proposer)
-                deleted_step.extend(doomed)
+                tally.remove(depth, sub)
+                f.delete_subtree(pr.proposer, sub)
+                deleted_step.extend(sub)
 
+        # Recolored and deleted nodes leave the candidate set; the blue
+        # members next to a recolored node join it.
         for u in recolored_step:
             red[u] = True
-            candidates.discard(u)
-            for w in g.adj[u]:
-                if f.member[w] and not red[w]:
-                    candidates.add(w)
-        for u in deleted_step:
-            candidates.discard(u)
+        candidates.difference_update(recolored_step, deleted_step)
+        for u in recolored_step:
+            for w in adj[u]:
+                if member[w] and not red[w]:
+                    add(w)
 
         trace = StepTrace(
             j=j,
@@ -299,17 +405,9 @@ def run_phase(
             }, "candidate set drifted from recomputation"
         j += 1
 
-    final_max = tally.max
-    shared_snapshot = snapshot() if debug else None
-    while len(traces) < t:
-        traces.append(
-            StepTrace(
-                j=len(traces), proposals=(), grows=(), declines=(), deleted=(),
-                max_depth=final_max, red_sizes={}, snapshot=shared_snapshot,
-            )
-        )
-
-    result = PhaseResult.from_forest(p, b, tuple(alive_sorted), f, tuple(traces), f0_depth)
+    step_traces = StepTraces(tuple(traces), t, tally.max, snapshot() if debug else None)
+    links = ForestLinks(f.member, f.parent, f.depth, f.root_of)
+    result = PhaseResult.from_forest(p, b, tuple(alive_sorted), links, step_traces, f0_depth)
     assert set(result.terminals_out) <= q_set
     assert len(result.survivors) == f.member_count(), "forest gained a member outside the alive set"
     return result

@@ -35,8 +35,7 @@ phase carry an epoch stamp, the step's first round or the phase index that
 wrote them, and read as empty once that epoch has passed, so nothing is
 cleared between steps.  The red flag is recomputed only when the node's
 root or the phase changes.  At each phase boundary the simulator reads each
-survivor's parent, depth and root off the lists and hands them to
-``RootedForest.from_parents``.
+survivor's parent, depth and root off the lists into a ``ForestLinks``.
 
 A message is a plain ``(tag, data)`` tuple, and a tag is its own name, the
 string the event log records: BFS_TOKEN = "bfs" (BFS wave), COLOR
@@ -54,7 +53,7 @@ from itertools import accumulate
 from typing import Iterable
 
 from .cluster import Clustering, clustering_from_survivors
-from .forest import RootedForest
+from .forest import ForestLinks
 from .graph import Graph, GraphError, IdAssignment
 from .phase import PhaseResult, step_budget
 
@@ -600,6 +599,7 @@ class Simulator:
         """Read the next phase's result off the state lists at its boundary."""
         n, adj = self.g.n, self.g.adj
         alive_in = done[-1].survivors if done else tuple(sorted(self.alive0))
+        member = [False] * n
         parent: list[int | None] = [None] * n
         depth: list[int | None] = [None] * n
         root_of: list[int | None] = [None] * n
@@ -612,12 +612,13 @@ class Simulator:
             if not self.alive[v]:
                 continue
             survivors.append(v)
+            member[v] = True
             depth[v] = self.depth[v]
             root_of[v] = self.id_to_index[self.root[v]]
             pp = self.parent[v]
             if pp is not None:
                 parent[v] = adj[v][pp]
-        forest = RootedForest.from_parents(n, survivors, parent, depth, root_of)
+        forest = ForestLinks(member, parent, depth, root_of)
         return PhaseResult.from_forest(len(done), self.cal.b, alive_in, forest, (), tuple(f0_depth))
 
 

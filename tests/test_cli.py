@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -164,6 +165,27 @@ def test_trace_files(tmp_path, monkeypatch):
     assert (tmp_path / "traces" / "transcript.log").exists()
 
 
+# SHA-256 of the phase step logs that ``cluster --trace`` writes, joined in
+# phase order, with the number of active steps; recorded when every trace,
+# idle steps included, was still stored.
+TRACE_GOLDEN = [
+    (["--family", "gnp", "--n", "300", "--p", "0.01", "--seed", "5", "--id-seed", "3"],
+     9, 25, "7d380e74c926541a78a2b9991bf35cb623eed8f35cb351a1bcbdf0046e3a9fa6"),
+    (["--family", "grid", "--n", "400", "--w", "20", "--id-seed", "7"],
+     9, 28, "5d4a6aafcf4bc338b2fd85ebfaff381db3fdb6e4b96a1fd02a64e194d5af96e4"),
+]
+
+
+@pytest.mark.parametrize("family, phases, active, digest", TRACE_GOLDEN)
+def test_trace_logs_are_byte_identical(tmp_path, monkeypatch, family, phases, active, digest):
+    monkeypatch.setenv("STRONGCLUSTER_TRACE_DIR", str(tmp_path))
+    assert run_cli("cluster", *family, "--trace", "--output", str(tmp_path / "c.json")) == 0
+    logs = [tmp_path / f"trace_phase{p}.log" for p in range(phases)]
+    text = "".join(log.read_text() for log in logs)
+    assert sum("proposals=[]" not in line for line in text.splitlines()) == active
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def verify_artifact(tmp_path, doc, *extra):
     """Run ``verify`` on path n=8 against the given artifact document."""
     graph_file = tmp_path / "p8.txt"
@@ -225,3 +247,22 @@ def test_verify_malformed_artifact_exits_2(tmp_path, capsys, doc, message):
     assert verify_artifact(tmp_path, doc) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: artifact") and message in err
+
+
+def test_identifiers_wider_than_63_bits_give_one_clustering(tmp_path):
+    # Identifiers of any width are valid input; the engine's BFS tie rule and
+    # coloring must not squeeze them through a 64-bit integer.
+    ids = [2**70, 2**63 + 5, 3, 2**64 + 1]
+    graph = tmp_path / "wide.txt"
+    graph.write_text("4 3\n0 1\n1 2\n2 3\n" + "".join(f"id {k}\n" for k in ids))
+    docs = {}
+    for backend in ("reference", "simulated", "both"):
+        out = tmp_path / f"{backend}.json"
+        assert run_cli("cluster", "--input", str(graph), "--backend", backend,
+                       "--output", str(out)) == 0
+        docs[backend] = json.loads(out.read_text())
+    assert docs["reference"]["b"] == 71
+    assert docs["both"]["equivalence"] == "PASS"
+    ref = docs["reference"]
+    for backend in ("simulated", "both"):
+        assert {k: docs[backend][k] for k in ref} == ref

@@ -249,7 +249,11 @@ def _induced_relabelled(g, ids, nodes):
 
 
 def _phase_in_node_space(res, nodes, n):
-    """A phase result on G[nodes] restated in the host graph's node indices."""
+    """A phase result on G[nodes] restated in the host graph's node indices.
+
+    A finished forest keeps no child lists or tree sizes; its member,
+    parent and root_of lists, compared here, determine both.
+    """
     lift = nodes.__getitem__
 
     def lift_opt(v):
@@ -281,8 +285,6 @@ def _phase_in_node_space(res, nodes, n):
         "survivors": [lift(v) for v in res.survivors],
         "terminals_out": [lift(v) for v in res.terminals_out],
         "deleted": [lift(v) for v in res.deleted],
-        "children": {lift(u): [lift(c) for c in kids] for u, kids in f.children.items()},
-        "tree_size": {lift(r): size for r, size in f.tree_size.items()},
         "traces": traces,
         **per_node,
     }
@@ -294,8 +296,6 @@ def _phase_as_is(res):
         "survivors": list(res.survivors),
         "terminals_out": list(res.terminals_out),
         "deleted": list(res.deleted),
-        "children": f.children,
-        "tree_size": f.tree_size,
         "traces": [
             (
                 tr.j,

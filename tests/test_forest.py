@@ -1,7 +1,11 @@
+import itertools
+
 import pytest
 
+from conftest import corpus_entries
 from strongcluster.forest import ForestError, RootedForest, audit_depths, bfs_forest
-from strongcluster.graph import build_graph
+from strongcluster.gen import splitmix_at
+from strongcluster.graph import GraphError, build_graph, connected_components, multi_source_bfs
 
 
 def p3():
@@ -41,7 +45,7 @@ def test_from_parents_derives_children_and_tree_sizes_for_members_only():
     assert f.member == [True] * 5 + [False]
     assert f.children == {0: [1], 1: [2, 3]}
     assert f.tree_size == {0: 4, 4: 1}
-    assert f.roots() == [0, 4]
+    assert sorted(f.tree_size) == [0, 4]
     audit_depths(f)
 
 
@@ -191,3 +195,86 @@ def test_audit_rejects_children_that_drift_from_parent(corrupt):
     corrupt(f.children)
     with pytest.raises(ForestError, match="children drift"):
         audit_depths(f)
+
+
+def _forest_from_multi_source_bfs(g, alive, terminals, ids):
+    """The engine's forest as the pure-Python oracle BFS gives it."""
+    members = sorted(set(alive))
+    dm = multi_source_bfs(g, members, terminals, ids)
+    return RootedForest.from_parents(g.n, members, list(dm.parent), list(dm.dist), list(dm.origin))
+
+
+def _assert_same_forest(g, alive, terminals, ids, label):
+    got = bfs_forest(g, alive, terminals, ids)
+    want = _forest_from_multi_source_bfs(g, alive, terminals, ids)
+    for field in ("member", "parent", "depth", "root_of", "children", "tree_size"):
+        assert getattr(got, field) == getattr(want, field), f"{label}: {field} differs"
+    for field in ("parent", "depth", "root_of"):
+        assert all(type(x) is int for x in getattr(got, field) if x is not None), label
+
+
+def _reaching_terminal_sets(g, alive):
+    """Every terminal set from which BFS reaches all of ``alive``."""
+    comps = connected_components(g, alive)
+    for picks in itertools.product(*(
+        [c for r in range(1, len(comp) + 1) for c in itertools.combinations(comp, r)]
+        for comp in comps
+    )):
+        yield {v for part in picks for v in part}
+
+
+def test_bfs_forest_matches_multi_source_bfs_exhaustively():
+    # Every labelled graph with n <= 4 under every alive set and every
+    # terminal set that reaches it, and every labelled 5-node graph with all
+    # nodes alive under every terminal set.  A 5-node case with dead nodes is
+    # a smaller alive graph with edges into dead nodes, which the n <= 4
+    # sweep has; all 160 208 of them would take ~15 s.
+    cases = 0
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        alive_sets = [range(n)] if n == 5 else [
+            [v for v in range(n) if mask >> v & 1] for mask in range(1 << n)
+        ]
+        for mask in range(1 << len(pairs)):
+            g, ids = build_graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+            for alive in alive_sets:
+                for terminals in _reaching_terminal_sets(g, alive):
+                    _assert_same_forest(g, alive, terminals, ids, f"n={n} mask={mask} {alive} {terminals}")
+                    cases += 1
+    assert cases == 3162 + 26704
+
+
+def test_bfs_forest_matches_multi_source_bfs_on_corpus():
+    # Seeded random alive and terminal sets on every corpus graph with
+    # n <= 512 (permuted identifiers included); each component of the alive
+    # set gets its smallest node as a terminal if the draw left it none.
+    for k, (name, g, ids) in enumerate(corpus_entries(512)):
+        alive = [v for v in range(g.n) if splitmix_at(k, v) % 4]
+        terminals = {v for v in alive if splitmix_at(k + 7919, v) % 8 == 0}
+        for comp in connected_components(g, alive):
+            if terminals.isdisjoint(comp):
+                terminals.add(comp[0])
+        _assert_same_forest(g, alive, terminals, ids, name)
+
+
+@pytest.mark.parametrize(
+    "alive, terminals, error, message",
+    [
+        ({0, 1, 7}, {0}, GraphError, "alive node 7 out of range"),
+        ({-1, 0, 1}, {0}, GraphError, "alive node -1 out of range"),
+        ({0, 1}, {0, 2}, GraphError, "source 2 not in alive set"),
+        ({0, 1}, {5}, GraphError, "source 5 not in alive set"),
+        ({0, 1, 2, 3}, {0}, ForestError, "alive node 3 unreachable from terminals"),
+    ],
+)
+def test_bfs_forest_errors_match_multi_source_bfs(alive, terminals, error, message):
+    # Path 0 - 1 - 2 and an isolated node 3.  The input checks are the
+    # oracle's, word for word; unreachable nodes are the forest's own error.
+    g, ids = build_graph(4, [(0, 1), (1, 2)])
+    with pytest.raises(error) as got:
+        bfs_forest(g, alive, terminals, ids)
+    assert str(got.value) == message
+    if error is GraphError:
+        with pytest.raises(GraphError) as oracle:
+            multi_source_bfs(g, alive, terminals, ids)
+        assert str(oracle.value) == message

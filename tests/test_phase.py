@@ -1,5 +1,9 @@
+import itertools
+
 import pytest
 
+from conftest import corpus_entries
+from strongcluster.cluster import strong_cluster
 from strongcluster.forest import RootedForest, bfs_forest
 from strongcluster.graph import build_graph
 from strongcluster.gen import splitmix_at
@@ -31,7 +35,9 @@ def step_from_scratch(g, f, ids, p, j=0):
     """One step recomputed from f alone, applied to a rebuilt copy of f.
 
     The cross-check for run_phase's incremental red flags, candidate set and
-    depth tally: returns (the forest after the step, the step's trace).
+    depth tally: returns (the forest after the step, the step's trace).  It
+    lets rehang and delete_subtree collect each subtree themselves, so it
+    also checks run_phase's reuse of the subtrees collected for the weights.
     """
     shift = ids.b - 1 - p
     red = [f.member[v] and not (ids.ids[f.root_of[v]] >> shift) & 1 for v in range(g.n)]
@@ -39,7 +45,7 @@ def step_from_scratch(g, f, ids, p, j=0):
         v for v in range(g.n)
         if f.member[v] and not red[v] and any(red[w] for w in g.adj[v])
     }
-    proposals = _proposals_from_candidates(g, ids, f, red, candidates)
+    proposals, _ = _proposals_from_candidates(g, ids, f, red, candidates)
     red_sizes = {pr.target_root: f.tree_size[pr.target_root] for pr in proposals}
     decisions = grow_decisions(proposals, red_sizes, ids.b)
     members = [v for v in range(g.n) if f.member[v]]
@@ -287,3 +293,107 @@ def test_step_trace_log_line_format():
     assert res.step_traces[0].log_line() == (
         "step 0: proposals=[1:1→0] grow=[0] decline=[] deleted=0 maxdepth=1"
     )
+
+
+def test_one_subtree_walk_per_proposal(monkeypatch):
+    # Each proposer's subtree is collected once, to weigh it; the rehang or
+    # deletion that follows reuses that list.
+    name, g, ids = next(e for e in corpus_entries(512, min_n=512) if e[0].startswith("gnp"))
+    calls = 0
+    walk = RootedForest.subtree
+
+    def counted(self, v):
+        nonlocal calls
+        calls += 1
+        return walk(self, v)
+
+    monkeypatch.setattr(RootedForest, "subtree", counted)
+    proposals = 0
+    alive = q = range(g.n)
+    for p in range(ids.b):
+        res = run_phase(g, alive, q, p, ids)
+        proposals += sum(len(tr.proposals) for tr in res.step_traces)
+        alive, q = res.survivors, res.terminals_out
+    assert proposals > 100, name
+    assert calls == proposals, name
+
+
+def _padded(res, ids, debug):
+    """The phase's traces as one tuple: the active ones, then idle steps.
+
+    An idle step repeats the final forest: its max depth and, on debug
+    runs, its member snapshot, where every member has its root's color.
+    """
+    active = res.step_traces._active
+    f = res.final_forest
+    members = [v for v in range(len(f.member)) if f.member[v]]
+    shift = ids.b - 1 - res.p
+    final = {
+        v: (not (ids.ids[f.root_of[v]] >> shift) & 1, f.depth[v], f.root_of[v]) for v in members
+    } if debug else None
+    deepest = max((f.depth[v] for v in members), default=0)
+    idle = tuple(
+        StepTrace(j=j, proposals=(), grows=(), declines=(), deleted=(),
+                  max_depth=deepest, red_sizes={}, snapshot=final)
+        for j in range(len(active), step_budget(res.b))
+    )
+    return tuple(active) + idle
+
+
+def _phases_to_check():
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g, ids = build_graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+            yield f"n={n} mask={mask}", g, ids, n <= 3
+    for name, g, ids in corpus_entries(128):
+        yield name, g, ids, g.n <= 16
+
+
+def test_lazy_step_traces_read_like_the_padded_tuple():
+    # Every labelled graph with n <= 5 and every corpus graph with n <= 128;
+    # the small ones run in debug mode, so idle steps carry the final snapshot.
+    checked = 0
+    for name, g, ids, debug in _phases_to_check():
+        for res in strong_cluster(g, ids, debug=debug).phases:
+            traces = res.step_traces
+            t = step_budget(res.b)
+            eager = _padded(res, ids, debug)
+            assert len(traces) == len(eager) == t, name
+            assert [traces[j] for j in range(t)] == list(eager), name
+            assert traces[-1] == eager[-1] and traces[-t] == eager[0], name
+            for cut in (slice(None, 2), slice(-3, None, 2), slice(5, 1)):
+                assert traces[cut] == eager[cut] and type(traces[cut]) is tuple, name
+            assert (eager[0],) + traces[1:] == eager, name
+            assert list(traces) == list(eager), name
+            with pytest.raises(IndexError):
+                traces[t]
+            checked += 1
+    assert checked > 3000
+
+
+def _numpy_values(x):
+    """Every numpy scalar or array inside nested tuples, lists, dicts and records."""
+    if type(x).__module__.startswith("numpy"):
+        yield x
+    elif isinstance(x, dict):
+        for k, v in x.items():
+            yield from _numpy_values(k)
+            yield from _numpy_values(v)
+    elif isinstance(x, (tuple, list)):
+        for v in x:
+            yield from _numpy_values(v)
+    elif hasattr(x, "__dataclass_fields__"):
+        for name in x.__dataclass_fields__:
+            yield from _numpy_values(getattr(x, name))
+
+
+def test_phase_results_hold_only_python_values():
+    # The set-up and the BFS run on numpy arrays; nothing of them may leak
+    # into what a run returns.
+    name, g, ids = next(e for e in corpus_entries(128, min_n=128) if e[0] == "gnp-n128-ids11")
+    run = strong_cluster(g, ids, debug=True)
+    assert list(_numpy_values(run.clustering)) == [], name
+    for res in run.phases:
+        assert list(_numpy_values(res)) == [], f"{name} p={res.p}"
+        assert list(_numpy_values(list(res.step_traces))) == [], f"{name} p={res.p}"
