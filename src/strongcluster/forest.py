@@ -1,8 +1,7 @@
-"""Rooted forests over graph nodes: BFS construction, rehang, subtree deletion.
+"""Rooted forests over graph nodes: the BFS forest a phase starts from, and its audits.
 
-Per-node fields are lists of length ``g.n``, but child lists exist only for
-nodes that have children, so building a forest on a small alive set inside
-a large graph allocates one container per parent, not one per graph node.
+A forest is four per-node lists of length ``g.n`` (``ForestLinks``), and
+nothing else: no child lists and no tree sizes.
 
 ``bfs_forest`` runs a layer-synchronous BFS with numpy on the graph's cached
 CSR adjacency, so its cost follows the alive set and its edges; the
@@ -12,7 +11,6 @@ debug runs audit the engine's starting forest against it.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,136 +24,19 @@ class ForestError(ValueError):
 
 @dataclass(frozen=True)
 class ForestLinks:
-    """What a finished forest keeps: membership, parent links, depths, roots.
+    """A rooted forest on a subset of graph nodes: membership, parent links, depths, roots.
 
     Indexed by node, None for non-members (and ``parent`` None for roots).
-    Child lists and tree sizes follow from ``parent`` and ``root_of``, so a
-    phase result holds these four lists and nothing else of its forest.
+    ``depth[v]`` counts hops to the root and ``root_of[v]`` names it.  The
+    reference engine edits the four lists in place during its phase, and
+    a phase result keeps them as its final forest; child lists and tree
+    sizes follow from ``parent`` and ``root_of`` wherever they are needed.
     """
 
     member: list[bool]
     parent: list[int | None]
     depth: list[int | None]
     root_of: list[int | None]
-
-
-@dataclass
-class RootedForest:
-    """Forest of rooted trees on a subset of graph nodes.
-
-    ``parent[v]`` is None for roots and for non-members; membership is
-    authoritative in ``member``.  ``depth[v]`` counts hops to the root and
-    ``root_of[v]`` names it.  ``children`` mirrors ``parent`` sparsely: it
-    maps each member that has children to the list of them, and holds no
-    key for a leaf or a non-member.  ``tree_size`` maps each root to its
-    member count.
-    """
-
-    n: int
-    member: list[bool]
-    parent: list[int | None]
-    depth: list[int | None]
-    root_of: list[int | None]
-    children: dict[int, list[int]]
-    tree_size: dict[int, int]
-
-    @classmethod
-    def from_parents(cls, n: int, members, parent, depth, root_of) -> "RootedForest":
-        """The forest on ``members`` given its per-node parent links, depths and roots.
-
-        The one place that derives ``member``, ``children`` and ``tree_size``;
-        child lists follow the order of ``members``.  The three lists are kept,
-        not copied, and must hold None for every non-member.
-        """
-        member = [False] * n
-        children: dict[int, list[int]] = {}
-        for v in members:
-            member[v] = True
-            u = parent[v]
-            if u is not None:
-                kids = children.get(u)
-                if kids is None:
-                    children[u] = [v]
-                else:
-                    kids.append(v)
-        tree_size = dict(Counter(map(root_of.__getitem__, members)))
-        return cls(n, member, parent, depth, root_of, children, tree_size)
-
-    def member_count(self) -> int:
-        return sum(self.tree_size.values())
-
-    # -- subtree query and in-place edits; callers uphold the preconditions --
-
-    def subtree(self, v: int) -> list[int]:
-        """Member v and all its descendants, v first, level by level."""
-        children = self.children
-        out = [v]
-        # The loop also visits the nodes it appends.
-        for u in out:
-            kids = children.get(u)
-            if kids:
-                out.extend(kids)
-        return out
-
-    def rehang(self, v: int, new_parent: int, moved: list[int] | None = None) -> list[int]:
-        """Reattach subtree(v) under new_parent; returns the moved nodes.
-
-        new_parent must be a graph neighbor of v and a member of another
-        tree, so it cannot lie inside subtree(v).  ``moved``, when given,
-        is subtree(v) as collected earlier; it is used instead of a second
-        walk and must still be exact.
-        """
-        if moved is None:
-            moved = self.subtree(v)
-        depth, root_of, children, tree_size = self.depth, self.root_of, self.children, self.tree_size
-        new_root = root_of[new_parent]
-        delta = depth[new_parent] + 1 - depth[v]
-        old_parent = self.parent[v]
-        if old_parent is not None:
-            siblings = children[old_parent]
-            siblings.remove(v)
-            if not siblings:
-                del children[old_parent]
-            tree_size[root_of[v]] -= len(moved)
-        else:
-            # v was a root; its tree is absorbed wholesale.
-            del tree_size[v]
-        self.parent[v] = new_parent
-        kids = children.get(new_parent)
-        if kids is None:
-            children[new_parent] = [v]
-        else:
-            kids.append(v)
-        for u in moved:
-            depth[u] += delta
-            root_of[u] = new_root
-        tree_size[new_root] += len(moved)
-        return moved
-
-    def delete_subtree(self, v: int, gone: list[int] | None = None) -> list[int]:
-        """Remove subtree(v) of member v from the forest; returns the removed nodes.
-
-        ``gone``, when given, is subtree(v) as collected earlier.
-        """
-        if gone is None:
-            gone = self.subtree(v)
-        old_parent = self.parent[v]
-        old_root = self.root_of[v]
-        if old_parent is not None:
-            siblings = self.children[old_parent]
-            siblings.remove(v)
-            if not siblings:
-                del self.children[old_parent]
-            self.tree_size[old_root] -= len(gone)
-        else:
-            del self.tree_size[v]
-        for u in gone:
-            self.member[u] = False
-            self.parent[u] = None
-            self.depth[u] = None
-            self.root_of[u] = None
-            self.children.pop(u, None)
-        return gone
 
 
 def _out_edges(indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -168,7 +49,7 @@ def _out_edges(indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray) -> tu
     return nodes.repeat(counts), indices[pos]
 
 
-def bfs_forest(g: Graph, alive, terminals, ids: IdAssignment | None = None) -> RootedForest:
+def bfs_forest(g: Graph, alive, terminals, ids: IdAssignment | None = None) -> ForestLinks:
     """BFS forest of G[alive] rooted at the terminal set.
 
     Parent choice follows the multi_source_bfs tie rule (minimum-identifier
@@ -232,19 +113,21 @@ def bfs_forest(g: Graph, alive, terminals, ids: IdAssignment | None = None) -> R
     reach = reach[alive_arr]
     if unreached:
         raise ForestError(f"alive node {alive_arr[reach == 0][0]} unreachable from terminals")
+    member = [False] * n
     depth_l: list[int | None] = [None] * n
     root_l: list[int | None] = [None] * n
     parent_l: list[int | None] = [None] * n
     columns = (origin[alive_arr].tolist(), (reach - 1).tolist(), parent[alive_arr].tolist())
     for v, r, dv, u in zip(alive_sorted, *columns):
+        member[v] = True
         depth_l[v] = dv
         root_l[v] = r
         if dv:
             parent_l[v] = u
-    return RootedForest.from_parents(n, alive_sorted, parent_l, depth_l, root_l)
+    return ForestLinks(member, parent_l, depth_l, root_l)
 
 
-def audit_bfs(g: Graph, f: RootedForest, alive, terminals, ids: IdAssignment | None = None) -> None:
+def audit_bfs(g: Graph, f: ForestLinks, alive, terminals, ids: IdAssignment | None = None) -> None:
     """Check a freshly built forest against the pure-Python multi_source_bfs.
 
     Debug runs call this on each phase's starting forest, so the vectorised
@@ -257,44 +140,30 @@ def audit_bfs(g: Graph, f: RootedForest, alive, terminals, ids: IdAssignment | N
         ("root", f.root_of, dm.origin),
     ):
         if tuple(stored) != want:
-            v = next(v for v in range(f.n) if stored[v] != want[v])
+            v = next(v for v in range(g.n) if stored[v] != want[v])
             raise ForestError(f"BFS {name} drift at node {v}: forest {stored[v]}, multi_source_bfs {want[v]}")
 
 
-def audit_depths(f: RootedForest) -> None:
-    """Re-derive depths, roots and child lists from parent links; raise on drift.
+def audit_depths(f: ForestLinks) -> None:
+    """Re-derive depths and roots from parent links; raise on drift.
 
     Rehang arithmetic is the step most prone to off-by-one errors, so debug
-    runs re-check the incrementally maintained depths structurally.  The
-    child lists must mirror ``parent`` exactly: each member with a parent
-    appears once under it, and no key names a leaf or a non-member.
+    runs re-check the incrementally maintained depths structurally.
     """
-    expected_children: dict[int, list[int]] = {}
-    for v in range(f.n):
+    n = len(f.member)
+    for v in range(n):
         if not f.member[v]:
             continue
-        if f.parent[v] is not None:
-            expected_children.setdefault(f.parent[v], []).append(v)
+        if (f.depth[v] == 0) != (f.parent[v] is None):
+            raise ForestError(f"root flag drift at node {v}")
         hops = 0
         u = v
         while f.parent[u] is not None:
             u = f.parent[u]
             hops += 1
-            if hops > f.n:
+            if hops > n:
                 raise ForestError(f"parent cycle reached from node {v}")
         if hops != f.depth[v]:
             raise ForestError(f"depth drift at node {v}: stored {f.depth[v]}, walked {hops}")
         if u != f.root_of[v]:
             raise ForestError(f"root drift at node {v}: stored {f.root_of[v]}, walked {u}")
-        if (f.depth[v] == 0) != (f.parent[v] is None):
-            raise ForestError(f"root flag drift at node {v}")
-    for u in sorted(f.children.keys() | expected_children.keys()):
-        stored = f.children.get(u)
-        if stored is None or sorted(stored) != expected_children.get(u):
-            raise ForestError(
-                f"children drift at node {u}: stored {stored}, "
-                f"parent links give {expected_children.get(u)}"
-            )
-    total = sum(1 for v in range(f.n) if f.member[v])
-    if total != f.member_count():
-        raise ForestError("tree_size totals disagree with membership")

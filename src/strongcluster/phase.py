@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .forest import ForestLinks, RootedForest, audit_bfs, audit_depths, bfs_forest
+from .forest import ForestLinks, audit_bfs, audit_depths, bfs_forest
 from .graph import Graph, IdAssignment
 
 
@@ -188,20 +188,23 @@ class PhaseResult:
 def _proposals_from_candidates(
     g: Graph,
     ids: IdAssignment,
-    f: RootedForest,
+    f: ForestLinks,
     red: list[bool],
     candidates: set[int],
+    children: dict[int, list[int]],
 ) -> tuple[list[Proposal], list[list[int]]]:
     """Proposers are candidates with no candidate strict ancestor.
 
     Ancestors live in the same blue tree, so a red-adjacent ancestor is
     itself a candidate; the walk memoizes per-path results.  Returns the
     proposals and, in the same order, each proposer's subtree, collected
-    once to weigh it: proposer subtrees are disjoint and blue, so the lists
-    stay exact through the step's rehangs and deletions, which take them
-    instead of walking again.
+    once to weigh it.  ``children`` are the blue child lists of the phase's
+    starting forest; the walk skips the children that have since turned red
+    or left the forest.  Proposer subtrees are disjoint and blue, so the
+    lists stay exact through the step's rehangs and deletions, which take
+    them instead of walking again.
     """
-    parent, root_of, adj, id_of = f.parent, f.root_of, g.adj, ids.ids
+    parent, root_of, member, adj, id_of = f.parent, f.root_of, f.member, g.adj, ids.ids
     # covered[u]: u or some ancestor of u is a candidate.
     covered: dict[int, bool] = {}
     path: list[int] = []
@@ -224,7 +227,14 @@ def _proposals_from_candidates(
         for w in adj[v]:
             if red[w] and (attach < 0 or id_of[w] < id_of[attach]):
                 attach = w
-        sub = f.subtree(v)
+        sub = [v]
+        # The loop also visits the nodes it appends.
+        for u in sub:
+            kids = children.get(u)
+            if kids:
+                for w in kids:
+                    if member[w] and not red[w]:
+                        sub.append(w)
         proposals.append(Proposal(v, len(sub), attach, root_of[attach]))
         subtrees.append(sub)
     return proposals, subtrees
@@ -232,7 +242,7 @@ def _proposals_from_candidates(
 
 def grow_decisions(
     proposals: Iterable[Proposal],
-    red_tree_sizes: Mapping[int, int],
+    red_sizes: Mapping[int, int],
     b: int,
 ) -> dict[int, bool]:
     """Per targeted red root: True (grow) iff 2b * sum(weights) >= tree size.
@@ -242,10 +252,10 @@ def grow_decisions(
     """
     totals: dict[int, int] = {}
     for pr in proposals:
-        if pr.target_root not in red_tree_sizes:
+        if pr.target_root not in red_sizes:
             raise PhaseError(f"no size for targeted root {pr.target_root}")
         totals[pr.target_root] = totals.get(pr.target_root, 0) + pr.weight
-    return {r: 2 * b * w >= red_tree_sizes[r] for r, w in totals.items()}
+    return {r: 2 * b * w >= red_sizes[r] for r, w in totals.items()}
 
 
 class _DepthTally:
@@ -298,13 +308,13 @@ def run_phase(
     Once the propose set is empty nothing can change in later steps (red
     adjacency only appears through recoloring, which only proposals cause),
     so the loop stops early; the result's ``StepTraces`` reads the
-    remaining steps as idle.  The set-up (colors, candidates, depth counts)
-    is numpy over the alive nodes plus one mask over the CSR edges; the
-    step loop is plain Python on lists.  Debug runs audit the starting forest against
-    ``multi_source_bfs``, record a member snapshot in every trace and audit
-    the incremental bookkeeping (depths, child lists, candidate set) against
-    recomputation; ``verify.check_step_invariants`` checks the step claims
-    on the snapshots.
+    remaining steps as idle.  The set-up (colors, candidates, child lists,
+    red tree sizes) is numpy over the alive nodes plus one mask over the CSR
+    edges; the step loop is plain Python on lists.  Debug runs audit the
+    starting forest against ``multi_source_bfs``, record a member snapshot
+    in every trace and audit the incremental bookkeeping (depths, roots,
+    candidate set) against recomputation; ``verify.check_step_invariants``
+    checks the step claims on the snapshots.
     """
     alive_set = set(alive)
     q_set = set(q)
@@ -322,6 +332,17 @@ def run_phase(
         audit_bfs(g, f, alive_sorted, q_set, ids)
         audit_depths(f)
 
+    # The step loop edits f's four lists in place and keeps no other forest
+    # state, which rests on three facts of the process:
+    # - A red node's depth and root are final for the phase: only blue
+    #   subtrees move or leave.
+    # - Blue trees lose only whole subtrees, so the blue child lists built
+    #   here, over blue members only, stay valid for the subtree walk in
+    #   _proposals_from_candidates, which skips the children that have
+    #   turned red or left the forest.
+    # - Only red roots' tree sizes are read.  They live in a plain dict, so
+    #   a proposal to a root without a size raises in grow_decisions.
+    #
     # Set-up: a tree is blue when its root's identifier bit is 1 (taken in
     # Python, so any identifier width works), an alive node takes its root's
     # color, and one mask over the CSR edges picks the candidates, the blue
@@ -342,6 +363,18 @@ def run_phase(
     indices = g.csr[1]
     candidates = set(indices[red_np[g.edge_tails] & blue_np[indices]].tolist())
     red = red_np.tolist()
+    red_counts = np.bincount(root_arr[~blue_at])
+    red_roots = np.flatnonzero(red_counts)
+    red_size = dict(zip(red_roots.tolist(), red_counts[red_roots].tolist()))
+    children: dict[int, list[int]] = {}
+    for v in alive_arr[blue_at].tolist():
+        u = f.parent[v]
+        if u is not None:
+            kids = children.get(u)
+            if kids is None:
+                children[u] = [v]
+            else:
+                kids.append(v)
     tally = _DepthTally(depth_arr)
     traces: list[StepTrace] = []
 
@@ -352,27 +385,34 @@ def run_phase(
             if f.member[v]
         }
 
-    depth, member, adj = f.depth, f.member, g.adj
+    member, parent, depth, root_of, adj = f.member, f.parent, f.depth, f.root_of, g.adj
     add = candidates.add
     j = 0
     while j < t and candidates:
-        proposals, subtrees = _proposals_from_candidates(g, ids, f, red, candidates)
+        proposals, subtrees = _proposals_from_candidates(g, ids, f, red, candidates, children)
         assert proposals, "nonempty candidate set must yield a proposer"
-        red_sizes = {pr.target_root: f.tree_size[pr.target_root] for pr in proposals}
-        decisions = grow_decisions(proposals, red_sizes, b)
+        decisions = grow_decisions(proposals, red_size, b)
+        red_sizes = {r: red_size[r] for r in decisions}
 
         deleted_step: list[int] = []
         recolored_step: list[int] = []
         for pr, sub in zip(proposals, subtrees):
-            if decisions[pr.target_root]:
+            target = pr.target_root
+            if decisions[target]:
                 delta = depth[pr.attach_at] + 1 - depth[pr.proposer]
-                f.rehang(pr.proposer, pr.attach_at, sub)
+                parent[pr.proposer] = pr.attach_at
+                for u in sub:
+                    depth[u] += delta
+                    root_of[u] = target
+                red_size[target] += len(sub)
                 if delta:
                     tally.shift(depth, sub, delta)
                 recolored_step.extend(sub)
             else:
                 tally.remove(depth, sub)
-                f.delete_subtree(pr.proposer, sub)
+                for u in sub:
+                    member[u] = False
+                    parent[u] = depth[u] = root_of[u] = None
                 deleted_step.extend(sub)
 
         # Recolored and deleted nodes leave the candidate set; the blue
@@ -406,8 +446,6 @@ def run_phase(
         j += 1
 
     step_traces = StepTraces(tuple(traces), t, tally.max, snapshot() if debug else None)
-    links = ForestLinks(f.member, f.parent, f.depth, f.root_of)
-    result = PhaseResult.from_forest(p, b, tuple(alive_sorted), links, step_traces, f0_depth)
+    result = PhaseResult.from_forest(p, b, tuple(alive_sorted), f, step_traces, f0_depth)
     assert set(result.terminals_out) <= q_set
-    assert len(result.survivors) == f.member_count(), "forest gained a member outside the alive set"
     return result

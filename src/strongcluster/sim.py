@@ -214,8 +214,11 @@ class Simulator:
 
         # Node state, one slot per node.  Ports are indices into g.adj[v].
         self.my_id = ids.ids
-        self.degree = [len(a) for a in g.adj]
         self.alive = [v in self.alive0 for v in range(n)]
+        # Ports to neighbors in the run's alive set, the ones BFS tokens and
+        # color announcements go to.  A residual run's nodes know them from
+        # the previous clustering's final state; nodes outside never wake.
+        self.live_ports = [[i for i, w in enumerate(a) if self.alive[w]] for a in g.adj]
         self.phase_of = [-1] * n  # phase whose fields the node holds
         self.parent: list[int | None] = [None] * n  # parent port; None at a root
         self.depth: list[int | None] = [None] * n
@@ -408,7 +411,7 @@ class Simulator:
             if announce:
                 pp, root, d = self.parent[v], self.root[v], self.depth[v]
                 token = (BFS_TOKEN, (root, d, 0))
-                for port in range(self.degree[v]):
+                for port in self.live_ports[v]:
                     out.append((port, (BFS_TOKEN, (root, d, 1)) if port == pp else token))
             return
 
@@ -440,7 +443,7 @@ class Simulator:
         elif stage == "A":
             if self.recolor[v] == S:
                 msg = (COLOR, (self.root[v], self.depth[v]))
-                for port in range(self.degree[v]):
+                for port in self.live_ports[v]:
                     out.append((port, msg))
         elif stage == "B":
             if not red and self.red_nbr[v] is not None:

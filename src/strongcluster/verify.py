@@ -197,10 +197,11 @@ def check_step_invariants(
 
     The depth, growth, proposer and frozen-tree claims read the post-step
     member snapshots of a debug run.  Without them (a non-debug or simulated
-    phase) those entries pass unchecked and say so in their names; only the
-    blame ledger and the deletion budget run on every phase.  The budget
-    counts the phase's ``deleted`` list, so it holds a simulated phase,
-    which records no traces, to the same bound.
+    phase) those entries pass unchecked and say so in their names.  The
+    blame ledger reads the traces without snapshots, so it runs on every
+    reference phase; a simulated phase records no traces, and its ledger
+    entry says it was skipped.  The deletion budget counts the phase's
+    ``deleted`` list, so it holds a simulated phase to the same bound.
     """
     name = _Names(ids)
     checks: list[CheckResult] = []
@@ -271,7 +272,8 @@ def check_step_invariants(
                 break
         if blame_witness:
             break
-    checks.append(CheckResult("blame-ledger", blame_witness is None, blame_witness))
+    ledger = "blame-ledger" if phase.step_traces else "blame-ledger (no traces, skipped)"
+    checks.append(CheckResult(ledger, blame_witness is None, blame_witness))
 
     deleted = len(phase.deleted)
     budget_ok = 2 * b * deleted <= len(phase.alive_in)

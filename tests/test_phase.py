@@ -4,7 +4,7 @@ import pytest
 
 from conftest import corpus_entries
 from strongcluster.cluster import strong_cluster
-from strongcluster.forest import RootedForest, bfs_forest
+from strongcluster.forest import ForestLinks, bfs_forest
 from strongcluster.graph import build_graph
 from strongcluster.gen import splitmix_at
 from strongcluster.phase import (
@@ -31,41 +31,83 @@ def k3():
     return build_graph(3, [(0, 1), (0, 2), (1, 2)])
 
 
-def step_from_scratch(g, f, ids, p, j=0):
-    """One step recomputed from f alone, applied to a rebuilt copy of f.
+def _root_path(parent, v):
+    """v, then its ancestors up to its root, by parent links."""
+    path = [v]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return path
 
-    The cross-check for run_phase's incremental red flags, candidate set and
-    depth tally: returns (the forest after the step, the step's trace).  It
-    lets rehang and delete_subtree collect each subtree themselves, so it
-    also checks run_phase's reuse of the subtrees collected for the weights.
+
+def brute_subtree(f, v):
+    """Member v and every member whose parent links lead through v."""
+    return [u for u in range(len(f.member)) if f.member[u] and v in _root_path(f.parent, u)]
+
+
+def step_from_scratch(g, f, ids, p, j=0):
+    """One step of the process recomputed by brute force from forest f alone.
+
+    The independent oracle for run_phase's incremental red flags, candidate
+    set, child-list walk and depth tally, on plain lists and dicts: every
+    color, ancestor set and subtree comes from walking parent links, and
+    the depths and roots after the step are walked again.  Returns (the
+    forest after the step, the step's trace); f is left as it was.
     """
-    shift = ids.b - 1 - p
-    red = [f.member[v] and not (ids.ids[f.root_of[v]] >> shift) & 1 for v in range(g.n)]
-    candidates = {
-        v for v in range(g.n)
-        if f.member[v] and not red[v] and any(red[w] for w in g.adj[v])
-    }
-    proposals, _ = _proposals_from_candidates(g, ids, f, red, candidates)
-    red_sizes = {pr.target_root: f.tree_size[pr.target_root] for pr in proposals}
-    decisions = grow_decisions(proposals, red_sizes, ids.b)
+    b, id_of = ids.b, ids.ids
+    shift = b - 1 - p
     members = [v for v in range(g.n) if f.member[v]]
-    nf = RootedForest.from_parents(g.n, members, list(f.parent), list(f.depth), list(f.root_of))
+    red = {v for v in members if not id_of[f.root_of[v]] >> shift & 1}
+    candidates = {v for v in members if v not in red and any(w in red for w in g.adj[v])}
+    proposals = []
+    for v in sorted(candidates, key=id_of.__getitem__):
+        if candidates.isdisjoint(_root_path(f.parent, v)[1:]):
+            attach = min((w for w in g.adj[v] if w in red), key=id_of.__getitem__)
+            proposals.append(Proposal(v, len(brute_subtree(f, v)), attach, f.root_of[attach]))
+    red_sizes = {}
+    weights = {}
+    for pr in proposals:
+        red_sizes[pr.target_root] = sum(1 for u in members if f.root_of[u] == pr.target_root)
+        weights[pr.target_root] = weights.get(pr.target_root, 0) + pr.weight
+    grows = {r for r, w in weights.items() if 2 * b * w >= red_sizes[r]}
+
+    member, parent = list(f.member), list(f.parent)
     deleted = []
     for pr in proposals:
-        if decisions[pr.target_root]:
-            nf.rehang(pr.proposer, pr.attach_at)
+        if pr.target_root in grows:
+            parent[pr.proposer] = pr.attach_at
         else:
-            deleted.extend(nf.delete_subtree(pr.proposer))
+            for u in brute_subtree(f, pr.proposer):
+                member[u] = False
+                parent[u] = None
+                deleted.append(u)
+    depth = [None] * g.n
+    root_of = [None] * g.n
+    for v in range(g.n):
+        if member[v]:
+            path = _root_path(parent, v)
+            depth[v], root_of[v] = len(path) - 1, path[-1]
     trace = StepTrace(
         j=j,
         proposals=tuple(proposals),
-        grows=tuple(sorted(r for r, ok in decisions.items() if ok)),
-        declines=tuple(sorted(r for r, ok in decisions.items() if not ok)),
+        grows=tuple(sorted(grows)),
+        declines=tuple(sorted(weights.keys() - grows)),
         deleted=tuple(sorted(deleted)),
-        max_depth=max((nf.depth[v] for v in range(g.n) if nf.member[v]), default=0),
+        max_depth=max((d for d in depth if d is not None), default=0),
         red_sizes=red_sizes,
     )
-    return nf, trace
+    return ForestLinks(member, parent, depth, root_of), trace
+
+
+def engine_proposals(g, f, ids, p):
+    """The engine's proposals on forest f at the start of phase p."""
+    shift = ids.b - 1 - p
+    red = [f.member[v] and not ids.ids[f.root_of[v]] >> shift & 1 for v in range(g.n)]
+    children = {}
+    for v in range(g.n):
+        if f.member[v] and not red[v] and f.parent[v] is not None:
+            children.setdefault(f.parent[v], []).append(v)
+    candidates = {v for v in range(g.n) if f.member[v] and not red[v] and any(red[w] for w in g.adj[v])}
+    return _proposals_from_candidates(g, ids, f, red, candidates, children)[0]
 
 
 # On K3 with identifiers 0, 1, 2 (b = 2) every blue terminal proposes to red
@@ -111,12 +153,10 @@ def test_propose_set_ancestor_rule():
     # Blue chain 1 <- 2 <- 3; red singleton 0 adjacent to 2 and 3 only.
     # Both 2 and 3 are red-adjacent but 3 sits below red-adjacent 2.
     g, ids = build_graph(4, [(1, 2), (2, 3), (0, 2), (0, 3)], ids=[0, 2, 1, 3])
-    parent = [None, None, 1, 2]
-    depth = [0, 0, 1, 2]
-    root_of = [0, 1, 1, 1]
-    f = RootedForest.from_parents(4, range(4), parent, depth, root_of)
+    f = ForestLinks([True] * 4, [None, None, 1, 2], [0, 0, 1, 2], [0, 1, 1, 1])
     _, trace = step_from_scratch(g, f, ids, 0)
     assert trace.proposals == (Proposal(proposer=2, weight=2, attach_at=0, target_root=0),)
+    assert engine_proposals(g, f, ids, 0) == list(trace.proposals)
 
 
 def test_propose_set_empty_without_red_adjacency():
@@ -148,7 +188,8 @@ def test_apply_step_k2_first_step():
     assert trace.deleted == ()
     assert f2.parent[1] == 0
     assert f2.depth[1] == 1
-    assert f2.tree_size == {0: 2}
+    assert trace.red_sizes == {0: 1}
+    assert f2.root_of == [0, 0]
     assert f.parent[1] is None
 
 
@@ -157,8 +198,8 @@ def test_apply_step_fixed_point_on_empty_propose_set():
     f = bfs_forest(g, {0, 1}, {0, 1}, ids)
     f2, trace = step_from_scratch(g, f, ids, 0)
     assert trace.proposals == () and trace.deleted == ()
-    assert f2.parent == f.parent
-    assert f2.tree_size == f.tree_size
+    assert trace.red_sizes == {}
+    assert f2 == f
 
 
 def test_apply_step_decline_deletes_proposer_subtree():
@@ -167,15 +208,15 @@ def test_apply_step_decline_deletes_proposer_subtree():
     g, ids = build_graph(8, [(0, i) for i in range(1, 7)] + [(1, 7)])
     assert ids.b == 3
     parent = [None, 0, 0, 0, 0, 0, 0, None]
-    depth = [0, 1, 1, 1, 1, 1, 1, 0]
-    root_of = [0, 0, 0, 0, 0, 0, 0, 7]
-    f = RootedForest.from_parents(8, range(8), parent, depth, root_of)
+    f = ForestLinks([True] * 8, parent, [0, 1, 1, 1, 1, 1, 1, 0], [0] * 7 + [7])
     f2, trace = step_from_scratch(g, f, ids, 0)
     assert trace.proposals == (Proposal(proposer=7, weight=1, attach_at=1, target_root=0),)
+    assert engine_proposals(g, f, ids, 0) == list(trace.proposals)
     assert trace.declines == (0,) and trace.grows == ()
     assert trace.deleted == (7,)
     assert not f2.member[7]
-    assert f2.tree_size == {0: 7}
+    assert trace.red_sizes == {0: 7}
+    assert f2.root_of == [0] * 7 + [None]
     # Red tree untouched.
     assert f2.parent[:7] == parent[:7]
 
@@ -257,17 +298,40 @@ def test_run_phase_debug_invariants_random(seed):
         assert check_step_invariants(g, res1, ids).all_pass
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_run_phase_matches_stepwise_apply(seed):
-    g, ids = random_connected_graph(10 + seed, 77 + seed)
-    res = run_phase(g, set(range(g.n)), set(range(g.n)), 0, ids)
-    f = bfs_forest(g, set(range(g.n)), set(range(g.n)), ids)
+def _labelled_graphs(max_n):
+    """(label, graph, ids) for every labelled graph with 1 <= n <= max_n."""
+    for n in range(1, max_n + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g, ids = build_graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+            yield f"n={n} mask={mask}", g, ids
+
+
+def _assert_phase_matches_stepwise_apply(g, ids, alive, q, p, label):
+    """run_phase's traces and final forest equal the oracle's, step by step."""
+    res = run_phase(g, alive, q, p, ids)
+    f = bfs_forest(g, alive, q, ids)
     for tr in res.step_traces:
-        f, tr2 = step_from_scratch(g, f, ids, 0, tr.j)
-        assert tr2 == tr
-    assert [v for v in range(g.n) if f.member[v]] == list(res.survivors)
-    assert f.parent == res.final_forest.parent
-    assert f.depth == res.final_forest.depth
+        f, tr2 = step_from_scratch(g, f, ids, p, tr.j)
+        assert tr2 == tr, f"{label} p={p} step {tr.j}"
+    assert f == res.final_forest, f"{label} p={p}"
+    return res
+
+
+@pytest.mark.parametrize("seed", [*range(6), "n<=5"])
+def test_run_phase_matches_stepwise_apply(seed):
+    # A random graph per seed, or every labelled graph with n <= 5: phase 0
+    # from all terminals, then phase 1 from where phase 0 ended, so phase 1
+    # starts from multi-node trees.
+    if seed == "n<=5":
+        graphs = _labelled_graphs(5)
+    else:
+        graphs = [(f"seed {seed}", *random_connected_graph(10 + seed, 77 + seed))]
+    for label, g, ids in graphs:
+        everyone = set(range(g.n))
+        res = _assert_phase_matches_stepwise_apply(g, ids, everyone, everyone, 0, label)
+        if ids.b > 1:
+            _assert_phase_matches_stepwise_apply(g, ids, res.survivors, res.terminals_out, 1, label)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -277,7 +341,7 @@ def test_proposer_subtrees_disjoint_and_cover_candidates(seed):
     _, trace = step_from_scratch(g, f, ids, 0)
     covered = set()
     for pr in trace.proposals:
-        sub = set(f.subtree(pr.proposer))
+        sub = set(brute_subtree(f, pr.proposer))
         assert not covered & sub
         covered |= sub
     # Every red-adjacent blue node lies in exactly one proposer subtree.
@@ -293,29 +357,6 @@ def test_step_trace_log_line_format():
     assert res.step_traces[0].log_line() == (
         "step 0: proposals=[1:1→0] grow=[0] decline=[] deleted=0 maxdepth=1"
     )
-
-
-def test_one_subtree_walk_per_proposal(monkeypatch):
-    # Each proposer's subtree is collected once, to weigh it; the rehang or
-    # deletion that follows reuses that list.
-    name, g, ids = next(e for e in corpus_entries(512, min_n=512) if e[0].startswith("gnp"))
-    calls = 0
-    walk = RootedForest.subtree
-
-    def counted(self, v):
-        nonlocal calls
-        calls += 1
-        return walk(self, v)
-
-    monkeypatch.setattr(RootedForest, "subtree", counted)
-    proposals = 0
-    alive = q = range(g.n)
-    for p in range(ids.b):
-        res = run_phase(g, alive, q, p, ids)
-        proposals += sum(len(tr.proposals) for tr in res.step_traces)
-        alive, q = res.survivors, res.terminals_out
-    assert proposals > 100, name
-    assert calls == proposals, name
 
 
 def _padded(res, ids, debug):
@@ -341,11 +382,8 @@ def _padded(res, ids, debug):
 
 
 def _phases_to_check():
-    for n in range(1, 6):
-        pairs = list(itertools.combinations(range(n), 2))
-        for mask in range(1 << len(pairs)):
-            g, ids = build_graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
-            yield f"n={n} mask={mask}", g, ids, n <= 3
+    for name, g, ids in _labelled_graphs(5):
+        yield name, g, ids, g.n <= 3
     for name, g, ids in corpus_entries(128):
         yield name, g, ids, g.n <= 16
 

@@ -378,6 +378,17 @@ def test_lockstep_and_event_drivers_agree_on_residual_runs(name):
         _assert_drivers_agree(g, ids, alive)
 
 
+@pytest.mark.parametrize("name", sorted(RESIDUAL_GRAPHS))
+def test_residual_runs_message_only_alive_nodes(name):
+    # BFS tokens and color announcements go only on ports to the run's
+    # alive set, so no message reaches a node an earlier clustering took.
+    g, ids = RESIDUAL_GRAPHS[name]()
+    for alive in _residual_alive_sets(g, ids):
+        sim = Simulator(g, ids, alive=alive, record_events=True)
+        sim.run()
+        assert [e for e in sim.events if e[2] not in alive] == [], (name, sorted(alive))
+
+
 @pytest.mark.parametrize("seed", range(2))
 def test_lockstep_and_event_drivers_agree_on_alive_subsets(seed):
     # A residual with more traffic than real small residuals carry: about

@@ -187,7 +187,9 @@ def test_step_invariants_reject_blue_proposer():
 
 def test_step_invariants_label_claims_without_snapshots_skipped():
     # A simulated phase records no traces and a non-debug phase records traces
-    # without snapshots: the snapshot claims must say they did not run.
+    # without snapshots: the snapshot claims must say they did not run.  The
+    # blame ledger needs traces only, so it runs on the non-debug phase and
+    # says it was skipped on the simulated one.
     g, ids = build_graph(2, [(0, 1)])
     simulated = strong_cluster(g, ids, backend="simulated").phases[0]
     plain = run_phase(g, {0, 1}, {0, 1}, 0, ids)
@@ -195,6 +197,8 @@ def test_step_invariants_label_claims_without_snapshots_skipped():
         names = [c.name for c in check_step_invariants(g, phase, ids).checks]
         for claim in ("step-depth-claims", "accepted-tree-growth", "proposers-resolved", "declined-tree-frozen"):
             assert f"{claim} (no snapshots, skipped)" in names
+    assert "blame-ledger (no traces, skipped)" in [c.name for c in check_step_invariants(g, simulated, ids).checks]
+    assert "blame-ledger" in [c.name for c in check_step_invariants(g, plain, ids).checks]
 
 
 def test_decomposition_oracle_accepts_grid():
