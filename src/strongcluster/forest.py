@@ -49,7 +49,7 @@ def _out_edges(indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray) -> tu
     return nodes.repeat(counts), indices[pos]
 
 
-def bfs_forest(g: Graph, alive, terminals, ids: IdAssignment | None = None) -> ForestLinks:
+def bfs_forest(g: Graph, alive, terminals, ids: IdAssignment) -> ForestLinks:
     """BFS forest of G[alive] rooted at the terminal set.
 
     Parent choice follows the multi_source_bfs tie rule (minimum-identifier
@@ -82,10 +82,7 @@ def bfs_forest(g: Graph, alive, terminals, ids: IdAssignment | None = None) -> F
         raise GraphError(f"source {bad} not in alive set")
 
     indptr, indices = g.csr
-    if ids is None:
-        rank = order = np.arange(n)
-    else:
-        rank, order = ids.rank, ids.order
+    rank, order = ids.rank, ids.order
     parent = np.empty(n, dtype=np.intp)
     origin = np.empty(n, dtype=np.intp)
     reach[layer] = 1
@@ -127,7 +124,7 @@ def bfs_forest(g: Graph, alive, terminals, ids: IdAssignment | None = None) -> F
     return ForestLinks(member, parent_l, depth_l, root_l)
 
 
-def audit_bfs(g: Graph, f: ForestLinks, alive, terminals, ids: IdAssignment | None = None) -> None:
+def audit_bfs(g: Graph, f: ForestLinks, alive, terminals, ids: IdAssignment) -> None:
     """Check a freshly built forest against the pure-Python multi_source_bfs.
 
     Debug runs call this on each phase's starting forest, so the vectorised

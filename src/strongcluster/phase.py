@@ -3,8 +3,9 @@
 A phase runs t = 2*b^2 propose/grow/delete steps over a rooted BFS forest.
 Terminal trees are colored by one identifier bit of their root: bit value 0
 is red, 1 is blue.  Red trees only grow; blue subtrees adjacent to red nodes
-either join a red tree wholesale or are deleted.  All decisions within a step
-read only the step's starting forest, so resolution order does not matter.
+propose to a red tree and join it wholesale if 2b times the weight proposed
+to it is at least its size, or else are deleted.  All decisions within a
+step read only the step's starting forest, so resolution order does not matter.
 
 Once a step has no proposals, no later step has any either, so the loop
 stops there.  ``PhaseResult.step_traces`` is a read-only sequence of all t
@@ -18,7 +19,7 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import filterfalse
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -240,61 +241,6 @@ def _proposals_from_candidates(
     return proposals, subtrees
 
 
-def grow_decisions(
-    proposals: Iterable[Proposal],
-    red_sizes: Mapping[int, int],
-    b: int,
-) -> dict[int, bool]:
-    """Per targeted red root: True (grow) iff 2b * sum(weights) >= tree size.
-
-    Exact integer comparison; equality grows.  Roots receiving no proposals
-    are absent from the result.
-    """
-    totals: dict[int, int] = {}
-    for pr in proposals:
-        if pr.target_root not in red_sizes:
-            raise PhaseError(f"no size for targeted root {pr.target_root}")
-        totals[pr.target_root] = totals.get(pr.target_root, 0) + pr.weight
-    return {r: 2 * b * w >= red_sizes[r] for r, w in totals.items()}
-
-
-class _DepthTally:
-    """Member count per depth with a running max.
-
-    ``counts[d]`` is the number of members at depth d.  A tree on k nodes
-    is less than k deep, so one slot per starting member is enough.
-    """
-
-    def __init__(self, depths: np.ndarray):
-        self.counts = np.bincount(depths, minlength=len(depths)).tolist()
-        self.max = int(depths.max()) if len(depths) else 0
-
-    def shift(self, depth: list[int], nodes: list[int], delta: int) -> None:
-        """``nodes``, now at ``depth``, each moved ``delta`` levels deeper."""
-        counts = self.counts
-        top = self.max
-        for u in nodes:
-            d = depth[u]
-            counts[d - delta] -= 1
-            counts[d] += 1
-            if d > top:
-                top = d
-        self.max = top
-        self._settle()
-
-    def remove(self, depth: list[int], nodes: list[int]) -> None:
-        """``nodes``, at ``depth``, leave the forest."""
-        counts = self.counts
-        for u in nodes:
-            counts[depth[u]] -= 1
-        self._settle()
-
-    def _settle(self) -> None:
-        counts = self.counts
-        while self.max and not counts[self.max]:
-            self.max -= 1
-
-
 def run_phase(
     g: Graph,
     alive: Iterable[int],
@@ -309,12 +255,14 @@ def run_phase(
     adjacency only appears through recoloring, which only proposals cause),
     so the loop stops early; the result's ``StepTraces`` reads the
     remaining steps as idle.  The set-up (colors, candidates, child lists,
-    red tree sizes) is numpy over the alive nodes plus one mask over the CSR
-    edges; the step loop is plain Python on lists.  Debug runs audit the
-    starting forest against ``multi_source_bfs``, record a member snapshot
-    in every trace and audit the incremental bookkeeping (depths, roots,
-    candidate set) against recomputation; ``verify.check_step_invariants``
-    checks the step claims on the snapshots.
+    red tree sizes, blue nodes by depth) is numpy over the alive nodes plus
+    one mask over the CSR edges.  The step loop is plain Python on lists:
+    the grow rule sums weights per targeted root, and each moved or deleted
+    node is visited once.  Debug runs audit the starting forest against
+    ``multi_source_bfs``, record a member snapshot in every trace and audit
+    the incremental bookkeeping (depths, roots, candidate set) against
+    recomputation; ``verify.check_step_invariants`` checks the step claims
+    on the snapshots.
     """
     alive_set = set(alive)
     q_set = set(q)
@@ -336,17 +284,24 @@ def run_phase(
     # state, which rests on three facts of the process:
     # - A red node's depth and root are final for the phase: only blue
     #   subtrees move or leave.
-    # - Blue trees lose only whole subtrees, so the blue child lists built
-    #   here, over blue members only, stay valid for the subtree walk in
-    #   _proposals_from_candidates, which skips the children that have
-    #   turned red or left the forest.
-    # - Only red roots' tree sizes are read.  They live in a plain dict, so
-    #   a proposal to a root without a size raises in grow_decisions.
+    # - A blue node keeps its starting depth and parent until it leaves, by
+    #   turning red or by deletion, since blue trees lose only whole
+    #   subtrees.  So the blue child lists built here, over blue members
+    #   only, stay valid for the subtree walk in _proposals_from_candidates,
+    #   which skips the children that have turned red or left the forest.
+    # - A rehang never makes a node shallower: delta = depth[attach_at] + 1
+    #   - depth[proposer] >= 0, because attach_at, a red neighbour of the
+    #   blue proposer in a BFS forest of G[alive], started at most one level
+    #   above it, and red depths never fall below their starting depth.
+    # The deepest member is thus either red, found by a running max over
+    # red depths, or blue at its starting depth, found in a list of the
+    # blue nodes sorted once by starting depth.
     #
     # Set-up: a tree is blue when its root's identifier bit is 1 (taken in
     # Python, so any identifier width works), an alive node takes its root's
     # color, and one mask over the CSR edges picks the candidates, the blue
-    # heads of edges leaving red nodes.
+    # heads of edges leaving red nodes.  Only red roots' tree sizes are
+    # read; every target is a red root, so the lookup cannot miss.
     shift = b - 1 - p
     n = g.n
     id_of = ids.ids
@@ -366,8 +321,13 @@ def run_phase(
     red_counts = np.bincount(root_arr[~blue_at])
     red_roots = np.flatnonzero(red_counts)
     red_size = dict(zip(red_roots.tolist(), red_counts[red_roots].tolist()))
+    max_depth = int(depth_arr.max(initial=0))
+    red_max = int(depth_arr[~blue_at].max(initial=0))
+    blue_arr = alive_arr[blue_at]
+    # Popped from the end as they leave, so the last one is the deepest blue member.
+    blue_by_depth = blue_arr[np.argsort(depth_arr[blue_at], kind="stable")].tolist()
     children: dict[int, list[int]] = {}
-    for v in alive_arr[blue_at].tolist():
+    for v in blue_arr.tolist():
         u = f.parent[v]
         if u is not None:
             kids = children.get(u)
@@ -375,7 +335,6 @@ def run_phase(
                 children[u] = [v]
             else:
                 kids.append(v)
-    tally = _DepthTally(depth_arr)
     traces: list[StepTrace] = []
 
     def snapshot() -> dict[int, tuple[bool, int, int]]:
@@ -391,47 +350,53 @@ def run_phase(
     while j < t and candidates:
         proposals, subtrees = _proposals_from_candidates(g, ids, f, red, candidates, children)
         assert proposals, "nonempty candidate set must yield a proposer"
-        decisions = grow_decisions(proposals, red_size, b)
-        red_sizes = {r: red_size[r] for r in decisions}
+        # A targeted red tree grows iff 2b * (weight proposed to it) >= its size.
+        weights: dict[int, int] = {}
+        for pr in proposals:
+            weights[pr.target_root] = weights.get(pr.target_root, 0) + pr.weight
+        red_sizes = {r: red_size[r] for r in weights}
+        grows = {r for r, w in weights.items() if 2 * b * w >= red_sizes[r]}
 
+        # One pass per moved node sets its depth, root and color and adds
+        # its blue member neighbours to the candidates; one pass per deleted
+        # node clears it.  A node added here that turns red or is deleted
+        # later in the step leaves the candidates after the loop.
         deleted_step: list[int] = []
         recolored_step: list[int] = []
         for pr, sub in zip(proposals, subtrees):
             target = pr.target_root
-            if decisions[target]:
+            if target in grows:
                 delta = depth[pr.attach_at] + 1 - depth[pr.proposer]
                 parent[pr.proposer] = pr.attach_at
-                for u in sub:
-                    depth[u] += delta
-                    root_of[u] = target
                 red_size[target] += len(sub)
-                if delta:
-                    tally.shift(depth, sub, delta)
+                for u in sub:
+                    d = depth[u] + delta
+                    depth[u] = d
+                    root_of[u] = target
+                    red[u] = True
+                    if d > red_max:
+                        red_max = d
+                    for w in adj[u]:
+                        if member[w] and not red[w]:
+                            add(w)
                 recolored_step.extend(sub)
             else:
-                tally.remove(depth, sub)
                 for u in sub:
                     member[u] = False
                     parent[u] = depth[u] = root_of[u] = None
                 deleted_step.extend(sub)
-
-        # Recolored and deleted nodes leave the candidate set; the blue
-        # members next to a recolored node join it.
-        for u in recolored_step:
-            red[u] = True
         candidates.difference_update(recolored_step, deleted_step)
-        for u in recolored_step:
-            for w in adj[u]:
-                if member[w] and not red[w]:
-                    add(w)
+        while blue_by_depth and (red[blue_by_depth[-1]] or not member[blue_by_depth[-1]]):
+            blue_by_depth.pop()
+        max_depth = max(red_max, depth[blue_by_depth[-1]] if blue_by_depth else 0)
 
         trace = StepTrace(
             j=j,
             proposals=tuple(proposals),
-            grows=tuple(sorted(r for r, ok in decisions.items() if ok)),
-            declines=tuple(sorted(r for r, ok in decisions.items() if not ok)),
+            grows=tuple(sorted(grows)),
+            declines=tuple(sorted(weights.keys() - grows)),
             deleted=tuple(sorted(deleted_step)),
-            max_depth=tally.max,
+            max_depth=max_depth,
             red_sizes=red_sizes,
             snapshot=snapshot() if debug else None,
         )
@@ -445,7 +410,7 @@ def run_phase(
             }, "candidate set drifted from recomputation"
         j += 1
 
-    step_traces = StepTraces(tuple(traces), t, tally.max, snapshot() if debug else None)
+    step_traces = StepTraces(tuple(traces), t, max_depth, snapshot() if debug else None)
     result = PhaseResult.from_forest(p, b, tuple(alive_sorted), f, step_traces, f0_depth)
     assert set(result.terminals_out) <= q_set
     return result

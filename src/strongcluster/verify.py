@@ -35,9 +35,6 @@ class Report:
     def all_pass(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.passed]
-
     def to_text(self) -> str:
         lines = []
         for c in self.checks:

@@ -12,7 +12,6 @@ from strongcluster.phase import (
     Proposal,
     StepTrace,
     _proposals_from_candidates,
-    grow_decisions,
     run_phase,
     step_budget,
 )
@@ -48,7 +47,7 @@ def step_from_scratch(g, f, ids, p, j=0):
     """One step of the process recomputed by brute force from forest f alone.
 
     The independent oracle for run_phase's incremental red flags, candidate
-    set, child-list walk and depth tally, on plain lists and dicts: every
+    set, child-list walk and max depth, on plain lists and dicts: every
     color, ancestor set and subtree comes from walking parent links, and
     the depths and roots after the step are walked again.  Returns (the
     forest after the step, the step's trace); f is left as it was.
@@ -167,16 +166,20 @@ def test_propose_set_empty_without_red_adjacency():
 
 
 def test_grow_threshold_boundary():
-    props = [Proposal(proposer=9, weight=1, attach_at=5, target_root=5)]
-    assert grow_decisions(props, {5: 4}, b=2) == {5: True}
-    assert grow_decisions(props, {5: 5}, b=2) == {5: False}
-    assert grow_decisions(props, {5: 1}, b=1) == {5: True}
-
-
-def test_grow_rejects_missing_size():
-    props = [Proposal(proposer=9, weight=1, attach_at=5, target_root=5)]
-    with pytest.raises(PhaseError):
-        grow_decisions(props, {}, b=1)
+    # Red root 0 with some leaves, and blue terminal x hung off the last leaf.
+    # x proposes weight 1, so 2b * w = 6 against red size leaves + 1: with 5
+    # leaves the tree grows, with 6 it declines and x is deleted.
+    for leaves, grows in ((5, True), (6, False)):
+        x = leaves + 1
+        edges = [(0, v) for v in range(1, x)] + [(leaves, x)]
+        g, ids = build_graph(x + 1, edges, b=3)
+        res = run_phase(g, set(range(x + 1)), {0, x}, 0, ids)
+        trace = res.step_traces[0]
+        assert trace.proposals == (Proposal(proposer=x, weight=1, attach_at=leaves, target_root=0),)
+        assert trace.red_sizes == {0: x}
+        assert (trace.grows, trace.declines) == (((0,), ()) if grows else ((), (0,)))
+        assert trace.deleted == (() if grows else (x,))
+        assert res.final_forest.depth[x] == (2 if grows else None)
 
 
 def test_apply_step_k2_first_step():

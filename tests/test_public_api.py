@@ -19,8 +19,6 @@ PACKAGE = ROOT / "src" / "strongcluster"
 ALLOWED = {
     "check_ruling": "the ruling claim's checker; it keeps the verify.multi_source_bfs "
                     "binding that the benchmark wraps",
-    "failures": "Report.failures, the failed checks of a report, read by callers "
-                "that inspect a report",
     "check_step_invariants": "the checker of the per-step claims the acceptance module "
                              "runs; the program's modules name it only in docstrings",
 }

@@ -19,6 +19,10 @@ def p3():
     return build_graph(3, [(0, 1), (1, 2)])
 
 
+def failures(report):
+    return [c for c in report.checks if not c.passed]
+
+
 def test_ruling_pass_on_path():
     g, _ = p3()
     assert check_ruling(g, {0, 1, 2}, {0}, 2).all_pass
@@ -28,7 +32,7 @@ def test_ruling_fail_names_farthest_node():
     g, _ = p3()
     report = check_ruling(g, {0, 1, 2}, {0}, 1)
     assert not report.all_pass
-    assert "node 2" in report.failures()[0].witness
+    assert "node 2" in failures(report)[0].witness
 
 
 def test_ruling_all_terminals_zero_radius():
@@ -55,9 +59,9 @@ def test_clustering_rejects_adjacent_clusters():
         unclustered=(),
     )
     report = check_clustering(g, bad, ids.b)
-    names = {c.name for c in report.failures()}
+    names = {c.name for c in failures(report)}
     assert "clusters-non-adjacent" in names
-    assert any("edge" in (c.witness or "") for c in report.failures())
+    assert any("edge" in (c.witness or "") for c in failures(report))
 
 
 def test_clustering_rejects_low_coverage():
@@ -68,7 +72,7 @@ def test_clustering_rejects_low_coverage():
         unclustered=(1, 2, 3),
     )
     report = check_clustering(g, bad, ids.b)
-    assert "coverage-at-least-half" in {c.name for c in report.failures()}
+    assert "coverage-at-least-half" in {c.name for c in failures(report)}
 
 
 def test_clustering_rejects_overlap_and_misplaced_terminal():
@@ -80,7 +84,7 @@ def test_clustering_rejects_overlap_and_misplaced_terminal():
     )
     report = check_clustering(g, bad, ids.b)
     assert ("partition", "node 1 listed in cluster 0 and in cluster 1") in {
-        (c.name, c.witness) for c in report.failures()
+        (c.name, c.witness) for c in failures(report)
     }
     worse = Clustering(
         n=4, b=ids.b,
@@ -88,7 +92,7 @@ def test_clustering_rejects_overlap_and_misplaced_terminal():
         unclustered=(2, 3),
     )
     report = check_clustering(g, worse, ids.b)
-    assert "one-terminal-per-cluster" in {c.name for c in report.failures()}
+    assert "one-terminal-per-cluster" in {c.name for c in failures(report)}
 
 
 def test_step_invariants_accept_k2_run():
@@ -107,7 +111,7 @@ def test_step_invariants_reject_forged_depth():
     traces[0] = dataclasses.replace(tr, snapshot=forged_snapshot)
     forged = dataclasses.replace(res, step_traces=tuple(traces))
     report = check_step_invariants(g, forged, ids)
-    assert "step-depth-claims" in {c.name for c in report.failures()}
+    assert "step-depth-claims" in {c.name for c in failures(report)}
 
 
 def test_step_invariants_reject_excess_blame():
@@ -128,7 +132,7 @@ def test_step_invariants_reject_excess_blame():
     traces = (bogus,) + res.step_traces[1:]
     forged = dataclasses.replace(res, step_traces=traces)
     report = check_step_invariants(g, forged, ids)
-    assert "blame-ledger" in {c.name for c in report.failures()}
+    assert "blame-ledger" in {c.name for c in failures(report)}
 
 
 def test_step_invariants_reject_tree_blamed_in_two_steps():
@@ -152,7 +156,7 @@ def test_step_invariants_reject_tree_blamed_in_two_steps():
 
     forged = dataclasses.replace(res, step_traces=(decline(0), decline(1)) + res.step_traces[2:])
     report = check_step_invariants(g, forged, ids)
-    ledger = [c for c in report.failures() if c.name == "blame-ledger"]
+    ledger = [c for c in failures(report) if c.name == "blame-ledger"]
     assert ledger and ledger[0].witness.endswith("blamed in two steps")
 
 
@@ -165,7 +169,7 @@ def test_step_invariants_check_deletion_budget_on_simulated_phase():
     assert check_step_invariants(g, simulated, ids).all_pass
     forged = dataclasses.replace(simulated, deleted=(0, 1, 2, 3))
     report = check_step_invariants(g, forged, ids)
-    assert [c.name for c in report.failures()] == ["phase-deletion-budget"]
+    assert [c.name for c in failures(report)] == ["phase-deletion-budget"]
 
 
 def test_step_invariants_reject_blue_proposer():
@@ -181,7 +185,7 @@ def test_step_invariants_reject_blue_proposer():
     traces = (dataclasses.replace(tr, snapshot=forged_snapshot),) + res.step_traces[1:]
     forged = dataclasses.replace(res, step_traces=traces)
     report = check_step_invariants(g, forged, ids)
-    assert [c.name for c in report.failures()] == ["proposers-resolved"]
+    assert [c.name for c in failures(report)] == ["proposers-resolved"]
     assert check_step_invariants(g, res, ids).all_pass
 
 
@@ -216,7 +220,7 @@ def test_decomposition_rejects_broken_halving():
     assert d.colors_used == 1
     bad = dataclasses.replace(d, colors_used=2, color=(0, 1, 1))
     report = check_decomposition(g, bad, ids.b, ids)
-    assert "per-color-clusterings" in {c.name for c in report.failures()}
+    assert "per-color-clusterings" in {c.name for c in failures(report)}
 
 
 def test_decomposition_rejects_large_recolor():
@@ -239,7 +243,7 @@ def test_decomposition_rejects_uncolored():
     d, _ = network_decomposition(g, ids)
     bad = dataclasses.replace(d, color=(0, -1))
     report = check_decomposition(g, bad, ids.b, ids)
-    assert "all-nodes-colored" in {c.name for c in report.failures()}
+    assert "all-nodes-colored" in {c.name for c in failures(report)}
 
 
 def test_mis_examples():
@@ -247,9 +251,9 @@ def test_mis_examples():
     assert check_mis(g, {0, 2}).all_pass
     k2, _ = build_graph(2, [(0, 1)])
     r1 = check_mis(k2, {0, 1})
-    assert not r1.all_pass and "independent" in {c.name for c in r1.failures()}
+    assert not r1.all_pass and "independent" in {c.name for c in failures(r1)}
     r2 = check_mis(k2, set())
-    assert not r2.all_pass and "maximal" in {c.name for c in r2.failures()}
+    assert not r2.all_pass and "maximal" in {c.name for c in failures(r2)}
 
 
 def test_report_rendering():
@@ -266,7 +270,7 @@ def test_report_rendering():
 def test_mis_rejects_out_of_range_nodes():
     g, _ = p3()
     report = check_mis(g, [0, 2, 7, -1])
-    assert [c.witness for c in report.failures()] == ["node -1 outside 0..2"]
+    assert [c.witness for c in failures(report)] == ["node -1 outside 0..2"]
 
 
 def test_clustering_rejects_out_of_range_nodes_before_other_checks():
@@ -290,10 +294,10 @@ def test_clustering_rejects_lists_that_miss_or_repeat_nodes():
         unclustered=(1,),
     )
     report = check_clustering(g, short, ids.b)
-    assert [c.name for c in report.failures()] == ["partition"]
+    assert [c.name for c in failures(report)] == ["partition"]
     repeated = dataclasses.replace(short, unclustered=(1, 3, 3))
     report = check_clustering(g, repeated, ids.b)
-    assert [c.witness for c in report.failures()] == ["node 3 listed in unclustered and in unclustered"]
+    assert [c.witness for c in failures(report)] == ["node 3 listed in unclustered and in unclustered"]
 
 
 @pytest.mark.parametrize(
@@ -311,7 +315,7 @@ def test_partition_rejects_every_repeated_listing(clusters, unclustered, witness
     g, ids = build_graph(4, [(0, 1), (1, 3)])
     bad = Clustering(n=4, b=ids.b, clusters=clusters, unclustered=unclustered)
     report = check_clustering(g, bad, ids.b)
-    assert ("partition", witness) in {(c.name, c.witness) for c in report.failures()}
+    assert ("partition", witness) in {(c.name, c.witness) for c in failures(report)}
 
 
 def test_diameter_checks_reject_a_long_path_at_b1():
@@ -319,8 +323,8 @@ def test_diameter_checks_reject_a_long_path_at_b1():
     g, _ = build_graph(10, [(v, v + 1) for v in range(9)])
     whole = Clustering(n=10, b=1, clusters=((0, tuple(range(10))),), unclustered=())
     report = check_clustering(g, whole, 1)
-    assert [c.name for c in report.failures()] == ["cluster-diameter"]
-    assert "diameter 9, bound 8" in report.failures()[0].witness
+    assert [c.name for c in failures(report)] == ["cluster-diameter"]
+    assert "diameter 9, bound 8" in failures(report)[0].witness
     report = check_decomposition(g, Decomposition(colors_used=1, color=(0,) * 10), 1)
-    assert [c.name for c in report.failures()] == ["per-color-clusterings"]
-    assert "diameter 9, bound 8" in report.failures()[0].witness
+    assert [c.name for c in failures(report)] == ["per-color-clusterings"]
+    assert "diameter 9, bound 8" in failures(report)[0].witness
