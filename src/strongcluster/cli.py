@@ -23,7 +23,7 @@ from .cluster import (
 from .gen import FamilySpec, generate
 from .graph import Graph, GraphError, IdAssignment, parse_edge_list, write_edge_list
 from .sim import run_protocol
-from .verify import check_clustering, check_decomposition, check_mis
+from .verify import Report, check_clustering, check_decomposition, check_mis
 
 FAMILIES = ("path", "cycle", "grid", "complete", "tree", "hypercube", "gnp", "star")
 
@@ -60,16 +60,35 @@ def _load_graph(args) -> tuple[Graph, IdAssignment]:
     return g, ids
 
 
-def _emit(doc: dict, output: str | None) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
+def _write(text: str, output: str | None) -> None:
+    """Write text to the ``--output`` file, or to stdout without one."""
     if output:
         Path(output).write_text(text)
     else:
         sys.stdout.write(text)
 
 
+def _emit(doc: dict, output: str | None) -> None:
+    _write(json.dumps(doc, indent=2) + "\n", output)
+
+
+def _verdict(doc: dict, report: Report) -> int:
+    """Record the report's verdict in doc; print a failing report to stderr.
+
+    Returns the command's exit status for it: 0 on PASS, 1 on FAIL.
+    """
+    doc["verification"] = "PASS" if report.all_pass else "FAIL"
+    if report.all_pass:
+        return 0
+    sys.stderr.write(report.to_text() + "\n")
+    return 1
+
+
 def _trace_dir() -> Path:
-    return Path(os.environ.get("STRONGCLUSTER_TRACE_DIR", "."))
+    """The directory trace logs go to, created if missing."""
+    out = Path(os.environ.get("STRONGCLUSTER_TRACE_DIR", "."))
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _cmd_cluster(args) -> int:
@@ -82,9 +101,8 @@ def _cmd_cluster(args) -> int:
         clustering = ref.clustering
         if args.trace:
             out = _trace_dir()
-            out.mkdir(parents=True, exist_ok=True)
             for phase in ref.phases:
-                lines = [tr.log_line() for tr in phase.step_traces]
+                lines = [tr.log_line(j) for j, tr in enumerate(phase.step_traces)]
                 (out / f"trace_phase{phase.p}.log").write_text("\n".join(lines) + "\n")
     equal = None
     if args.backend in ("simulated", "both"):
@@ -95,9 +113,7 @@ def _cmd_cluster(args) -> int:
         else:
             equal = sim_clustering == clustering
         if args.trace and transcript is not None:
-            out = _trace_dir()
-            out.mkdir(parents=True, exist_ok=True)
-            (out / "transcript.log").write_text("\n".join(transcript) + "\n")
+            (_trace_dir() / "transcript.log").write_text("\n".join(transcript) + "\n")
     doc = clustering.to_json_dict(g)
     if stats is not None:
         doc["rounds"] = stats.rounds
@@ -108,11 +124,7 @@ def _cmd_cluster(args) -> int:
         if not equal:
             status = 1
     if args.verify:
-        report = check_clustering(g, clustering, ids.b, ids)
-        doc["verification"] = "PASS" if report.all_pass else "FAIL"
-        if not report.all_pass:
-            sys.stderr.write(report.to_text() + "\n")
-            status = 1
+        status = max(status, _verdict(doc, check_clustering(g, clustering, ids.b, ids)))
     _emit(doc, args.output)
     return status
 
@@ -123,13 +135,7 @@ def _cmd_decompose(args) -> int:
     doc = d.to_json_dict()
     if rounds_total is not None:
         doc["rounds_total"] = rounds_total
-    status = 0
-    if args.verify:
-        report = check_decomposition(g, d, ids.b, ids)
-        doc["verification"] = "PASS" if report.all_pass else "FAIL"
-        if not report.all_pass:
-            sys.stderr.write(report.to_text() + "\n")
-            status = 1
+    status = _verdict(doc, check_decomposition(g, d, ids.b, ids)) if args.verify else 0
     _emit(doc, args.output)
     return status
 
@@ -139,13 +145,7 @@ def _cmd_mis(args) -> int:
     d, _ = network_decomposition(g, ids)
     chosen = mis_via_decomposition(g, ids, d)
     doc = {"n": g.n, "colors": d.colors_used, "mis": chosen}
-    status = 0
-    if args.verify:
-        report = check_mis(g, chosen, ids)
-        doc["verification"] = "PASS" if report.all_pass else "FAIL"
-        if not report.all_pass:
-            sys.stderr.write(report.to_text() + "\n")
-            status = 1
+    status = _verdict(doc, check_mis(g, chosen, ids)) if args.verify else 0
     _emit(doc, args.output)
     return status
 
@@ -212,11 +212,7 @@ def _decomposition_from_doc(doc: dict, n: int) -> Decomposition:
 
 def _cmd_gen(args) -> int:
     g, ids = _load_graph(args)
-    text = write_edge_list(g, ids)
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write(write_edge_list(g, ids), args.output)
     return 0
 
 
@@ -243,11 +239,7 @@ def _cmd_bench(args) -> int:
         rows.append(
             f"{g.n},{ids.b},{coverage:.6f},{doc['max_diameter_observed']},{stats.rounds},{ratio:.6f}"
         )
-    text = "\n".join(rows) + "\n"
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(rows) + "\n", args.output)
     return 0
 
 

@@ -8,18 +8,15 @@ to it is at least its size, or else are deleted.  All decisions within a
 step read only the step's starting forest, so resolution order does not matter.
 
 Once a step has no proposals, no later step has any either, so the loop
-stops there.  ``PhaseResult.step_traces`` is a read-only sequence of all t
-traces that stores only the active ones and builds an idle step's trace
-when it is read.
+stops there.  ``PhaseResult.step_traces`` is the tuple of all t traces, a
+trace's position being its step index; the idle steps share one trace.
 """
 
 from __future__ import annotations
 
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import filterfalse
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -60,7 +57,6 @@ class StepTrace:
     member to (is_red, depth, root).
     """
 
-    j: int
     proposals: tuple[Proposal, ...]
     grows: tuple[int, ...]
     declines: tuple[int, ...]
@@ -69,71 +65,14 @@ class StepTrace:
     red_sizes: dict[int, int] = field(default_factory=dict)
     snapshot: dict[int, tuple[bool, int, int]] | None = None
 
-    def log_line(self) -> str:
+    def log_line(self, j: int) -> str:
         props = ",".join(f"{p.proposer}:{p.weight}→{p.target_root}" for p in self.proposals)
         grow = ",".join(str(r) for r in self.grows)
         decline = ",".join(str(r) for r in self.declines)
         return (
-            f"step {self.j}: proposals=[{props}] grow=[{grow}] "
+            f"step {j}: proposals=[{props}] grow=[{grow}] "
             f"decline=[{decline}] deleted={len(self.deleted)} maxdepth={self.max_depth}"
         )
-
-
-class StepTraces(Sequence):
-    """The t step traces of one phase, read like the tuple of all of them.
-
-    Holds the traces of the active steps, which come first.  Every later
-    step is idle: its trace has no proposals, the phase's final max depth
-    and (on debug runs) the final snapshot, and is built when indexed.
-    ``len`` is t; indexing, negative indexing and iteration behave as on
-    a tuple, a slice returns a tuple, and equality compares the traces.
-    """
-
-    __slots__ = ("_active", "_t", "_max_depth", "_snapshot")
-
-    def __init__(
-        self,
-        active: tuple[StepTrace, ...],
-        t: int,
-        max_depth: int,
-        snapshot: dict[int, tuple[bool, int, int]] | None = None,
-    ):
-        self._active = active
-        self._t = t
-        self._max_depth = max_depth
-        self._snapshot = snapshot
-
-    def __len__(self) -> int:
-        return self._t
-
-    def _idle(self, j: int) -> StepTrace:
-        return StepTrace(
-            j=j, proposals=(), grows=(), declines=(), deleted=(),
-            max_depth=self._max_depth, red_sizes={}, snapshot=self._snapshot,
-        )
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[k] for k in range(*i.indices(self._t)))
-        j = operator.index(i)
-        if j < 0:
-            j += self._t
-        if not 0 <= j < self._t:
-            raise IndexError("step trace index out of range")
-        return self._active[j] if j < len(self._active) else self._idle(j)
-
-    def __iter__(self) -> Iterator[StepTrace]:
-        yield from self._active
-        for j in range(len(self._active), self._t):
-            yield self._idle(j)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (StepTraces, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    def __repr__(self) -> str:
-        return f"StepTraces({len(self._active)} active of {self._t})"
 
 
 @dataclass(frozen=True)
@@ -142,7 +81,9 @@ class PhaseResult:
 
     ``f0_depth`` keeps the starting BFS depth of every phase-input node
     (None for non-members); step-level depth claims are checked against it.
-    The simulated backend records no step traces: its ``step_traces`` is ().
+    ``step_traces`` holds t traces, trace j at position j; after the last
+    active step they are all one idle trace.  The simulated backend records
+    no step traces: its ``step_traces`` is ().
     """
 
     p: int
@@ -152,7 +93,7 @@ class PhaseResult:
     terminals_out: tuple[int, ...]
     deleted: tuple[int, ...]
     final_forest: ForestLinks
-    step_traces: StepTraces | tuple[()]
+    step_traces: tuple[StepTrace, ...]
     f0_depth: tuple[int | None, ...]
 
     @classmethod
@@ -162,7 +103,7 @@ class PhaseResult:
         b: int,
         alive_in: tuple[int, ...],
         forest: ForestLinks,
-        step_traces: StepTraces | tuple[()],
+        step_traces: tuple[StepTrace, ...],
         f0_depth: tuple[int | None, ...],
     ) -> "PhaseResult":
         """Read survivors, deletions and surviving terminals off the final forest.
@@ -253,12 +194,12 @@ def run_phase(
 
     Once the propose set is empty nothing can change in later steps (red
     adjacency only appears through recoloring, which only proposals cause),
-    so the loop stops early; the result's ``StepTraces`` reads the
-    remaining steps as idle.  The set-up (colors, candidates, child lists,
-    red tree sizes, blue nodes by depth) is numpy over the alive nodes plus
-    one mask over the CSR edges.  The step loop is plain Python on lists:
-    the grow rule sums weights per targeted root, and each moved or deleted
-    node is visited once.  Debug runs audit the starting forest against
+    so the loop stops early and the remaining steps share one idle trace.
+    The set-up (colors, candidates, child lists, red tree sizes, blue nodes
+    by depth) is numpy over the alive nodes plus one mask over the CSR
+    edges.  The step loop is plain Python on lists: the grow rule sums
+    weights per targeted root, and each moved or deleted node is visited
+    once.  Debug runs audit the starting forest against
     ``multi_source_bfs``, record a member snapshot in every trace and audit
     the incremental bookkeeping (depths, roots, candidate set) against
     recomputation; ``verify.check_step_invariants`` checks the step claims
@@ -346,8 +287,7 @@ def run_phase(
 
     member, parent, depth, root_of, adj = f.member, f.parent, f.depth, f.root_of, g.adj
     add = candidates.add
-    j = 0
-    while j < t and candidates:
+    while len(traces) < t and candidates:
         proposals, subtrees = _proposals_from_candidates(g, ids, f, red, candidates, children)
         assert proposals, "nonempty candidate set must yield a proposer"
         # A targeted red tree grows iff 2b * (weight proposed to it) >= its size.
@@ -390,8 +330,7 @@ def run_phase(
             blue_by_depth.pop()
         max_depth = max(red_max, depth[blue_by_depth[-1]] if blue_by_depth else 0)
 
-        trace = StepTrace(
-            j=j,
+        traces.append(StepTrace(
             proposals=tuple(proposals),
             grows=tuple(sorted(grows)),
             declines=tuple(sorted(weights.keys() - grows)),
@@ -399,8 +338,7 @@ def run_phase(
             max_depth=max_depth,
             red_sizes=red_sizes,
             snapshot=snapshot() if debug else None,
-        )
-        traces.append(trace)
+        ))
 
         if debug:
             audit_depths(f)
@@ -408,9 +346,13 @@ def run_phase(
                 v for v in range(g.n)
                 if f.member[v] and not red[v] and any(red[w] for w in g.adj[v])
             }, "candidate set drifted from recomputation"
-        j += 1
 
-    step_traces = StepTraces(tuple(traces), t, max_depth, snapshot() if debug else None)
+    # Every later step is idle and sees the final forest, so one trace serves them all.
+    idle = StepTrace(
+        proposals=(), grows=(), declines=(), deleted=(),
+        max_depth=max_depth, red_sizes={}, snapshot=snapshot() if debug else None,
+    )
+    step_traces = tuple(traces) + (idle,) * (t - len(traces))
     result = PhaseResult.from_forest(p, b, tuple(alive_sorted), f, step_traces, f0_depth)
     assert set(result.terminals_out) <= q_set
     return result

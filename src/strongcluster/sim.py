@@ -371,18 +371,7 @@ class Simulator:
                     self.size_acc[v] = 0
                 self.size_acc[v] += data[0]
             elif tag == REHANG:
-                root, sender_depth = data
-                d = self.depth[v] = sender_depth + 1
-                self.root[v] = root
-                self.red[v] = not (root >> shift) & 1
-                fwd = (REHANG, (root, d))
-                for c in self.children[v]:
-                    out.append((c, fwd))
-                # Rehang waves always complete inside stage H; the guard keeps
-                # the terminal computation from scheduling anything.
-                if stage == "H" and self.step + 1 < self.cal.t:
-                    self.recolor[v] = S + self.block
-                    wakes.append(S + self.block)
+                self._rehang(v, data[0], data[1] + 1, out, wakes)
             elif tag == DIE:
                 self.alive[v] = False
                 for c in self.children[v]:
@@ -477,19 +466,26 @@ class Simulator:
                 if outcome:
                     target = self.proposed[v]
                     data = self.nbr[v][target]
-                    root, d = data[0], data[1] + 1
-                    self.parent[v], self.root[v], self.depth[v] = target, root, d
-                    self.red[v] = not (root >> shift) & 1
-                    msg = (REHANG, (root, d))
-                    for c in self.children[v]:
-                        out.append((c, msg))
-                    if self.step + 1 < self.cal.t:
-                        self.recolor[v] = S + self.block
-                        wakes.append(S + self.block)
+                    self.parent[v] = target
+                    self._rehang(v, data[0], data[1] + 1, out, wakes)
                 else:
                     self.alive[v] = False
                     for c in self.children[v]:
                         out.append((c, _DIE_MSG))
+
+    def _rehang(self, v: int, root: int, d: int, out: list, wakes: list) -> None:
+        """Node v joins tree ``root`` at depth d and passes the rehang to its children."""
+        self.depth[v] = d
+        self.root[v] = root
+        self.red[v] = not (root >> self.shift) & 1
+        msg = (REHANG, (root, d))
+        for c in self.children[v]:
+            out.append((c, msg))
+        # Rehang waves always complete inside stage H; the guard keeps the
+        # terminal computation from scheduling anything.
+        if self.stage == "H" and self.step + 1 < self.cal.t:
+            self.recolor[v] = self.epoch + self.block
+            wakes.append(self.epoch + self.block)
 
     # -- scheduling and delivery ---------------------------------------------
 

@@ -208,15 +208,15 @@ def check_step_invariants(
 
     depth_witness = None
     if have_snapshots:
-        for tr in phase.step_traces:
+        for j, tr in enumerate(phase.step_traces):
             for v, (is_red, depth, _) in tr.snapshot.items():
                 d0 = phase.f0_depth[v]
                 if is_red:
-                    if depth > d0 + 2 * (tr.j + 1):
-                        depth_witness = f"step {tr.j}: red {name(v)} depth {depth} > {d0} + {2 * (tr.j + 1)}"
+                    if depth > d0 + 2 * (j + 1):
+                        depth_witness = f"step {j}: red {name(v)} depth {depth} > {d0} + {2 * (j + 1)}"
                         break
                 elif depth != d0:
-                    depth_witness = f"step {tr.j}: blue {name(v)} depth {depth} != starting {d0}"
+                    depth_witness = f"step {j}: blue {name(v)} depth {depth} != starting {d0}"
                     break
             if depth_witness:
                 break
@@ -224,12 +224,12 @@ def check_step_invariants(
 
     growth_witness = None
     if have_snapshots:
-        for tr in phase.step_traces:
+        for j, tr in enumerate(phase.step_traces):
             for r in tr.grows:
                 before = tr.red_sizes[r]
                 after = sum(1 for _, (_, _, root) in tr.snapshot.items() if root == r)
                 if 2 * b * after < (2 * b + 1) * before:
-                    growth_witness = f"step {tr.j}: tree {name(r)} grew {before} -> {after}, below factor 1+1/{2 * b}"
+                    growth_witness = f"step {j}: tree {name(r)} grew {before} -> {after}, below factor 1+1/{2 * b}"
                     break
             if growth_witness:
                 break
@@ -238,11 +238,11 @@ def check_step_invariants(
     # After its step, each proposer has joined a red tree or been deleted.
     proposer_witness = None
     if have_snapshots:
-        for tr in phase.step_traces:
+        for j, tr in enumerate(phase.step_traces):
             for pr in tr.proposals:
                 state = tr.snapshot.get(pr.proposer)
                 if state is not None and not state[0]:
-                    proposer_witness = f"step {tr.j}: proposer {name(pr.proposer)} still blue"
+                    proposer_witness = f"step {j}: proposer {name(pr.proposer)} still blue"
                     break
             if proposer_witness:
                 break
@@ -250,14 +250,14 @@ def check_step_invariants(
 
     blame_witness = None
     declines_seen: set[int] = set()
-    for tr in phase.step_traces:
+    for j, tr in enumerate(phase.step_traces):
         declined_weight: dict[int, int] = {}
         for pr in tr.proposals:
             if pr.target_root in tr.declines:
                 declined_weight[pr.target_root] = declined_weight.get(pr.target_root, 0) + pr.weight
         step_deleted = sum(declined_weight.values())
         if step_deleted != len(tr.deleted):
-            blame_witness = f"step {tr.j}: {len(tr.deleted)} deletions but {step_deleted} blamed"
+            blame_witness = f"step {j}: {len(tr.deleted)} deletions but {step_deleted} blamed"
             break
         for r, w in declined_weight.items():
             if r in declines_seen:
@@ -265,7 +265,7 @@ def check_step_invariants(
                 break
             declines_seen.add(r)
             if 2 * b * w >= tr.red_sizes[r]:
-                blame_witness = f"step {tr.j}: tree {name(r)} blamed by {w} >= size {tr.red_sizes[r]} / {2 * b}"
+                blame_witness = f"step {j}: tree {name(r)} blamed by {w} >= size {tr.red_sizes[r]} / {2 * b}"
                 break
         if blame_witness:
             break
@@ -285,17 +285,17 @@ def check_step_invariants(
     freeze_witness = None
     if have_snapshots:
         declined_at: dict[int, int] = {}
-        for tr in phase.step_traces:
+        for j, tr in enumerate(phase.step_traces):
             for r in tr.declines:
-                declined_at[r] = tr.j
+                declined_at[r] = j
         for r, j0 in declined_at.items():
             baseline = None
-            for tr in phase.step_traces[j0:]:
+            for j, tr in enumerate(phase.step_traces[j0:], j0):
                 tree = sorted((v, s[1]) for v, s in tr.snapshot.items() if s[2] == r)
                 if baseline is None:
                     baseline = tree
                 elif tree != baseline:
-                    freeze_witness = f"tree {name(r)} changed at step {tr.j} after declining at {j0}"
+                    freeze_witness = f"tree {name(r)} changed at step {j} after declining at {j0}"
                     break
             if freeze_witness:
                 break

@@ -272,7 +272,6 @@ def _phase_in_node_space(res, nodes, n):
         per_node["f0_depth"][v] = res.f0_depth[i]
     traces = [
         (
-            tr.j,
             [(lift(pr.proposer), pr.weight, lift(pr.attach_at), lift(pr.target_root))
              for pr in tr.proposals],
             [lift(r) for r in tr.grows], [lift(r) for r in tr.declines],
@@ -298,7 +297,6 @@ def _phase_as_is(res):
         "deleted": list(res.deleted),
         "traces": [
             (
-                tr.j,
                 [(pr.proposer, pr.weight, pr.attach_at, pr.target_root) for pr in tr.proposals],
                 list(tr.grows), list(tr.declines), list(tr.deleted), tr.max_depth,
                 tr.red_sizes,

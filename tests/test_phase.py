@@ -43,7 +43,7 @@ def brute_subtree(f, v):
     return [u for u in range(len(f.member)) if f.member[u] and v in _root_path(f.parent, u)]
 
 
-def step_from_scratch(g, f, ids, p, j=0):
+def step_from_scratch(g, f, ids, p):
     """One step of the process recomputed by brute force from forest f alone.
 
     The independent oracle for run_phase's incremental red flags, candidate
@@ -86,7 +86,6 @@ def step_from_scratch(g, f, ids, p, j=0):
             path = _root_path(parent, v)
             depth[v], root_of[v] = len(path) - 1, path[-1]
     trace = StepTrace(
-        j=j,
         proposals=tuple(proposals),
         grows=tuple(sorted(grows)),
         declines=tuple(sorted(weights.keys() - grows)),
@@ -314,9 +313,9 @@ def _assert_phase_matches_stepwise_apply(g, ids, alive, q, p, label):
     """run_phase's traces and final forest equal the oracle's, step by step."""
     res = run_phase(g, alive, q, p, ids)
     f = bfs_forest(g, alive, q, ids)
-    for tr in res.step_traces:
-        f, tr2 = step_from_scratch(g, f, ids, p, tr.j)
-        assert tr2 == tr, f"{label} p={p} step {tr.j}"
+    for j, tr in enumerate(res.step_traces):
+        f, tr2 = step_from_scratch(g, f, ids, p)
+        assert tr2 == tr, f"{label} p={p} step {j}"
     assert f == res.final_forest, f"{label} p={p}"
     return res
 
@@ -357,18 +356,19 @@ def test_proposer_subtrees_disjoint_and_cover_candidates(seed):
 def test_step_trace_log_line_format():
     g, ids = k2()
     res = run_phase(g, {0, 1}, {0, 1}, 0, ids)
-    assert res.step_traces[0].log_line() == (
+    assert res.step_traces[0].log_line(0) == (
         "step 0: proposals=[1:1→0] grow=[0] decline=[] deleted=0 maxdepth=1"
     )
 
 
 def _padded(res, ids, debug):
-    """The phase's traces as one tuple: the active ones, then idle steps.
+    """The phase's traces rebuilt: the active ones, then idle steps.
 
-    An idle step repeats the final forest: its max depth and, on debug
-    runs, its member snapshot, where every member has its root's color.
+    The active prefix is the traces with proposals.  An idle step repeats
+    the final forest: its max depth and, on debug runs, its member
+    snapshot, where every member has its root's color.
     """
-    active = res.step_traces._active
+    active = tuple(itertools.takewhile(lambda tr: tr.proposals, res.step_traces))
     f = res.final_forest
     members = [v for v in range(len(f.member)) if f.member[v]]
     shift = ids.b - 1 - res.p
@@ -376,12 +376,9 @@ def _padded(res, ids, debug):
         v: (not (ids.ids[f.root_of[v]] >> shift) & 1, f.depth[v], f.root_of[v]) for v in members
     } if debug else None
     deepest = max((f.depth[v] for v in members), default=0)
-    idle = tuple(
-        StepTrace(j=j, proposals=(), grows=(), declines=(), deleted=(),
-                  max_depth=deepest, red_sizes={}, snapshot=final)
-        for j in range(len(active), step_budget(res.b))
-    )
-    return tuple(active) + idle
+    idle = StepTrace(proposals=(), grows=(), declines=(), deleted=(),
+                     max_depth=deepest, red_sizes={}, snapshot=final)
+    return active + (idle,) * (step_budget(res.b) - len(active))
 
 
 def _phases_to_check():
@@ -391,24 +388,14 @@ def _phases_to_check():
         yield name, g, ids, g.n <= 16
 
 
-def test_lazy_step_traces_read_like_the_padded_tuple():
+def test_idle_steps_repeat_the_final_forest():
     # Every labelled graph with n <= 5 and every corpus graph with n <= 128;
     # the small ones run in debug mode, so idle steps carry the final snapshot.
     checked = 0
     for name, g, ids, debug in _phases_to_check():
         for res in strong_cluster(g, ids, debug=debug).phases:
-            traces = res.step_traces
-            t = step_budget(res.b)
-            eager = _padded(res, ids, debug)
-            assert len(traces) == len(eager) == t, name
-            assert [traces[j] for j in range(t)] == list(eager), name
-            assert traces[-1] == eager[-1] and traces[-t] == eager[0], name
-            for cut in (slice(None, 2), slice(-3, None, 2), slice(5, 1)):
-                assert traces[cut] == eager[cut] and type(traces[cut]) is tuple, name
-            assert (eager[0],) + traces[1:] == eager, name
-            assert list(traces) == list(eager), name
-            with pytest.raises(IndexError):
-                traces[t]
+            assert len(res.step_traces) == step_budget(res.b), name
+            assert res.step_traces == _padded(res, ids, debug), name
             checked += 1
     assert checked > 3000
 
@@ -437,4 +424,4 @@ def test_phase_results_hold_only_python_values():
     assert list(_numpy_values(run.clustering)) == [], name
     for res in run.phases:
         assert list(_numpy_values(res)) == [], f"{name} p={res.p}"
-        assert list(_numpy_values(list(res.step_traces))) == [], f"{name} p={res.p}"
+        assert list(_numpy_values(res.step_traces)) == [], f"{name} p={res.p}"

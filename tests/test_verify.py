@@ -104,14 +104,36 @@ def test_step_invariants_accept_k2_run():
 def test_step_invariants_reject_forged_depth():
     g, ids = build_graph(2, [(0, 1)])
     res = run_phase(g, {0, 1}, {0, 1}, 0, ids, debug=True)
-    tr = res.step_traces[0]
+    j = 0
+    tr = res.step_traces[j]
     forged_snapshot = dict(tr.snapshot)
-    forged_snapshot[1] = (True, 3 + 2 * (tr.j + 1), 0)
+    forged_snapshot[1] = (True, 3 + 2 * (j + 1), 0)
     traces = list(res.step_traces)
-    traces[0] = dataclasses.replace(tr, snapshot=forged_snapshot)
+    traces[j] = dataclasses.replace(tr, snapshot=forged_snapshot)
     forged = dataclasses.replace(res, step_traces=tuple(traces))
     report = check_step_invariants(g, forged, ids)
     assert "step-depth-claims" in {c.name for c in failures(report)}
+
+
+def test_step_invariants_number_steps_by_position():
+    # K2 at b = 1 has t = 2 steps: node 1 joins tree 0 in step 0, and step 1
+    # is idle.  A red node may sit 2(j + 1) below its starting depth after
+    # step j, so the bound at position 1 is d0 + 4.
+    g, ids = build_graph(2, [(0, 1)])
+    res = run_phase(g, {0, 1}, {0, 1}, 0, ids, debug=True)
+    assert len(res.step_traces) == 2 and res.step_traces[1].proposals == ()
+    d0 = res.f0_depth[1]
+
+    def with_red_1_at(depth):
+        tr = res.step_traces[1]
+        forged_snapshot = dict(tr.snapshot)
+        forged_snapshot[1] = (True, depth, 0)
+        traces = (res.step_traces[0], dataclasses.replace(tr, snapshot=forged_snapshot))
+        return check_step_invariants(g, dataclasses.replace(res, step_traces=traces), ids)
+
+    assert with_red_1_at(d0 + 4).all_pass
+    claim = [c for c in failures(with_red_1_at(d0 + 5)) if c.name == "step-depth-claims"]
+    assert claim and claim[0].witness.startswith("step 1:")
 
 
 def test_step_invariants_reject_excess_blame():
@@ -120,7 +142,6 @@ def test_step_invariants_reject_excess_blame():
     # Forge a decline whose blamed weight reaches the forbidden threshold.
     snap = res.step_traces[-1].snapshot
     bogus = StepTrace(
-        j=0,
         proposals=(Proposal(proposer=1, weight=1, attach_at=0, target_root=0),),
         grows=(),
         declines=(0,),
@@ -142,19 +163,16 @@ def test_step_invariants_reject_tree_blamed_in_two_steps():
     res = run_phase(g, {0, 1}, {0, 1}, 0, ids, debug=True)
     snap = res.step_traces[-1].snapshot
 
-    def decline(j):
-        return StepTrace(
-            j=j,
-            proposals=(Proposal(proposer=1, weight=1, attach_at=0, target_root=0),),
-            grows=(),
-            declines=(0,),
-            deleted=(1,),
-            max_depth=0,
-            red_sizes={0: 100},
-            snapshot=snap,
-        )
-
-    forged = dataclasses.replace(res, step_traces=(decline(0), decline(1)) + res.step_traces[2:])
+    decline = StepTrace(
+        proposals=(Proposal(proposer=1, weight=1, attach_at=0, target_root=0),),
+        grows=(),
+        declines=(0,),
+        deleted=(1,),
+        max_depth=0,
+        red_sizes={0: 100},
+        snapshot=snap,
+    )
+    forged = dataclasses.replace(res, step_traces=(decline, decline) + res.step_traces[2:])
     report = check_step_invariants(g, forged, ids)
     ledger = [c for c in failures(report) if c.name == "blame-ledger"]
     assert ledger and ledger[0].witness.endswith("blamed in two steps")
