@@ -54,18 +54,12 @@ class Graph:
         """``(indptr, indices)``: the neighbors of v are ``indices[indptr[v]:indptr[v + 1]]``.
 
         Built on first use and kept on the graph, for the numpy BFS in
-        ``forest.bfs_forest`` and the phase set-up.
+        ``forest.bfs_forest``.
         """
         indptr = np.zeros(self.n + 1, dtype=np.intp)
         np.cumsum(np.fromiter(map(len, self.adj), dtype=np.intp, count=self.n), out=indptr[1:])
         indices = np.fromiter(chain.from_iterable(self.adj), dtype=np.intp, count=int(indptr[-1]))
         return indptr, indices
-
-    @cached_property
-    def edge_tails(self) -> np.ndarray:
-        """The node each entry of ``csr``'s ``indices`` is a neighbor of."""
-        indptr = self.csr[0]
-        return np.repeat(np.arange(self.n, dtype=np.intp), np.diff(indptr))
 
 
 @dataclass(frozen=True)
@@ -115,7 +109,8 @@ def build_graph(
     """Build a validated Graph plus its identifier assignment.
 
     Duplicate edge pairs are collapsed.  Self-loops, out-of-range endpoints,
-    colliding identifiers and identifiers not fitting in b bits are rejected.
+    colliding identifiers, negative identifiers and identifiers not fitting
+    in b bits are rejected.
     Without explicit ids, node k gets identifier k and b = default_bits(n).
     """
     if n <= 0:
@@ -145,7 +140,9 @@ def build_graph(
     if (1 << width) < n:
         raise GraphError(f"2^b < n: b={width}, n={n}")
     for node, value in enumerate(id_list):
-        if not 0 <= value < (1 << width):
+        if value < 0:
+            raise GraphError(f"identifier {value} of node {node} is negative")
+        if value >= (1 << width):
             raise GraphError(f"identifier {value} of node {node} needs more than {width} bits")
     return g, IdAssignment(b=width, ids=id_list)
 

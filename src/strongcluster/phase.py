@@ -10,6 +10,9 @@ step read only the step's starting forest, so resolution order does not matter.
 Once a step has no proposals, no later step has any either, so the loop
 stops there.  ``PhaseResult.step_traces`` is the tuple of all t traces, a
 trace's position being its step index; the idle steps share one trace.
+
+The phase set-up and the step loop are plain Python on per-node lists; only
+the starting BFS forest (``forest.bfs_forest``) is built with numpy.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import filterfalse
 from typing import Iterable, NamedTuple
-
-import numpy as np
 
 from .forest import ForestLinks, audit_bfs, audit_depths, bfs_forest
 from .graph import Graph, IdAssignment
@@ -195,11 +196,11 @@ def run_phase(
     Once the propose set is empty nothing can change in later steps (red
     adjacency only appears through recoloring, which only proposals cause),
     so the loop stops early and the remaining steps share one idle trace.
-    The set-up (colors, candidates, child lists, red tree sizes, blue nodes
-    by depth) is numpy over the alive nodes plus one mask over the CSR
-    edges.  The step loop is plain Python on lists: the grow rule sums
-    weights per targeted root, and each moved or deleted node is visited
-    once.  Debug runs audit the starting forest against
+    The set-up (colors, child lists, red tree sizes, blue nodes by depth)
+    is one Python pass over the alive nodes, and the candidates are read off
+    the red nodes' neighbour lists.  The step loop is plain Python on lists:
+    the grow rule sums weights per targeted root, and each moved or deleted
+    node is visited once.  Debug runs audit the starting forest against
     ``multi_source_bfs``, record a member snapshot in every trace and audit
     the incremental bookkeeping (depths, roots, candidate set) against
     recomputation; ``verify.check_step_invariants`` checks the step claims
@@ -238,54 +239,45 @@ def run_phase(
     # red depths, or blue at its starting depth, found in a list of the
     # blue nodes sorted once by starting depth.
     #
-    # Set-up: a tree is blue when its root's identifier bit is 1 (taken in
-    # Python, so any identifier width works), an alive node takes its root's
-    # color, and one mask over the CSR edges picks the candidates, the blue
-    # heads of edges leaving red nodes.  Only red roots' tree sizes are
-    # read; every target is a red root, so the lookup cannot miss.
+    # Set-up, one pass over the alive nodes: a tree is blue when its root's
+    # identifier bit is 1, and an alive node takes its root's color.  Only
+    # red roots' tree sizes are kept; every target is a red root, so the
+    # lookup cannot miss.  The candidates are the blue neighbours of red
+    # nodes.
     shift = b - 1 - p
-    n = g.n
     id_of = ids.ids
-    blue_root = np.zeros(n, dtype=bool)
-    blue_root[[r for r in q_set if id_of[r] >> shift & 1]] = True
-    alive_arr = np.array(alive_sorted, dtype=np.intp)
-    root_arr = np.fromiter(map(f.root_of.__getitem__, alive_sorted), dtype=np.intp, count=len(alive_sorted))
-    depth_arr = np.fromiter(map(f.depth.__getitem__, alive_sorted), dtype=np.intp, count=len(alive_sorted))
-    blue_at = blue_root[root_arr]
-    red_np = np.zeros(n, dtype=bool)
-    red_np[alive_arr[~blue_at]] = True
-    blue_np = np.zeros(n, dtype=bool)
-    blue_np[alive_arr[blue_at]] = True
-    indices = g.csr[1]
-    candidates = set(indices[red_np[g.edge_tails] & blue_np[indices]].tolist())
-    red = red_np.tolist()
-    red_counts = np.bincount(root_arr[~blue_at])
-    red_roots = np.flatnonzero(red_counts)
-    red_size = dict(zip(red_roots.tolist(), red_counts[red_roots].tolist()))
-    max_depth = int(depth_arr.max(initial=0))
-    red_max = int(depth_arr[~blue_at].max(initial=0))
-    blue_arr = alive_arr[blue_at]
-    # Popped from the end as they leave, so the last one is the deepest blue member.
-    blue_by_depth = blue_arr[np.argsort(depth_arr[blue_at], kind="stable")].tolist()
+    blue_roots = {r for r in q_set if id_of[r] >> shift & 1}
+    member, parent, depth, root_of, adj = f.member, f.parent, f.depth, f.root_of, g.adj
+    red = [False] * g.n
+    red_size: dict[int, int] = {}
+    red_max = 0
+    blue: list[int] = []
     children: dict[int, list[int]] = {}
-    for v in blue_arr.tolist():
-        u = f.parent[v]
-        if u is not None:
-            kids = children.get(u)
-            if kids is None:
-                children[u] = [v]
-            else:
-                kids.append(v)
+    for v in alive_sorted:
+        r = root_of[v]
+        if r in blue_roots:
+            blue.append(v)
+            u = parent[v]
+            if u is not None:
+                kids = children.get(u)
+                if kids is None:
+                    children[u] = [v]
+                else:
+                    kids.append(v)
+        else:
+            red[v] = True
+            red_size[r] = red_size.get(r, 0) + 1
+            if depth[v] > red_max:
+                red_max = depth[v]
+    candidates = {w for v in alive_sorted if red[v] for w in adj[v] if member[w] and not red[w]}
+    # Popped from the end as they leave, so the last one is the deepest blue member.
+    blue_by_depth = sorted(blue, key=depth.__getitem__)
+    max_depth = max(red_max, depth[blue_by_depth[-1]] if blue_by_depth else 0)
     traces: list[StepTrace] = []
 
     def snapshot() -> dict[int, tuple[bool, int, int]]:
-        return {
-            v: (red[v], f.depth[v], f.root_of[v])
-            for v in range(g.n)
-            if f.member[v]
-        }
+        return {v: (red[v], depth[v], root_of[v]) for v in alive_sorted if member[v]}
 
-    member, parent, depth, root_of, adj = f.member, f.parent, f.depth, f.root_of, g.adj
     add = candidates.add
     while len(traces) < t and candidates:
         proposals, subtrees = _proposals_from_candidates(g, ids, f, red, candidates, children)
@@ -343,8 +335,8 @@ def run_phase(
         if debug:
             audit_depths(f)
             assert candidates == {
-                v for v in range(g.n)
-                if f.member[v] and not red[v] and any(red[w] for w in g.adj[v])
+                v for v in alive_sorted
+                if member[v] and not red[v] and any(red[w] for w in adj[v])
             }, "candidate set drifted from recomputation"
 
     # Every later step is idle and sees the final forest, so one trace serves them all.

@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from math import ceil, log2
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .cluster import Clustering, Decomposition
 from .graph import Graph, IdAssignment, connected_components, induced_diameter, multi_source_bfs
-from .phase import PhaseResult
+from .phase import PhaseResult, StepTrace
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,15 @@ def _nodes_in_range(g: Graph, nodes: Iterable[int]) -> CheckResult:
     stray = min((v for v in nodes if not 0 <= v < g.n), default=None)
     witness = None if stray is None else f"node {stray} outside 0..{g.n - 1}"
     return CheckResult("nodes-in-range", stray is None, witness)
+
+
+def _distinct(traces: tuple[StepTrace, ...], start: int = 0) -> Iterator[tuple[int, StepTrace]]:
+    """(j, trace) from ``start`` on, once per run of one repeated trace object, at its first position.
+
+    Every snapshot claim reads a trace alone, and the depth bound
+    d0 + 2(j + 1) only loosens with j, so skipping repeats keeps the verdicts.
+    """
+    return ((j, traces[j]) for j in range(start, len(traces)) if j == start or traces[j] is not traces[j - 1])
 
 
 def check_ruling(
@@ -208,7 +217,7 @@ def check_step_invariants(
 
     depth_witness = None
     if have_snapshots:
-        for j, tr in enumerate(phase.step_traces):
+        for j, tr in _distinct(phase.step_traces):
             for v, (is_red, depth, _) in tr.snapshot.items():
                 d0 = phase.f0_depth[v]
                 if is_red:
@@ -224,7 +233,7 @@ def check_step_invariants(
 
     growth_witness = None
     if have_snapshots:
-        for j, tr in enumerate(phase.step_traces):
+        for j, tr in _distinct(phase.step_traces):
             for r in tr.grows:
                 before = tr.red_sizes[r]
                 after = sum(1 for _, (_, _, root) in tr.snapshot.items() if root == r)
@@ -238,7 +247,7 @@ def check_step_invariants(
     # After its step, each proposer has joined a red tree or been deleted.
     proposer_witness = None
     if have_snapshots:
-        for j, tr in enumerate(phase.step_traces):
+        for j, tr in _distinct(phase.step_traces):
             for pr in tr.proposals:
                 state = tr.snapshot.get(pr.proposer)
                 if state is not None and not state[0]:
@@ -290,7 +299,7 @@ def check_step_invariants(
                 declined_at[r] = j
         for r, j0 in declined_at.items():
             baseline = None
-            for j, tr in enumerate(phase.step_traces[j0:], j0):
+            for j, tr in _distinct(phase.step_traces, j0):
                 tree = sorted((v, s[1]) for v, s in tr.snapshot.items() if s[2] == r)
                 if baseline is None:
                     baseline = tree
@@ -329,14 +338,13 @@ def check_decomposition(
     n = g.n
     diameter_bound = 8 * b**3
 
-    uncolored = [v for v in range(n) if not 0 <= d.color[v] < d.colors_used]
-    checks.append(
-        CheckResult(
-            "all-nodes-colored",
-            not uncolored,
-            None if not uncolored else f"{name(uncolored[0])} uncolored",
-        )
-    )
+    # A color vector of the wrong length cannot be replayed on this graph.
+    if len(d.color) != n:
+        colored_witness = f"color vector has {len(d.color)} entries for {n} nodes"
+    else:
+        uncolored = next((v for v in range(n) if not 0 <= d.color[v] < d.colors_used), None)
+        colored_witness = None if uncolored is None else f"{name(uncolored)} uncolored"
+    checks.append(CheckResult("all-nodes-colored", colored_witness is None, colored_witness))
 
     bound = ceil(log2(n)) + 1 if n > 1 else 1
     checks.append(
@@ -348,7 +356,7 @@ def check_decomposition(
     )
 
     replay_witness = None
-    if not uncolored:
+    if colored_witness is None:
         remaining = set(range(n))
         for c in range(d.colors_used):
             color_class = {v for v in remaining if d.color[v] == c}

@@ -116,12 +116,16 @@ def test_bench_csv(tmp_path):
     assert first[4] == "2098"
 
 
-def test_bad_input_file_exits_2(tmp_path):
+def test_bad_input_file_exits_2(tmp_path, capsys):
     missing = tmp_path / "nope.txt"
     assert run_cli("cluster", "--input", str(missing)) == 2
     bad = tmp_path / "bad.txt"
     bad.write_text("2 1\n0 x\n")
     assert run_cli("cluster", "--input", str(bad)) == 2
+    capsys.readouterr()
+    bad.write_text("2 1\n0 1\nid -1\nid 1\n")
+    assert run_cli("cluster", "--input", str(bad)) == 2
+    assert capsys.readouterr().err == "error: identifier -1 of node 0 is negative\n"
 
 
 def test_bench_non_integer_size_exits_2(capsys):

@@ -417,7 +417,7 @@ def _numpy_values(x):
 
 
 def test_phase_results_hold_only_python_values():
-    # The set-up and the BFS run on numpy arrays; nothing of them may leak
+    # The BFS forest is built with numpy arrays; nothing of them may leak
     # into what a run returns.
     name, g, ids = next(e for e in corpus_entries(128, min_n=128) if e[0] == "gnp-n128-ids11")
     run = strong_cluster(g, ids, debug=True)

@@ -136,6 +136,53 @@ def test_step_invariants_number_steps_by_position():
     assert claim and claim[0].witness.startswith("step 1:")
 
 
+def _k2_phase_with_one_active_step():
+    # K2 at b = 2 has t = 8 steps.  In phase 1, identifier 0 is red and 1 is
+    # blue: node 1 joins tree 0 in step 0, and steps 1-7 share one idle trace.
+    g, ids = build_graph(2, [(0, 1)], b=2)
+    res = run_phase(g, {0, 1}, {0, 1}, 1, ids, debug=True)
+    idle = res.step_traces[1]
+    assert len(res.step_traces) == 8 and res.step_traces[0].grows == (0,)
+    assert all(tr is idle for tr in res.step_traces[1:]) and idle.proposals == ()
+    return g, ids, res
+
+
+def test_step_invariants_read_a_distinct_trace_inside_an_idle_run():
+    # A trace forged at position 5 differs from the shared idle trace around
+    # it, so the checks must read it though they read each run of one trace
+    # once.  After step 5 a red node may sit d0 + 12 deep.
+    g, ids, res = _k2_phase_with_one_active_step()
+    idle = res.step_traces[1]
+    d0 = res.f0_depth[1]
+
+    def with_red_1_at(depth):
+        forged = dataclasses.replace(idle, snapshot={**idle.snapshot, 1: (True, depth, 0)})
+        traces = res.step_traces[:5] + (forged,) + res.step_traces[6:]
+        return check_step_invariants(g, dataclasses.replace(res, step_traces=traces), ids)
+
+    assert with_red_1_at(d0 + 12).all_pass
+    claim = [c for c in failures(with_red_1_at(d0 + 13)) if c.name == "step-depth-claims"]
+    assert claim and claim[0].witness.startswith("step 5:")
+
+
+def test_step_invariants_see_a_declined_tree_change_after_a_shared_run():
+    # Tree 0 is forged to decline in step 0.  Its tree must stay as it was
+    # after step 0: a change in a distinct trace after a run of shared ones
+    # fails, and so does a change right after the decline, which a baseline
+    # taken at the next distinct trace would miss.
+    g, ids, res = _k2_phase_with_one_active_step()
+    idle = res.step_traces[1]
+    decline = dataclasses.replace(res.step_traces[0], grows=(), declines=(0,))
+    moved = dataclasses.replace(idle, snapshot={**idle.snapshot, 1: (True, 2, 0)})
+    for traces, j in (
+        ((decline, idle, idle, idle, moved, idle, idle, idle), 4),
+        ((decline,) + (moved,) * 7, 1),
+    ):
+        report = check_step_invariants(g, dataclasses.replace(res, step_traces=traces), ids)
+        claim = [c for c in failures(report) if c.name == "declined-tree-frozen"]
+        assert claim and claim[0].witness.endswith(f"changed at step {j} after declining at 0")
+
+
 def test_step_invariants_reject_excess_blame():
     g, ids = build_graph(2, [(0, 1)])
     res = run_phase(g, {0, 1}, {0, 1}, 0, ids, debug=True)
@@ -262,6 +309,14 @@ def test_decomposition_rejects_uncolored():
     bad = dataclasses.replace(d, color=(0, -1))
     report = check_decomposition(g, bad, ids.b, ids)
     assert "all-nodes-colored" in {c.name for c in failures(report)}
+
+
+@pytest.mark.parametrize("color", [(0,), (0, 0, 0, 5)])
+def test_decomposition_rejects_color_vector_of_wrong_length(color):
+    g, ids = p3()
+    report = check_decomposition(g, Decomposition(colors_used=1, color=color), ids.b, ids)
+    claim = [c for c in failures(report) if c.name == "all-nodes-colored"]
+    assert claim and claim[0].witness == f"color vector has {len(color)} entries for 3 nodes"
 
 
 def test_mis_examples():
