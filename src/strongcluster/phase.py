@@ -7,9 +7,12 @@ propose to a red tree and join it wholesale if 2b times the weight proposed
 to it is at least its size, or else are deleted.  All decisions within a
 step read only the step's starting forest, so resolution order does not matter.
 
-Once a step has no proposals, no later step has any either, so the loop
-stops there.  ``PhaseResult.step_traces`` is the tuple of all t traces, a
-trace's position being its step index; the idle steps share one trace.
+A step's proposers are the candidates (blue nodes next to a red node) with
+no candidate strict ancestor.  Taken in starting-depth order, a candidate
+either lies in a subtree already walked or is a proposer.  Once a step has
+no proposals, no later step has any either, so the loop stops there.
+``PhaseResult.step_traces`` is the tuple of all t traces, a trace's
+position being its step index; the idle steps share one trace.
 
 The phase set-up and the step loop are plain Python on per-node lists; only
 the starting BFS forest (``forest.bfs_forest``) is built with numpy.
@@ -128,61 +131,6 @@ class PhaseResult:
         )
 
 
-def _proposals_from_candidates(
-    g: Graph,
-    ids: IdAssignment,
-    f: ForestLinks,
-    red: list[bool],
-    candidates: set[int],
-    children: dict[int, list[int]],
-) -> tuple[list[Proposal], list[list[int]]]:
-    """Proposers are candidates with no candidate strict ancestor.
-
-    Ancestors live in the same blue tree, so a red-adjacent ancestor is
-    itself a candidate; the walk memoizes per-path results.  Returns the
-    proposals and, in the same order, each proposer's subtree, collected
-    once to weigh it.  ``children`` are the blue child lists of the phase's
-    starting forest; the walk skips the children that have since turned red
-    or left the forest.  Proposer subtrees are disjoint and blue, so the
-    lists stay exact through the step's rehangs and deletions, which take
-    them instead of walking again.
-    """
-    parent, root_of, member, adj, id_of = f.parent, f.root_of, f.member, g.adj, ids.ids
-    # covered[u]: u or some ancestor of u is a candidate.
-    covered: dict[int, bool] = {}
-    path: list[int] = []
-    proposals: list[Proposal] = []
-    subtrees: list[list[int]] = []
-    for v in sorted(candidates, key=id_of.__getitem__):
-        u = parent[v]
-        while u is not None and u not in covered and u not in candidates:
-            path.append(u)
-            u = parent[u]
-        # The walk stops at the root, at a settled node or at a candidate,
-        # which is covered.
-        hit = u is not None and covered.setdefault(u, True)
-        for w in path:
-            covered[w] = hit
-        path.clear()
-        if hit:
-            continue
-        attach = -1
-        for w in adj[v]:
-            if red[w] and (attach < 0 or id_of[w] < id_of[attach]):
-                attach = w
-        sub = [v]
-        # The loop also visits the nodes it appends.
-        for u in sub:
-            kids = children.get(u)
-            if kids:
-                for w in kids:
-                    if member[w] and not red[w]:
-                        sub.append(w)
-        proposals.append(Proposal(v, len(sub), attach, root_of[attach]))
-        subtrees.append(sub)
-    return proposals, subtrees
-
-
 def run_phase(
     g: Graph,
     alive: Iterable[int],
@@ -199,12 +147,13 @@ def run_phase(
     The set-up (colors, child lists, red tree sizes, blue nodes by depth)
     is one Python pass over the alive nodes, and the candidates are read off
     the red nodes' neighbour lists.  The step loop is plain Python on lists:
-    the grow rule sums weights per targeted root, and each moved or deleted
-    node is visited once.  Debug runs audit the starting forest against
-    ``multi_source_bfs``, record a member snapshot in every trace and audit
-    the incremental bookkeeping (depths, roots, candidate set) against
-    recomputation; ``verify.check_step_invariants`` checks the step claims
-    on the snapshots.
+    one sweep over the candidates by starting depth finds the proposers and
+    walks each one's subtree, the grow rule sums weights per targeted root,
+    and each moved or deleted node is visited once.  Debug runs audit the
+    starting forest against ``multi_source_bfs``, record a member snapshot
+    in every trace and audit the incremental bookkeeping (depths, roots,
+    candidate set) against recomputation; ``verify.check_step_invariants``
+    checks the step claims on the snapshots.
     """
     alive_set = set(alive)
     q_set = set(q)
@@ -229,8 +178,10 @@ def run_phase(
     # - A blue node keeps its starting depth and parent until it leaves, by
     #   turning red or by deletion, since blue trees lose only whole
     #   subtrees.  So the blue child lists built here, over blue members
-    #   only, stay valid for the subtree walk in _proposals_from_candidates,
-    #   which skips the children that have turned red or left the forest.
+    #   only, stay valid for the subtree walk, which skips the children that
+    #   have turned red or left the forest.  And a candidate's ancestors stay
+    #   shallower than it, so the proposer search takes the candidates in
+    #   starting-depth order and needs no walk up the parent links.
     # - A rehang never makes a node shallower: delta = depth[attach_at] + 1
     #   - depth[proposer] >= 0, because attach_at, a red neighbour of the
     #   blue proposer in a BFS forest of G[alive], started at most one level
@@ -280,11 +231,36 @@ def run_phase(
 
     add = candidates.add
     while len(traces) < t and candidates:
-        proposals, subtrees = _proposals_from_candidates(g, ids, f, red, candidates, children)
-        assert proposals, "nonempty candidate set must yield a proposer"
+        # A candidate proposes unless a strict ancestor is a candidate.  Its
+        # ancestors are shallower, so in starting-depth order they come
+        # first, and a candidate below one lies in a subtree already walked.
+        # A proposer attaches at its minimum-identifier red neighbour and
+        # weighs its subtree, collected once on the blue child lists; the
+        # rehang or deletion below takes the same list.
+        walked: set[int] = set()
+        found: list[tuple[Proposal, list[int]]] = []
+        for v in sorted(candidates, key=depth.__getitem__):
+            if v in walked:
+                continue
+            attach = -1
+            for w in adj[v]:
+                if red[w] and (attach < 0 or id_of[w] < id_of[attach]):
+                    attach = w
+            sub = [v]
+            # The loop also visits the nodes it appends.
+            for u in sub:
+                kids = children.get(u)
+                if kids:
+                    for w in kids:
+                        if member[w] and not red[w]:
+                            sub.append(w)
+            walked.update(sub)
+            found.append((Proposal(v, len(sub), attach, root_of[attach]), sub))
+        # The trace lists the proposals by proposer identifier.
+        found.sort(key=lambda pair: id_of[pair[0].proposer])
         # A targeted red tree grows iff 2b * (weight proposed to it) >= its size.
         weights: dict[int, int] = {}
-        for pr in proposals:
+        for pr, _ in found:
             weights[pr.target_root] = weights.get(pr.target_root, 0) + pr.weight
         red_sizes = {r: red_size[r] for r in weights}
         grows = {r for r, w in weights.items() if 2 * b * w >= red_sizes[r]}
@@ -295,7 +271,7 @@ def run_phase(
         # later in the step leaves the candidates after the loop.
         deleted_step: list[int] = []
         recolored_step: list[int] = []
-        for pr, sub in zip(proposals, subtrees):
+        for pr, sub in found:
             target = pr.target_root
             if target in grows:
                 delta = depth[pr.attach_at] + 1 - depth[pr.proposer]
@@ -323,7 +299,7 @@ def run_phase(
         max_depth = max(red_max, depth[blue_by_depth[-1]] if blue_by_depth else 0)
 
         traces.append(StepTrace(
-            proposals=tuple(proposals),
+            proposals=tuple(pr for pr, _ in found),
             grows=tuple(sorted(grows)),
             declines=tuple(sorted(weights.keys() - grows)),
             deleted=tuple(sorted(deleted_step)),

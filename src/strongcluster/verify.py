@@ -131,7 +131,8 @@ def check_clustering(
     checks: list[CheckResult] = [in_range]
     diameter_bound = 8 * b**3
 
-    covered = clustering.covered()
+    # Distinct nodes: a node listed twice is covered once.
+    covered = len(clustering.covered_nodes())
     need = ceil(clustering.n / 2)
     checks.append(
         CheckResult(
@@ -157,17 +158,20 @@ def check_clustering(
         partition_witness = f"clusters and unclustered hold {len(place)} nodes, universe has {clustering.n}"
     checks.append(CheckResult("partition", partition_witness is None, partition_witness))
 
+    # One exact diameter per cluster answers both checks (None: disconnected,
+    # and an empty cluster has none); each check keeps its first witness.
     conn_witness = None
     diam_witness = None
     for t, members in clustering.clusters:
-        comps = connected_components(g, members)
-        if len(comps) != 1:
-            conn_witness = f"cluster of terminal {name(t)} splits into {len(comps)} components"
+        if conn_witness and diam_witness:
             break
-        d = induced_diameter(g, members)
-        if d is None or d > diameter_bound:
+        d = induced_diameter(g, members) if members else None
+        if d is None:
+            if conn_witness is None:
+                parts = len(connected_components(g, members))
+                conn_witness = f"cluster of terminal {name(t)} splits into {parts} components"
+        elif d > diameter_bound and diam_witness is None:
             diam_witness = f"cluster of terminal {name(t)} has diameter {d}, bound {diameter_bound}"
-            break
     checks.append(CheckResult("clusters-connected", conn_witness is None, conn_witness))
     checks.append(CheckResult("cluster-diameter", diam_witness is None, diam_witness))
 

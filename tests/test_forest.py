@@ -7,7 +7,7 @@ from strongcluster.cluster import strong_cluster
 from strongcluster.forest import ForestError, ForestLinks, audit_bfs, audit_depths, bfs_forest
 from strongcluster.gen import splitmix_at
 from strongcluster.graph import GraphError, build_graph, connected_components, multi_source_bfs
-from strongcluster.phase import _proposals_from_candidates, run_phase
+from strongcluster.phase import run_phase
 
 
 def p3():
@@ -56,47 +56,76 @@ def _first_step(g, ids, alive, terminals, p):
     return res, res.step_traces[0].snapshot
 
 
-def _proposer_subtrees(g, ids, f, p, red_override=(), gone=()):
-    """The engine's proposers and their subtrees on forest f at phase p.
+def _root_path(parent, v):
+    """v, then its ancestors up to its root, by parent links."""
+    path = [v]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return path
 
-    ``red_override`` and ``gone`` recolor or remove nodes after the phase's
-    child lists were built, as earlier steps would have.
+
+def _proposer_subtrees(g, ids, alive, terminals, p, j=0):
+    """The proposers of step j of a debug phase, each with its subtree.
+
+    A subtree is read off the debug snapshots: the blue members before the
+    step that are red or gone after it, grouped by the proposer their
+    starting BFS parent links lead through (a blue node keeps its starting
+    parent until it leaves).  Each proposal's weight must be its subtree's
+    size, and every node that leaves must lie in some proposer's subtree.
     """
-    shift = ids.b - 1 - p
-    members = [v for v in range(g.n) if f.member[v]]
-    red = [f.member[v] and not ids.ids[f.root_of[v]] >> shift & 1 for v in range(g.n)]
-    children = {}
-    for v in members:
-        if not red[v] and f.parent[v] is not None:
-            children.setdefault(f.parent[v], []).append(v)
-    for v in red_override:
-        red[v] = True
-    member = list(f.member)
-    for v in gone:
-        member[v] = False
-    f = ForestLinks(member, f.parent, f.depth, f.root_of)
-    candidates = {v for v in range(g.n) if member[v] and not red[v] and any(red[w] for w in g.adj[v])}
-    proposals, subtrees = _proposals_from_candidates(g, ids, f, red, candidates, children)
-    return {pr.proposer: sorted(sub) for pr, sub in zip(proposals, subtrees)}
+    res = run_phase(g, alive, terminals, p, ids, debug=True)
+    f0 = bfs_forest(g, alive, terminals, ids)
+    if j:
+        before = {v for v, (is_red, _, _) in res.step_traces[j - 1].snapshot.items() if not is_red}
+    else:
+        shift = ids.b - 1 - p
+        before = {v for v in range(g.n) if f0.member[v] and ids.ids[f0.root_of[v]] >> shift & 1}
+    after = res.step_traces[j].snapshot
+    left = {v for v in before if v not in after or after[v][0]}
+    subtrees = {}
+    for pr in res.step_traces[j].proposals:
+        subtrees[pr.proposer] = sorted(v for v in left if pr.proposer in _root_path(f0.parent, v))
+        assert pr.weight == len(subtrees[pr.proposer])
+    assert sorted(left) == sorted(v for sub in subtrees.values() for v in sub)
+    return subtrees
 
 
 def test_subtree_of_interior_node():
-    # Blue tree 0 - 1 - {2, 3} and red singleton 4 next to node 1 only.
-    g, ids = build_graph(5, [(0, 1), (1, 2), (1, 3), (1, 4)], ids=[4, 5, 6, 7, 0])
-    f = ForestLinks(
-        [True] * 5, [None, 0, 1, 1, None], [0, 1, 2, 2, 0], [0, 0, 0, 0, 4]
+    # Blue tree 0 - 1 - {2, 3} and red terminal 4 next to node 1 only; the
+    # identifiers hang 1 under 0, and bit 0 makes 0 blue and 4 red.
+    g, ids = build_graph(5, [(0, 1), (1, 2), (1, 3), (1, 4)], ids=[1, 0, 3, 5, 2])
+    assert _proposer_subtrees(g, ids, range(5), {0, 4}, 2) == {1: [1, 2, 3]}
+
+
+def test_subtree_skips_children_that_left_the_blue_forest():
+    # Children that turned red or left the forest in an earlier step of the
+    # phase are skipped.  Blue tree 0 - 1 - {2, 3}; red chain 4 - 5 - 6,
+    # whose end 6 touches 2.  Step 0: 2 joins red tree 4.  Step 1: 1, now
+    # next to red 2, proposes without it.
+    g, ids = build_graph(
+        7, [(0, 1), (1, 2), (1, 3), (4, 5), (5, 6), (6, 2)], ids=[4, 5, 6, 3, 0, 1, 2]
     )
-    assert _proposer_subtrees(g, ids, f, 0) == {1: [1, 2, 3]}
-    # Children that turned red or left the forest since the phase began are
-    # skipped.
-    assert _proposer_subtrees(g, ids, f, 0, red_override=[2]) == {1: [1, 3]}
-    assert _proposer_subtrees(g, ids, f, 0, gone=[3]) == {1: [1, 2]}
+    assert _proposer_subtrees(g, ids, range(7), {0, 4}, 0) == {2: [2]}
+    assert run_phase(g, range(7), {0, 4}, 0, ids).step_traces[0].grows == (4,)
+    assert _proposer_subtrees(g, ids, range(7), {0, 4}, 0, j=1) == {1: [1, 3]}
+    # Blue tree 0 - 1 - {2, 3}; red star 4 on leaves 5..12, with 5 next to
+    # 3; blue terminal 13 with child 14, next to 1 and to red terminal 15
+    # (b = 4, bit 0 colors odd identifiers blue).  Step 0: 3 proposes
+    # weight 1 to the star of 9 and is declined, and 14 joins 15.  Step 1:
+    # 1, now next to red 14, proposes without the deleted 3.
+    edges = [(0, 1), (1, 2), (1, 3), (3, 5), (13, 14), (14, 1), (14, 15)]
+    edges += [(4, k) for k in range(5, 13)]
+    g, ids = build_graph(16, edges, ids=[3, 4, 6, 7, 0, 5, 8, 9, 10, 11, 12, 13, 14, 1, 15, 2])
+    assert ids.b == 4
+    terminals = {0, 4, 13, 15}
+    assert _proposer_subtrees(g, ids, range(16), terminals, 3) == {3: [3], 14: [14]}
+    assert run_phase(g, range(16), terminals, 3, ids).step_traces[0].deleted == (3,)
+    assert _proposer_subtrees(g, ids, range(16), terminals, 3, j=1) == {1: [1, 2], 13: [13]}
 
 
 def test_subtree_of_singleton_root():
     g, ids = build_graph(2, [(0, 1)])
-    f = bfs_forest(g, {0, 1}, {0, 1}, ids)
-    assert _proposer_subtrees(g, ids, f, 0) == {1: [1]}
+    assert _proposer_subtrees(g, ids, {0, 1}, {0, 1}, 0) == {1: [1]}
 
 
 def test_rehang_singleton_under_root():

@@ -2,7 +2,6 @@ import pytest
 
 from strongcluster.gen import (
     FamilySpec,
-    _splitmix_block,
     generate,
     mix64,
     seeded_permutation,
@@ -112,9 +111,15 @@ def test_generate_with_id_seed():
 
 
 def test_splitmix_block_matches_scalar():
-    block = _splitmix_block(123, 10, 50)
-    for i, val in enumerate(block):
-        assert int(val) == splitmix_at(123, 10 + i)
+    # gnp keeps pair k (row by row over u < v) iff draw k of the stream is
+    # below p * 2^64; its vectorized draws must match the scalar stream.
+    n, p, seed = 40, 0.3, 123
+    g, _ = generate(FamilySpec("gnp", n=n, p=p, seed=seed))
+    threshold = round(p * float(1 << 64))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    kept = [pair for k, pair in enumerate(pairs) if splitmix_at(seed, k) < threshold]
+    assert 0 < len(kept) < len(pairs)
+    assert sorted(g.edges()) == kept
 
 
 def test_mix64_known_values_stable():

@@ -11,7 +11,6 @@ from strongcluster.phase import (
     PhaseError,
     Proposal,
     StepTrace,
-    _proposals_from_candidates,
     run_phase,
     step_budget,
 )
@@ -96,18 +95,6 @@ def step_from_scratch(g, f, ids, p):
     return ForestLinks(member, parent, depth, root_of), trace
 
 
-def engine_proposals(g, f, ids, p):
-    """The engine's proposals on forest f at the start of phase p."""
-    shift = ids.b - 1 - p
-    red = [f.member[v] and not ids.ids[f.root_of[v]] >> shift & 1 for v in range(g.n)]
-    children = {}
-    for v in range(g.n):
-        if f.member[v] and not red[v] and f.parent[v] is not None:
-            children.setdefault(f.parent[v], []).append(v)
-    candidates = {v for v in range(g.n) if f.member[v] and not red[v] and any(red[w] for w in g.adj[v])}
-    return _proposals_from_candidates(g, ids, f, red, candidates, children)[0]
-
-
 # On K3 with identifiers 0, 1, 2 (b = 2) every blue terminal proposes to red
 # terminal 0 and is accepted, so the blue terminals are the proposers and the
 # red ones are the terminals that remain.
@@ -148,13 +135,36 @@ def test_propose_set_p3_second_phase():
 
 
 def test_propose_set_ancestor_rule():
-    # Blue chain 1 <- 2 <- 3; red singleton 0 adjacent to 2 and 3 only.
+    # Blue chain 1 <- 2 <- 3; red chain 0 <- 4, with 4 adjacent to 2 and 3.
     # Both 2 and 3 are red-adjacent but 3 sits below red-adjacent 2.
-    g, ids = build_graph(4, [(1, 2), (2, 3), (0, 2), (0, 3)], ids=[0, 2, 1, 3])
-    f = ForestLinks([True] * 4, [None, None, 1, 2], [0, 0, 1, 2], [0, 1, 1, 1])
+    g, ids = build_graph(5, [(0, 4), (1, 2), (2, 3), (4, 2), (4, 3)], ids=[0, 4, 1, 3, 2])
+    f = bfs_forest(g, range(5), {0, 1}, ids)
+    assert f.parent == [None, None, 1, 2, 0]
     _, trace = step_from_scratch(g, f, ids, 0)
-    assert trace.proposals == (Proposal(proposer=2, weight=2, attach_at=0, target_root=0),)
-    assert engine_proposals(g, f, ids, 0) == list(trace.proposals)
+    assert trace.proposals == (Proposal(proposer=2, weight=2, attach_at=4, target_root=0),)
+    assert run_phase(g, range(5), {0, 1}, 0, ids).step_traces[0].proposals == trace.proposals
+
+
+def test_proposals_listed_by_identifier_not_depth():
+    # Red chain 0 <- 1; blue root 2 with child 3, both next to red 1; blue
+    # chain 4 <- 5 <- 6, with 6 next to red 1.  Proposer 2 (identifier 6)
+    # is at depth 0 and covers candidate 3 (identifier 4); proposer 6
+    # (identifier 1) is at depth 2.  The trace lists proposer 6 first.
+    edges = [(0, 1), (1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (1, 6)]
+    g, ids = build_graph(7, edges, ids=[0, 3, 6, 4, 7, 2, 1])
+    f = bfs_forest(g, range(7), {0, 2, 4}, ids)
+    assert f.depth == [0, 1, 0, 1, 0, 1, 2]
+    assert f.parent == [None, 0, None, 2, None, 4, 5]
+    _, trace = step_from_scratch(g, f, ids, 0)
+    expected = (
+        Proposal(proposer=6, weight=1, attach_at=1, target_root=0),
+        Proposal(proposer=2, weight=2, attach_at=1, target_root=0),
+    )
+    assert trace.proposals == expected
+    res = run_phase(g, range(7), {0, 2, 4}, 0, ids, debug=True)
+    assert res.step_traces[0].proposals == expected
+    assert res.step_traces[0].log_line(0).startswith("step 0: proposals=[6:1→0,2:2→0]")
+    assert check_step_invariants(g, res, ids).all_pass
 
 
 def test_propose_set_empty_without_red_adjacency():
@@ -211,9 +221,10 @@ def test_apply_step_decline_deletes_proposer_subtree():
     assert ids.b == 3
     parent = [None, 0, 0, 0, 0, 0, 0, None]
     f = ForestLinks([True] * 8, parent, [0, 1, 1, 1, 1, 1, 1, 0], [0] * 7 + [7])
+    assert bfs_forest(g, range(8), {0, 7}, ids) == f
     f2, trace = step_from_scratch(g, f, ids, 0)
     assert trace.proposals == (Proposal(proposer=7, weight=1, attach_at=1, target_root=0),)
-    assert engine_proposals(g, f, ids, 0) == list(trace.proposals)
+    assert run_phase(g, range(8), {0, 7}, 0, ids).step_traces[0].proposals == trace.proposals
     assert trace.declines == (0,) and trace.grows == ()
     assert trace.deleted == (7,)
     assert not f2.member[7]

@@ -1,4 +1,5 @@
-"""Every public name in the package is used by the program, not only by tests.
+"""Every public name in the package is used by the program, not only by tests,
+and the tests reach the package through its public names only.
 
 A public function, method or class of ``src/strongcluster/`` must be
 referenced somewhere outside its own definition: in ``src/``, in the
@@ -7,6 +8,10 @@ an export of the package's ``__init__``.  References are matched by name: a
 bare name, an attribute, an imported name or a string constant for a
 module-level definition, and an attribute or a string constant for a
 method.
+
+A test may not import an ``_``-prefixed name from ``strongcluster``: what
+it checks must be reachable through the public API.  Patching a private
+attribute on a module the test imported publicly stays allowed.
 """
 
 import ast
@@ -77,3 +82,26 @@ def test_allowlist_names_only_unused_definitions():
     # gone, leaves the list.
     unused = {entry.split()[-1] for entry in unreferenced_public_names()}
     assert set(ALLOWED) <= unused
+
+
+def private_imports_in_tests() -> list[str]:
+    """``file:line name`` of every ``_``-prefixed name a test imports from the package."""
+    found = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "strongcluster":
+                names = [node.module + "." + alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names if alias.name.split(".")[0] == "strongcluster"]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if any(part.startswith("_") and not part.endswith("__") for part in name.split("."))
+            ]
+    return found
+
+
+def test_tests_import_no_private_names():
+    assert private_imports_in_tests() == []

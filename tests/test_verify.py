@@ -75,6 +75,39 @@ def test_clustering_rejects_low_coverage():
     assert "coverage-at-least-half" in {c.name for c in failures(report)}
 
 
+def test_coverage_counts_a_node_listed_twice_once():
+    # Node 0 listed twice covers 1 of 4 nodes, not 2.
+    g, ids = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    bad = Clustering(n=4, b=ids.b, clusters=((0, (0, 0)),), unclustered=(1, 2, 3))
+    report = check_clustering(g, bad, ids.b)
+    assert ("coverage-at-least-half", "covered 1 of 4, need 2") in {
+        (c.name, c.witness) for c in failures(report)
+    }
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_connected_and_diameter_checks_each_find_their_cluster_in_either_order(reverse):
+    # Path 0-1-2 and a 10-node path 3..12.  At b=1 (bound 8) the cluster
+    # {0, 2} is disconnected and the cluster 3..12 has diameter 9.
+    g, _ = build_graph(13, [(0, 1), (1, 2)] + [(v, v + 1) for v in range(3, 12)])
+    clusters = ((0, (0, 2)), (3, tuple(range(3, 13))))
+    bad = Clustering(n=13, b=1, clusters=clusters[::-1] if reverse else clusters, unclustered=(1,))
+    report = check_clustering(g, bad, 1)
+    assert [(c.name, c.witness) for c in failures(report)] == [
+        ("clusters-connected", "cluster of terminal node 0 splits into 2 components"),
+        ("cluster-diameter", "cluster of terminal node 3 has diameter 9, bound 8"),
+    ]
+
+
+def test_empty_cluster_fails_connected_check():
+    g, ids = p3()
+    bad = Clustering(n=3, b=ids.b, clusters=((0, (0, 1, 2)), (1, ())), unclustered=())
+    report = check_clustering(g, bad, ids.b)
+    assert ("clusters-connected", "cluster of terminal node 1 splits into 0 components") in {
+        (c.name, c.witness) for c in failures(report)
+    }
+
+
 def test_clustering_rejects_overlap_and_misplaced_terminal():
     g, ids = build_graph(4, [])
     bad = Clustering(
