@@ -37,7 +37,8 @@ class Clustering:
         return 8 * self.b**3
 
     def covered(self) -> int:
-        return sum(len(members) for _, members in self.clusters)
+        """Distinct clustered nodes: a node listed twice counts once."""
+        return len(self.covered_nodes())
 
     def covered_nodes(self) -> set[int]:
         return {v for _, members in self.clusters for v in members}

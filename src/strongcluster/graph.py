@@ -137,7 +137,7 @@ def build_graph(
         if len(set(id_list)) != n:
             raise GraphError("identifier collision")
         width = b if b is not None else max(default_bits(n), max(id_list).bit_length())
-    if (1 << width) < n:
+    if width < 0 or (1 << width) < n:
         raise GraphError(f"2^b < n: b={width}, n={n}")
     for node, value in enumerate(id_list):
         if value < 0:

@@ -138,6 +138,16 @@ def test_gen_negative_grid_width_exits_2(capsys):
     assert capsys.readouterr().err == "error: grid needs w >= 0\n"
 
 
+def test_negative_bits_exits_2(tmp_path, capsys):
+    assert run_cli("cluster", "--family", "path", "--n", "4", "--bits", "-1") == 2
+    assert capsys.readouterr().err == "error: 2^b < n: b=-1, n=4\n"
+    # Zero bits still name the single node of a one-node graph.
+    out = tmp_path / "one.json"
+    assert run_cli("cluster", "--family", "path", "--n", "1", "--bits", "0", "--output", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["b"], doc["clusters"]) == (0, [{"terminal": 0, "nodes": [0]}])
+
+
 def test_non_utf8_input_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "latin1.txt"
     bad.write_bytes(b"2 1\n0 1\n# caf\xe9\n")

@@ -12,6 +12,9 @@ method.
 A test may not import an ``_``-prefixed name from ``strongcluster``: what
 it checks must be reachable through the public API.  Patching a private
 attribute on a module the test imported publicly stays allowed.
+
+Every check ``verify.py`` reports is named in some test, so each claim has
+a test that can assert its verdict by name.
 """
 
 import ast
@@ -105,3 +108,24 @@ def private_imports_in_tests() -> list[str]:
 
 def test_tests_import_no_private_names():
     assert private_imports_in_tests() == []
+
+
+def check_names() -> list[str]:
+    """The name each ``CheckResult`` in ``verify.py`` is built with: a string, or an f-string's leading text."""
+    names = []
+    for node in ast.walk(ast.parse((PACKAGE / "verify.py").read_text())):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CheckResult" and node.args:
+            first = node.args[0]
+            if isinstance(first, ast.JoinedStr) and first.values:
+                first = first.values[0]
+            if isinstance(first, ast.Constant) and isinstance(first.value, str):
+                names.append(first.value)
+    return names
+
+
+def test_every_check_name_appears_in_a_test():
+    names = check_names()
+    assert {"color-count", "step-depth-claims", "blame-ledger"} <= set(names)
+    texts = [path.read_text() for path in sorted((ROOT / "tests").glob("*.py")) if path.name != Path(__file__).name]
+    unnamed = sorted({name for name in names if not any(name in text for text in texts)})
+    assert unnamed == [], "checks no test names: " + ", ".join(unnamed)

@@ -236,6 +236,34 @@ def test_step_invariants_reject_excess_blame():
     assert "blame-ledger" in {c.name for c in failures(report)}
 
 
+def test_step_invariants_reject_growth_that_keeps_the_tree_size():
+    # Path 0 - 1 - 2 with red terminal 1: tree 1 grows from 1 to 3 members.
+    # Forge its pre-step size to 3; a tree that grew must have gained members.
+    g, ids = build_graph(3, [(0, 1), (1, 2)], ids=[2, 0, 3])
+    res = run_phase(g, {0, 1, 2}, {0, 1, 2}, 0, ids, debug=True)
+    tr = res.step_traces[0]
+    assert tr.grows == (1,) and tr.red_sizes == {1: 1}
+    assert sum(1 for s in tr.snapshot.values() if s[2] == 1) == 3
+    traces = (dataclasses.replace(tr, red_sizes={1: 3}),) + res.step_traces[1:]
+    report = check_step_invariants(g, dataclasses.replace(res, step_traces=traces), ids)
+    assert [c.name for c in failures(report)] == ["accepted-tree-growth"]
+    assert failures(report)[0].witness.endswith("grew 3 -> 3, below factor 1+1/4")
+
+
+def test_step_invariants_reject_blue_node_deeper_than_its_start():
+    # P4 with terminals 0 and 3: after step 0, node 3 is still blue at its
+    # starting depth 0.  Forge it one level deeper; blue nodes never move.
+    g, ids = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    res = run_phase(g, {0, 1, 2, 3}, {0, 3}, 0, ids, debug=True)
+    tr = res.step_traces[0]
+    assert tr.snapshot[3] == (False, 0, 3) and res.f0_depth[3] == 0
+    traces = (dataclasses.replace(tr, snapshot={**tr.snapshot, 3: (False, 1, 3)}),) + res.step_traces[1:]
+    report = check_step_invariants(g, dataclasses.replace(res, step_traces=traces), ids)
+    assert [(c.name, c.witness) for c in failures(report)] == [
+        ("step-depth-claims", "step 0: blue node id 3 (index 3) depth 1 != starting 0")
+    ]
+
+
 def test_step_invariants_reject_tree_blamed_in_two_steps():
     # Tree 0 declines in step 0 and again in step 1; each step's blame is
     # small and matches its deletions, so only the two-step rule sees it.
@@ -350,6 +378,29 @@ def test_decomposition_rejects_color_vector_of_wrong_length(color):
     report = check_decomposition(g, Decomposition(colors_used=1, color=color), ids.b, ids)
     claim = [c for c in failures(report) if c.name == "all-nodes-colored"]
     assert claim and claim[0].witness == f"color vector has {len(color)} entries for 3 nodes"
+
+
+def test_decomposition_color_count_is_checked_by_name():
+    # On P4, colors 0, 1, 0, 2 halve what is left each time.  Claiming four
+    # colors breaks only the bound ceil(log2 4) + 1 = 3.
+    g, ids = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    assert check_decomposition(g, Decomposition(3, (0, 1, 0, 2)), ids.b, ids).all_pass
+    report = check_decomposition(g, Decomposition(4, (0, 1, 0, 2)), ids.b, ids)
+    assert ("color-count", "4 colors, bound 3") in {(c.name, c.witness) for c in failures(report)}
+
+
+def test_decomposition_rejects_a_color_that_clusters_nothing():
+    g, ids = p3()
+    report = check_decomposition(g, Decomposition(2, (0, 0, 0)), ids.b, ids)
+    assert [(c.name, c.witness) for c in failures(report)] == [
+        ("per-color-clusterings", "color 1 clusters nothing")
+    ]
+
+
+def test_json_coverage_counts_a_node_listed_twice_once():
+    g, ids = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    bad = Clustering(n=4, b=ids.b, clusters=((0, (0, 0)),), unclustered=(1, 2, 3))
+    assert bad.to_json_dict(g)["coverage"] == 1
 
 
 def test_mis_examples():
