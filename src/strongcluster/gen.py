@@ -129,17 +129,14 @@ def _gnp_edges(n: int, p: float, seed: int) -> list[tuple[int, int]]:
     threshold = round(p * float(1 << 64))
     if threshold <= 0:
         return []
+    # draw < threshold as draw <= threshold - 1, which fits 64 bits even at p = 1.
+    last = np.uint64(threshold - 1)
     edges: list[tuple[int, int]] = []
     counter = 0
-    full = threshold >= (1 << 64)
     for u in range(n - 1):
         row = n - 1 - u
-        if full:
-            keep = np.arange(row)
-        else:
-            draws = _splitmix_block(seed, counter, row)
-            keep = np.nonzero(draws < np.uint64(threshold))[0]
-        vs = keep + (u + 1)
+        draws = _splitmix_block(seed, counter, row)
+        vs = np.nonzero(draws <= last)[0] + (u + 1)
         edges.extend((u, int(v)) for v in vs)
         counter += row
     return edges

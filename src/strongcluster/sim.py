@@ -27,15 +27,15 @@ due timer), which is what keeps large instances affordable; the lockstep
 driver wakes everyone every round and must behave identically.
 
 State layout: the ``Simulator`` holds node state in per-node lists (parent
-port, depth, BFS depth, root id, red flag, child ports, neighbor data, the
+port, depth, BFS depth, root id, child ports, neighbor data, the
 convergecast accumulators, ...).  One wakeup of node v is one call of
 ``Simulator._wake``, which reads and writes slot v of those lists and
 nothing else besides its inbox.  Fields that belong to one step or one
 phase carry an epoch stamp, the step's first round or the phase index that
 wrote them, and read as empty once that epoch has passed, so nothing is
-cleared between steps.  The red flag is recomputed only when the node's
-root or the phase changes.  At each phase boundary the simulator reads each
-survivor's parent, depth and root off the lists into a ``ForestLinks``.
+cleared between steps.  A node's color is read off its root's phase bit.
+At each phase boundary the simulator reads each survivor's parent, depth
+and root off the lists into a ``ForestLinks``.
 
 A message is a plain ``(tag, data)`` tuple, and a tag is its own name, the
 string the event log records: BFS_TOKEN = "bfs" (BFS wave), COLOR
@@ -205,9 +205,13 @@ class Simulator:
         self.agenda: dict[int, dict[int, list[tuple[int, tuple]]]] = {}
         self.messages_total = 0
         self.max_bits = 0
-        # b is fixed for the run, so each tag's width is computed once here.
+        # b is fixed for the run and a width depends only on the tag, so each
+        # tag's width is computed, and checked against the budget, once here.
         self.widths = {tag: payload_bits(tag, ids.b) for tag in TAGS}
-        self.bit_budget = message_bit_budget(ids.b)
+        budget = message_bit_budget(ids.b)
+        for tag, bits in self.widths.items():
+            if bits > budget:
+                raise ProtocolViolation(f"message {tag} of {bits} bits exceeds budget {budget}")
         self.events: list[tuple[int, int, int, str, tuple[int, ...]]] | None = (
             [] if record_events else None
         )
@@ -223,20 +227,19 @@ class Simulator:
         self.parent: list[int | None] = [None] * n  # parent port; None at a root
         self.depth: list[int | None] = [None] * n
         self.bfs_depth: list[int | None] = [None] * n  # depth in the phase's BFS forest
-        self.root: list[int | None] = [None] * n  # root identifier
-        self.red = [False] * n  # root's phase bit is 0
+        self.root: list[int | None] = [None] * n  # root identifier; red iff its phase bit is 0
         self.children: list[set[int] | None] = [None] * n  # child ports
         self.port_id: list[dict[int, int] | None] = [None] * n  # learned in phase 0
         self.nbr: list[dict[int, tuple] | None] = [None] * n  # port -> (root, depth, ...)
-        self.red_nbr: list[int | None] = [None] * n  # min-identifier red neighbor port
-        self.candidate = [-1] * n  # phase in which step-0 candidacy was scheduled
+        # Min-identifier red neighbor port.  Only BFS tokens and COLOR
+        # announcements change it, so in stage H it is still the port the
+        # node proposed to in stage D.
+        self.red_nbr: list[int | None] = [None] * n
         self.my_size = [0] * n  # red root: size of its tree
-        self.proposed: list[int | None] = [None] * n  # port proposed to
         # Step-stamped fields: valid only while the stamp equals the step's
         # first round.
         self.recolor = [-1] * n  # step in which to announce the new color
         self.flagged = [-1] * n
-        self.flag_sent = [-1] * n
         self.size_at = [-1] * n
         self.size_acc = [0] * n  # subtree size below, stage C
         self.e_at = [-1] * n  # stamp of the stage-E fields below
@@ -296,13 +299,11 @@ class Simulator:
                 announce = True
                 self.depth[v] = self.bfs_depth[v] = 0
                 root = self.root[v] = self.my_id[v]
-                self.red[v] = not (root >> shift) & 1
-                if self.red[v]:
+                if not (root >> shift) & 1:
                     # Red roots must run stage F of step 0 to learn their tree size.
                     wakes.append(S + self.to_f)
             else:
                 self.parent[v] = self.depth[v] = self.bfs_depth[v] = self.root[v] = None
-                self.red[v] = False
 
         first = None  # port of the minimum-identifier first BFS token
         outcome = None
@@ -360,10 +361,11 @@ class Simulator:
             elif tag == ANCESTOR_FLAG:
                 if self.flagged[v] != S:
                     self.flagged[v] = S
-                    if self.flag_sent[v] != S and self.children[v]:
+                    # Flags arrive after B's first round, at which a flagged
+                    # candidate (red_nbr set) has already flagged its children.
+                    if self.red_nbr[v] is None:
                         for c in self.children[v]:
                             out.append((c, m))
-                        self.flag_sent[v] = S
                     wakes.append(S + self.to_c_fire - self.depth[v])
             elif tag == SIZE_PARTIAL:
                 if self.size_at[v] != S:
@@ -385,16 +387,15 @@ class Simulator:
             d = self.depth[v] = self.bfs_depth[v] = first_dist + 1
             self.parent[v] = first
             root = self.root[v] = self.nbr[v][first][0]
-            self.red[v] = not (root >> shift) & 1
-            if self.red[v]:
+            if not (root >> shift) & 1:
                 wakes.append(S + self.to_e_fire - d)
         if stage == "bfs":
             # A blue node seeing red neighbors during the BFS stage is a
             # step-0 candidate; it must wake for that step's flag and
-            # proposal rounds.
-            if (self.candidate[v] != p and self.red_nbr[v] is not None
-                    and self.root[v] is not None and not self.red[v]):
-                self.candidate[v] = p
+            # proposal rounds.  Both lie in the future and repeated requests
+            # for one round merge, so it asks on every BFS-stage wakeup.
+            root = self.root[v]
+            if self.red_nbr[v] is not None and root is not None and (root >> shift) & 1:
                 wakes.append(S + self.to_b)
                 wakes.append(S + self.to_d)
             if announce:
@@ -404,7 +405,8 @@ class Simulator:
                     out.append((port, (BFS_TOKEN, (root, d, 1)) if port == pp else token))
             return
 
-        red = self.red[v]
+        # Every alive node has a root once the BFS stage is over.
+        red = not (self.root[v] >> shift) & 1
         if stage == "E":
             if red and r == S + self.to_e_fire - self.depth[v] and self.parent[v] is not None:
                 cur = self.e_at[v] == S
@@ -435,13 +437,14 @@ class Simulator:
                 for port in self.live_ports[v]:
                     out.append((port, msg))
         elif stage == "B":
-            if not red and self.red_nbr[v] is not None:
-                if self.flag_sent[v] != S and self.children[v]:
-                    for c in self.children[v]:
-                        out.append((c, _FLAG_MSG))
-                    self.flag_sent[v] = S
-                if r == self.stage_first:
-                    wakes.append(S + self.to_d)
+            # Every candidate wakes at B's first round: at step 0 by its
+            # BFS-stage timer, later by the COLOR delivery that made it one
+            # (none carries over, as its topmost candidate ancestor's
+            # subtree joins a red tree or dies).
+            if r == self.stage_first and not red and self.red_nbr[v] is not None:
+                for c in self.children[v]:
+                    out.append((c, _FLAG_MSG))
+                wakes.append(S + self.to_d)
         elif stage == "C":
             if not red and self.flagged[v] == S and r == S + self.to_c_fire - self.depth[v]:
                 size = 1 + (self.size_acc[v] if self.size_at[v] == S else 0)
@@ -450,7 +453,6 @@ class Simulator:
             target = self.red_nbr[v]
             if not red and target is not None and self.flagged[v] != S:
                 weight = 1 + (self.size_acc[v] if self.size_at[v] == S else 0)
-                self.proposed[v] = target
                 out.append((target, (PROPOSE, (weight,))))
         elif stage == "G":
             if r == self.stage_first and self.e_at[v] == S and self.props[v]:
@@ -464,7 +466,7 @@ class Simulator:
                 if pp is not None:
                     out.append((pp, _LEAVE_MSG))
                 if outcome:
-                    target = self.proposed[v]
+                    target = self.red_nbr[v]
                     data = self.nbr[v][target]
                     self.parent[v] = target
                     self._rehang(v, data[0], data[1] + 1, out, wakes)
@@ -477,7 +479,6 @@ class Simulator:
         """Node v joins tree ``root`` at depth d and passes the rehang to its children."""
         self.depth[v] = d
         self.root[v] = root
-        self.red[v] = not (root >> self.shift) & 1
         msg = (REHANG, (root, d))
         for c in self.children[v]:
             out.append((c, msg))
@@ -504,7 +505,7 @@ class Simulator:
 
     def _deliver(self, sender: int, out: list[tuple[int, tuple]], r: int) -> int:
         """Queue one wakeup's sends for the next round; returns the widest payload."""
-        widths, budget = self.widths, self.bit_budget
+        widths = self.widths
         adj, rev = self.g.adj[sender], self.rev_port[sender]
         events = self.events
         # Sends in the final round land at cal.total; their processing is
@@ -515,8 +516,6 @@ class Simulator:
         widest, deg = 0, len(adj)
         for port, m in out:
             bits = widths[m[0]]
-            if bits > budget:
-                raise ProtocolViolation(f"message {m[0]} of {bits} bits exceeds budget {budget}")
             if bits > widest:
                 widest = bits
             if not 0 <= port < deg:

@@ -15,6 +15,9 @@ attribute on a module the test imported publicly stays allowed.
 
 Every check ``verify.py`` reports is named in some test, so each claim has
 a test that can assert its verdict by name.
+
+Every per-node list the simulator keeps is read somewhere, so no node state
+is only ever written.
 """
 
 import ast
@@ -129,3 +132,42 @@ def test_every_check_name_appears_in_a_test():
     texts = [path.read_text() for path in sorted((ROOT / "tests").glob("*.py")) if path.name != Path(__file__).name]
     unnamed = sorted({name for name in names if not any(name in text for text in texts)})
     assert unnamed == [], "checks no test names: " + ", ".join(unnamed)
+
+
+def _self_attr(node) -> str | None:
+    """``x`` if node is ``self.x``."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "self":
+        return node.attr
+    return None
+
+
+def unread_simulator_lists() -> tuple[list[str], list[str]]:
+    """The per-node lists ``Simulator.__init__`` assigns, and those no other method reads.
+
+    A per-node list is ``self.x = [...] * n`` or a list comprehension; a
+    read is a Load-context subscript ``self.x[...]``.
+    """
+    tree = ast.parse((PACKAGE / "sim.py").read_text())
+    cls = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Simulator")
+    methods = [node for node in cls.body if isinstance(node, ast.FunctionDef)]
+    lists = []
+    read = set()
+    for method in methods:
+        for node in ast.walk(method):
+            if method.name == "__init__" and isinstance(node, (ast.Assign, ast.AnnAssign)):
+                value = node.value
+                per_node = isinstance(value, ast.ListComp) or (
+                    isinstance(value, ast.BinOp) and isinstance(value.op, ast.Mult)
+                    and isinstance(value.left, ast.List)
+                )
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                lists += [name for name in map(_self_attr, targets) if per_node and name]
+            elif method.name != "__init__" and isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+                read.add(_self_attr(node.value))
+    return lists, [name for name in lists if name not in read]
+
+
+def test_every_simulator_list_is_read():
+    lists, unread = unread_simulator_lists()
+    assert {"parent", "depth", "root", "red_nbr", "rev_port"} <= set(lists)
+    assert unread == [], "simulator state that is only written: " + ", ".join(unread)

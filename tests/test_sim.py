@@ -170,6 +170,15 @@ def test_oversized_message_is_rejected(monkeypatch):
         _k2_simulator().run()
 
 
+def test_bit_budget_is_checked_at_construction(monkeypatch):
+    # A payload's width depends only on its tag, so an oversized tag is
+    # refused before the run, even on a graph whose run sends no message.
+    monkeypatch.setattr(sim_module, "message_bit_budget", lambda b: 4)
+    g, ids = build_graph(1, [])
+    with pytest.raises(ProtocolViolation, match="bfs of 5 bits exceeds budget 4"):
+        Simulator(g, ids)
+
+
 @pytest.mark.parametrize("port", [1, -1])
 def test_send_on_missing_port_is_rejected(port):
     sim = _k2_simulator(lambda r: ([(port, (sim_module.LEAVE, ()))], []))
@@ -395,6 +404,27 @@ def test_lockstep_and_event_drivers_agree_on_alive_subsets(seed):
     # two thirds of the nodes, in several pieces.
     g, ids = random_connected(8, 600 + seed)
     _assert_drivers_agree(g, ids, {v for v in range(g.n) if splitmix_at(seed, v) % 3})
+
+
+def test_flags_fall_in_stage_b_once_per_step():
+    # A candidate flags its children at B's first round, and a flagged node
+    # relays its first flag only if it is no candidate itself: every flag
+    # falls in stage B, and no edge carries two flags in one step.
+    flags = 0
+    for name, g, ids in corpus_entries(64):
+        sim = Simulator(g, ids, record_events=True)
+        sim.run()
+        seen = set()
+        for r, sender, recipient, tag, _ in sim.events:
+            if tag != sim_module.ANCESTOR_FLAG:
+                continue
+            p, stage, step, _, _ = sim.cal.locate(r)
+            assert stage == "B", (name, r)
+            key = (sender, recipient, p, step)
+            assert key not in seen, (name, key)
+            seen.add(key)
+        flags += len(seen)
+    assert flags > 0
 
 
 def test_event_driver_deterministic():
