@@ -227,7 +227,7 @@ def _cmd_bench(args) -> int:
             family=args.family,
             n=n,
             dim=max(n - 1, 0).bit_length() if args.family == "hypercube" else 0,
-            p=args.p if args.p else min(1.0, 3.0 / max(n, 1)),
+            p=args.p if args.p is not None else min(1.0, 3.0 / max(n, 1)),
             seed=args.seed,
             id_seed=args.id_seed,
         )
@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     b = subs.add_parser("bench", help="sweep a family over sizes; emit CSV")
     b.add_argument("--family", choices=FAMILIES, required=True)
     b.add_argument("--sizes", required=True, help="comma-separated node counts")
-    b.add_argument("--p", type=float, default=0.0, help="gnp probability (default 3/n)")
+    b.add_argument("--p", type=float, default=None, help="gnp probability (default 3/n)")
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--id-seed", type=int, default=None)
     b.add_argument("--output")

@@ -116,6 +116,17 @@ def test_bench_csv(tmp_path):
     assert first[4] == "2098"
 
 
+def test_bench_explicit_zero_p_is_edgeless(tmp_path):
+    # --p 0 is a probability, not "unset": every node is its own cluster.
+    out = tmp_path / "bench.csv"
+    rc = run_cli("bench", "--family", "gnp", "--sizes", "64", "--p", "0", "--seed", "1",
+                 "--output", str(out))
+    assert rc == 0
+    row = dict(zip(*(line.split(",") for line in out.read_text().strip().splitlines())))
+    assert row["coverage"] == "1.000000"
+    assert row["max_diameter"] == "0"
+
+
 def test_bad_input_file_exits_2(tmp_path, capsys):
     missing = tmp_path / "nope.txt"
     assert run_cli("cluster", "--input", str(missing)) == 2

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from strongcluster.gen import (
@@ -7,11 +9,18 @@ from strongcluster.gen import (
     seeded_permutation,
     splitmix_at,
 )
-from strongcluster.graph import GraphError
+from strongcluster.graph import GraphError, write_edge_list
 
 
 def edge_set(g):
     return set(g.edges())
+
+
+def scalar_screen(n, p, seed):
+    """gnp by definition: pair k (row-major over u < v) iff draw k < p * 2^64."""
+    threshold = round(p * float(1 << 64))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return [pair for k, pair in enumerate(pairs) if splitmix_at(seed, k) < threshold]
 
 
 def test_path_three():
@@ -129,6 +138,55 @@ def test_mix64_known_values_stable():
     vals = [splitmix_at(0, i) for i in range(4)]
     assert len(set(vals)) == 4
     assert all(0 <= v < (1 << 64) for v in vals)
+
+
+def test_splitmix_matches_published_outputs():
+    # The first outputs of SplitMix64 seeded with 0, as published with the
+    # generator (Steele, Lea and Flood, OOPSLA 2014; Vigna's splitmix64.c).
+    assert [splitmix_at(0, i) for i in range(3)] == [
+        0xE220A8397B1DCDAF,
+        0x6E789E6AA1B965F4,
+        0x06C45D188009454F,
+    ]
+
+
+@pytest.mark.parametrize(
+    "n, p, seed",
+    [
+        (400, 0.05, 19),  # 79 800 draws: a block boundary falls mid-row
+        (30, 0.2, -1),  # the stream base wraps modulo 2^64 like splitmix_at
+        (30, 0.2, 2**64 + 5),
+    ],
+)
+def test_gnp_stream_matches_scalar_screening_pair_by_pair(n, p, seed):
+    g, _ = generate(FamilySpec("gnp", n=n, p=p, seed=seed))
+    kept = scalar_screen(n, p, seed)
+    assert 0 < len(kept)
+    assert sorted(g.edges()) == kept
+
+
+@pytest.mark.parametrize("k", [0, 217, 434])
+def test_gnp_threshold_is_exact_at_the_boundary(k):
+    # p * 2^64 lands just at or just above draw k (both floats are exact), so
+    # pair k is decided by the draw's low bits, which a screen on the high
+    # bits alone cannot see.
+    n, seed = 30, 5
+    pair = [(u, v) for u in range(n) for v in range(u + 1, n)][k]
+    z = splitmix_at(seed, k)
+    for p, present in (((z & ~0x7FF) / 2**64, False), (((z | 0x7FF) + 1) / 2**64, True)):
+        g, _ = generate(FamilySpec("gnp", n=n, p=p, seed=seed))
+        assert (pair in edge_set(g)) == present
+        assert sorted(g.edges()) == scalar_screen(n, p, seed)
+
+
+def test_gnp_golden_digest_over_many_blocks():
+    # 8 386 560 draws: 128 blocks of the stream, the last one partial.
+    g, ids = generate(FamilySpec("gnp", n=4096, p=3 / 4096, seed=4096))
+    assert g.edge_count == 6029
+    text = write_edge_list(g, ids)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "e221bf06cadd5ce696a29fa3328a0dc50f6c267327e25f4d3b9a9ee5cb31961c"
+    )
 
 
 @pytest.mark.parametrize(
