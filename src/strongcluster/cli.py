@@ -56,7 +56,7 @@ def _load_graph(args) -> tuple[Graph, IdAssignment]:
     if args.bits is not None:
         from .graph import build_graph
 
-        g, ids = build_graph(g.n, list(g.edges()), ids=list(ids.ids), b=args.bits)
+        g, ids = build_graph(g.n, g.edges(), ids=ids.ids, b=args.bits)
     return g, ids
 
 

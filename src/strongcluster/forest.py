@@ -31,6 +31,10 @@ class ForestLinks:
     reference engine edits the four lists in place during its phase, and
     a phase result keeps them as its final forest; child lists and tree
     sizes follow from ``parent`` and ``root_of`` wherever they are needed.
+    A run keeps one forest per phase, so ``parent`` and ``root_of`` make
+    no int objects of their own: ``bfs_forest`` fills them with the alive
+    set's own ints, and the step loop copies in ints it reads from the
+    graph and from the forest.
     """
 
     member: list[bool]
@@ -86,7 +90,8 @@ def bfs_forest(g: Graph, alive, terminals, ids: IdAssignment) -> ForestLinks:
     parent = np.empty(n, dtype=np.intp)
     origin = np.empty(n, dtype=np.intp)
     reach[layer] = 1
-    origin[layer] = layer
+    # A root's parent slot points at itself and is never read.
+    origin[layer] = parent[layer] = layer
     # The layer that reaches the last alive node is the last one expanded.
     unreached = len(alive_arr) - len(layer)
     d = 2
@@ -110,11 +115,16 @@ def bfs_forest(g: Graph, alive, terminals, ids: IdAssignment) -> ForestLinks:
     reach = reach[alive_arr]
     if unreached:
         raise ForestError(f"alive node {alive_arr[reach == 0][0]} unreachable from terminals")
+    # Parents and roots are alive nodes: read them as the caller's own int
+    # objects, so that every forest built on one alive set shares one int
+    # per node instead of holding fresh ones.
+    node = np.empty(n, dtype=object)
+    node[alive_arr] = alive_sorted
     member = [False] * n
     depth_l: list[int | None] = [None] * n
     root_l: list[int | None] = [None] * n
     parent_l: list[int | None] = [None] * n
-    columns = (origin[alive_arr].tolist(), (reach - 1).tolist(), parent[alive_arr].tolist())
+    columns = (node[origin[alive_arr]].tolist(), (reach - 1).tolist(), node[parent[alive_arr]].tolist())
     for v, r, dv, u in zip(alive_sorted, *columns):
         member[v] = True
         depth_l[v] = dv

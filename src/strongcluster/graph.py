@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain
+from itertools import chain, islice
 from operator import or_
 from typing import Iterable, Sequence
 
@@ -112,18 +112,23 @@ def build_graph(
     colliding identifiers, negative identifiers and identifiers not fitting
     in b bits are rejected.
     Without explicit ids, node k gets identifier k and b = default_bits(n).
+
+    ``edges`` is read once, so it may be a generator.  Neighbours are
+    collected in one list per node and deduplicated once per node at the
+    end, which holds far less than a set per node.
     """
     if n <= 0:
         raise GraphError(f"node count must be positive, got {n}")
-    nbrs: list[set[int]] = [set() for _ in range(n)]
+    nbrs: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
         if u == v:
             raise GraphError(f"self-loop at node {u}")
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    adj = tuple(tuple(sorted(s)) for s in nbrs)
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    adj = tuple(tuple(sorted(set(a))) for a in nbrs)
+    del nbrs
     edge_count = sum(len(a) for a in adj) // 2
     g = Graph(n=n, adj=adj, edge_count=edge_count)
 
@@ -281,19 +286,50 @@ def induced_diameter(g: Graph, nodes: Iterable[int]) -> int | None:
     return worst
 
 
+def _edge_line(ln_no: int, body: str, n: int) -> tuple[int, int]:
+    parts = body.split()
+    if len(parts) != 2:
+        raise GraphError(f"line {ln_no}: expected 'u v', got {body!r}")
+    try:
+        u, v = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise GraphError(f"line {ln_no}: non-integer edge {body!r}") from None
+    if not (0 <= u < n and 0 <= v < n):
+        raise GraphError(f"line {ln_no}: edge ({u}, {v}) out of range for n={n}")
+    if u == v:
+        raise GraphError(f"line {ln_no}: self-loop at node {u}")
+    return u, v
+
+
+def _id_line(ln_no: int, body: str) -> int:
+    parts = body.split()
+    if len(parts) != 2 or parts[0] != "id":
+        raise GraphError(f"line {ln_no}: expected 'id k', got {body!r}")
+    try:
+        return int(parts[1])
+    except ValueError:
+        raise GraphError(f"line {ln_no}: non-integer identifier {body!r}") from None
+
+
 def parse_edge_list(text: str) -> tuple[Graph, IdAssignment]:
     """Parse the edge-list text format.
 
     Line 1: ``n m``.  Next m lines: ``u v`` (0-based endpoints).  Optionally
     followed by exactly n lines ``id k`` assigning identifier k to nodes
-    0..n-1 in order.  Malformed input is rejected with the offending line
-    number.
+    0..n-1 in order.  Blank lines are skipped.  Malformed input is rejected
+    with the offending line number.
+
+    The lines are walked once: each nonblank one is numbered and stripped
+    as it is reached, and no list of numbered entries is kept beside
+    ``str.splitlines``' own.  A wrong line count outranks a malformed line
+    within its group, so the first malformed line of a group is held back
+    until the group has been counted.
     """
-    lines = text.splitlines()
-    entries = [(i + 1, ln.strip()) for i, ln in enumerate(lines) if ln.strip()]
-    if not entries:
+    entries = ((i, body) for i, line in enumerate(text.splitlines(), 1) if (body := line.strip()))
+    first = next(entries, None)
+    if first is None:
         raise GraphError("line 1: empty input, expected 'n m' header")
-    ln_no, header = entries[0]
+    ln_no, header = first
     parts = header.split()
     if len(parts) != 2:
         raise GraphError(f"line {ln_no}: expected 'n m' header, got {header!r}")
@@ -303,40 +339,40 @@ def parse_edge_list(text: str) -> tuple[Graph, IdAssignment]:
         raise GraphError(f"line {ln_no}: non-integer header {header!r}") from None
     if n <= 0 or m < 0:
         raise GraphError(f"line {ln_no}: invalid sizes n={n} m={m}")
-    if len(entries) - 1 < m:
-        raise GraphError(f"line {entries[-1][0]}: expected {m} edge lines, found {len(entries) - 1}")
 
     edges: list[tuple[int, int]] = []
-    for ln_no, body in entries[1 : 1 + m]:
-        parts = body.split()
-        if len(parts) != 2:
-            raise GraphError(f"line {ln_no}: expected 'u v', got {body!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphError(f"line {ln_no}: non-integer edge {body!r}") from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"line {ln_no}: edge ({u}, {v}) out of range for n={n}")
-        if u == v:
-            raise GraphError(f"line {ln_no}: self-loop at node {u}")
-        edges.append((u, v))
-
-    rest = entries[1 + m :]
-    ids: list[int] | None = None
-    if rest:
-        if len(rest) != n:
-            raise GraphError(f"line {rest[0][0]}: identifier group must have exactly {n} 'id k' lines, found {len(rest)}")
-        ids = []
-        for ln_no, body in rest:
-            parts = body.split()
-            if len(parts) != 2 or parts[0] != "id":
-                raise GraphError(f"line {ln_no}: expected 'id k', got {body!r}")
+    bad: GraphError | None = None
+    found = 0
+    for ln_no, body in islice(entries, m):
+        found += 1
+        if bad is None:
             try:
-                ids.append(int(parts[1]))
-            except ValueError:
-                raise GraphError(f"line {ln_no}: non-integer identifier {body!r}") from None
+                edges.append(_edge_line(ln_no, body, n))
+            except GraphError as err:
+                bad = err
+    if found < m:
+        raise GraphError(f"line {ln_no}: expected {m} edge lines, found {found}")
+    if bad is not None:
+        raise bad
 
-    return build_graph(n, edges, ids=ids)
+    ids: list[int] = []
+    group_start = found = 0
+    for ln_no, body in entries:
+        if not found:
+            group_start = ln_no
+        found += 1
+        if bad is None:
+            try:
+                ids.append(_id_line(ln_no, body))
+            except GraphError as err:
+                bad = err
+    if found and found != n:
+        raise GraphError(
+            f"line {group_start}: identifier group must have exactly {n} 'id k' lines, found {found}"
+        )
+    if bad is not None:
+        raise bad
+    return build_graph(n, edges, ids=ids if found else None)
 
 
 def write_edge_list(g: Graph, ids: IdAssignment | None = None) -> str:

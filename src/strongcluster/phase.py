@@ -83,6 +83,9 @@ class StepTrace:
 class PhaseResult:
     """Outcome of one phase: survivors, surviving terminals, final forest.
 
+    ``alive_in`` is the sorted phase input.  When that input is the
+    previous phase's ``survivors`` tuple, it is that tuple itself, not a
+    copy, so a run's phases share their node tuples.
     ``f0_depth`` keeps the starting BFS depth of every phase-input node
     (None for non-members); step-level depth claims are checked against it.
     ``step_traces`` holds t traces, trace j at position j; after the last
@@ -163,12 +166,16 @@ def run_phase(
         raise PhaseError(f"phase index {p} out of range for b={ids.b}")
     b = ids.b
     t = step_budget(b)
-    alive_sorted = sorted(alive_set)
+    alive_in = tuple(sorted(alive_set))
+    if alive_in == alive:
+        # The previous phase's survivors are already the sorted input: keep
+        # that tuple rather than a copy, so the phases share one.
+        alive_in = alive
 
-    f = bfs_forest(g, alive_sorted, q_set, ids)
+    f = bfs_forest(g, alive_in, q_set, ids)
     f0_depth = tuple(f.depth)
     if debug:
-        audit_bfs(g, f, alive_sorted, q_set, ids)
+        audit_bfs(g, f, alive_in, q_set, ids)
         audit_depths(f)
 
     # The step loop edits f's four lists in place and keeps no other forest
@@ -204,7 +211,7 @@ def run_phase(
     red_max = 0
     blue: list[int] = []
     children: dict[int, list[int]] = {}
-    for v in alive_sorted:
+    for v in alive_in:
         r = root_of[v]
         if r in blue_roots:
             blue.append(v)
@@ -220,14 +227,14 @@ def run_phase(
             red_size[r] = red_size.get(r, 0) + 1
             if depth[v] > red_max:
                 red_max = depth[v]
-    candidates = {w for v in alive_sorted if red[v] for w in adj[v] if member[w] and not red[w]}
+    candidates = {w for v in alive_in if red[v] for w in adj[v] if member[w] and not red[w]}
     # Popped from the end as they leave, so the last one is the deepest blue member.
     blue_by_depth = sorted(blue, key=depth.__getitem__)
     max_depth = max(red_max, depth[blue_by_depth[-1]] if blue_by_depth else 0)
     traces: list[StepTrace] = []
 
     def snapshot() -> dict[int, tuple[bool, int, int]]:
-        return {v: (red[v], depth[v], root_of[v]) for v in alive_sorted if member[v]}
+        return {v: (red[v], depth[v], root_of[v]) for v in alive_in if member[v]}
 
     add = candidates.add
     while len(traces) < t and candidates:
@@ -311,7 +318,7 @@ def run_phase(
         if debug:
             audit_depths(f)
             assert candidates == {
-                v for v in alive_sorted
+                v for v in alive_in
                 if member[v] and not red[v] and any(red[w] for w in adj[v])
             }, "candidate set drifted from recomputation"
 
@@ -321,6 +328,6 @@ def run_phase(
         max_depth=max_depth, red_sizes={}, snapshot=snapshot() if debug else None,
     )
     step_traces = tuple(traces) + (idle,) * (t - len(traces))
-    result = PhaseResult.from_forest(p, b, tuple(alive_sorted), f, step_traces, f0_depth)
+    result = PhaseResult.from_forest(p, b, alive_in, f, step_traces, f0_depth)
     assert set(result.terminals_out) <= q_set
     return result

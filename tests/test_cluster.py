@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import pytest
 
@@ -228,6 +229,35 @@ def test_one_shot_alive_iterator_gives_equal_clusterings_on_both_backends():
     assert ref.n == 8
     assert ref == sim
     assert ref == strong_cluster(g, ids, alive=set(range(8))).clustering
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FamilySpec("gnp", n=4096, p=3 / 4096, seed=1, id_seed=1),
+        FamilySpec("grid", n=4096, w=64, seed=1, id_seed=1),
+        FamilySpec("path", n=4096, seed=1, id_seed=1),
+    ],
+    ids=lambda spec: spec.family,
+)
+def test_a_run_holds_at_most_80_bytes_per_phase_per_node(spec):
+    # A run keeps all b phase results.  Their forests share one int object
+    # per node and each phase's input is the previous phase's survivors, so
+    # a run holds a few n-length pointer lists per phase; with fresh ints in
+    # every forest it held 113-124 bytes.  The warm-up run fills the cached
+    # CSR adjacency and identifier order first.
+    g, ids = generate(spec)
+    strong_cluster(g, ids)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run = strong_cluster(g, ids)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(run.phases) == ids.b
+    per = held / (ids.b * g.n)
+    assert per <= 80, f"{spec.family}: {per:.1f} bytes per phase per node"
 
 
 def test_debug_runs_need_the_reference_backend():

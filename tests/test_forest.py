@@ -24,6 +24,20 @@ def test_bfs_forest_chain():
     audit_depths(f)
 
 
+def test_bfs_forest_parents_and_roots_are_the_alive_ints():
+    # Parent and root entries are the caller's own int objects, so forests
+    # built on one alive set share one int per node.  Nodes above 256 are
+    # not CPython's cached small ints.
+    n = 600
+    g, ids = build_graph(n, [(v, v + 1) for v in range(n - 1)])
+    alive = [int(str(v)) for v in range(n)]
+    f = bfs_forest(g, alive, {0, 300, n - 1}, ids)
+    assert f.parent[400] == 399 and f.root_of[400] == 300
+    for v in range(n):
+        assert f.root_of[v] is alive[f.root_of[v]]
+        assert f.parent[v] is None or f.parent[v] is alive[f.parent[v]]
+
+
 def test_bfs_forest_two_terminals_tie_rule():
     g, ids = p3()
     f = bfs_forest(g, {0, 1, 2}, {0, 2}, ids)

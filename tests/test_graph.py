@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -72,9 +73,10 @@ def test_build_single_node():
 
 
 def test_build_collapses_duplicates():
-    g, _ = build_graph(3, [(0, 1), (1, 0), (1, 2)])
+    # The edges are read once, so a generator serves as well as a list.
+    g, _ = build_graph(3, (e for e in [(0, 1), (1, 0), (1, 2), (2, 1)]))
     assert g.edge_count == 2
-    assert g.adj[1] == (0, 2)
+    assert g.adj == ((1,), (0, 2), (1,))
 
 
 def test_build_rejects_self_loop():
@@ -345,6 +347,32 @@ def test_edge_list_default_ids_omitted():
     assert write_edge_list(g, ids) == "2 1\n0 1\n"
 
 
+# Each rejected text with its full message, less the "line N: " prefix.
+_REJECTED = {
+    "": "empty input, expected 'n m' header",
+    "2\n0 1\n": "expected 'n m' header, got '2'",
+    "2 1\n0\n": "expected 'u v', got '0'",
+    "2 1\n0 x\n": "non-integer edge '0 x'",
+    "2 2\n0 1\n": "expected 2 edge lines, found 1",
+    "2 1\n0 2\n": "edge (0, 2) out of range for n=2",
+    "2 1\n1 1\n": "self-loop at node 1",
+    "2 1\n0 1\nid 0\n": "identifier group must have exactly 2 'id k' lines, found 1",
+    "2 1\n0 1\nid 0\nidx 1\n": "expected 'id k', got 'idx 1'",
+    # Blank lines count for the line number and nothing else.
+    "2 1\n\n0 x\n": "non-integer edge '0 x'",
+    "\n  \n2 1\n\n\n1 1\n": "self-loop at node 1",
+    # A \r\n line end is one line break.
+    "2 1\r\n0 1\r\nid 0\r\nid 0 1\r\n": "expected 'id k', got 'id 0 1'",
+    "3 2\r\n0 1\r\n\r\n1 2\r\nid 5\r\nid x\r\nid 1\r\n": "non-integer identifier 'id x'",
+    # An identifier group of the wrong length is named at its first line.
+    "2 1\n0 1\nid 0\nid 1\nid 2\n": "identifier group must have exactly 2 'id k' lines, found 3",
+    "3 1\n0 1\n\nid 0\n\nid 1\n": "identifier group must have exactly 3 'id k' lines, found 2",
+    # A wrong line count outranks a malformed line of its group.
+    "2 3\n0 x\n1 0\n": "expected 3 edge lines, found 2",
+    "2 1\n0 1\nidx 1\n": "identifier group must have exactly 2 'id k' lines, found 1",
+}
+
+
 @pytest.mark.parametrize(
     "text,line",
     [
@@ -357,8 +385,44 @@ def test_edge_list_default_ids_omitted():
         ("2 1\n1 1\n", 2),
         ("2 1\n0 1\nid 0\n", 3),
         ("2 1\n0 1\nid 0\nidx 1\n", 4),
+        ("2 1\n\n0 x\n", 3),
+        ("\n  \n2 1\n\n\n1 1\n", 6),
+        ("2 1\r\n0 1\r\nid 0\r\nid 0 1\r\n", 4),
+        ("3 2\r\n0 1\r\n\r\n1 2\r\nid 5\r\nid x\r\nid 1\r\n", 6),
+        ("2 1\n0 1\nid 0\nid 1\nid 2\n", 3),
+        ("3 1\n0 1\n\nid 0\n\nid 1\n", 4),
+        ("2 3\n0 x\n1 0\n", 3),
+        ("2 1\n0 1\nidx 1\n", 3),
     ],
 )
 def test_edge_list_rejects_with_line_number(text, line):
-    with pytest.raises(GraphError, match=f"line {line}"):
+    with pytest.raises(GraphError) as err:
         parse_edge_list(text)
+    assert str(err.value) == f"line {line}: {_REJECTED[text]}"
+
+
+def test_edge_list_line_breaks_and_blank_lines():
+    # Every line break str.splitlines knows ends a line, and blank or
+    # space-padded lines are skipped wherever they stand.
+    g, ids = parse_edge_list("\n3 2\r0 1\x0c \n 1 2 \x0bid 2\r\n\nid 0\u2028id 1")
+    assert g.adj == ((1,), (0, 2), (1,))
+    assert ids.ids == (2, 0, 1)
+
+
+def test_edge_list_parse_peak_follows_the_text():
+    # The parse walks the lines once and keeps no list of them: on gnp
+    # n=4096 with an identifier group its tracemalloc peak stays within 30
+    # times the text length (a list of every line's number and text made
+    # it ~47 times).
+    g, ids = generate(FamilySpec(family="gnp", n=4096, p=3 / 4096, seed=1, id_seed=1))
+    text = write_edge_list(g, ids)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        g2, ids2 = parse_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert (g2.adj, ids2.ids) == (g.adj, ids.ids)
+    assert peak <= 30 * len(text), f"parse peak {peak} B for {len(text)} B of text"

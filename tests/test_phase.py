@@ -436,3 +436,28 @@ def test_phase_results_hold_only_python_values():
     for res in run.phases:
         assert list(_numpy_values(res)) == [], f"{name} p={res.p}"
         assert list(_numpy_values(res.step_traces)) == [], f"{name} p={res.p}"
+
+
+@pytest.mark.parametrize(
+    "alive",
+    [{4, 0, 2, 1, 3}, (3, 1, 4, 0, 2), (0, 1, 1, 2, 3, 4, 4), [4, 3, 2, 1, 0], range(5)],
+    ids=["set", "unsorted-tuple", "tuple-with-duplicates", "list", "range"],
+)
+def test_run_phase_alive_in_is_the_sorted_distinct_input(alive):
+    g, ids = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    res = run_phase(g, alive, {0, 3}, 0, ids)
+    assert res.alive_in == (0, 1, 2, 3, 4)
+    assert type(res.alive_in) is tuple
+
+
+def test_run_phase_keeps_a_sorted_tuple_input():
+    # A sorted, distinct tuple is the phase input as it stands; in a run,
+    # each phase's input is the previous phase's survivors tuple itself.
+    g, ids = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    alive = (0, 1, 2, 3, 4)
+    assert run_phase(g, alive, {0, 3}, 0, ids).alive_in is alive
+    name, g, ids = next(e for e in corpus_entries(128, min_n=128) if e[0] == "gnp-n128-ids11")
+    phases = strong_cluster(g, ids).phases
+    assert len(phases) == ids.b > 1
+    for prev, nxt in zip(phases, phases[1:]):
+        assert nxt.alive_in is prev.survivors, f"{name} p={nxt.p}"
