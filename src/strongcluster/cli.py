@@ -303,6 +303,10 @@ def main(argv: list[str] | None = None) -> int:
     except (GraphError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except MemoryError:
+        # A header can ask for more nodes than fit in memory.
+        sys.stderr.write("error: out of memory: the input is too large\n")
+        return 2
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, GraphError, IdAssignment, multi_source_bfs
+from .graph import Graph, GraphError, IdAssignment, _out_edges, multi_source_bfs
 
 
 class ForestError(ValueError):
@@ -41,16 +41,6 @@ class ForestLinks:
     parent: list[int | None]
     depth: list[int | None]
     root_of: list[int | None]
-
-
-def _out_edges(indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(tail, head) arrays of every CSR edge leaving the nonempty ``nodes``, row by row."""
-    starts = indptr[nodes]
-    counts = indptr[nodes + 1] - starts
-    ends = counts.cumsum()
-    # Edge k of the output sits at CSR position starts[row] + (k - row offset).
-    pos = np.arange(ends[-1]) + (starts - ends + counts).repeat(counts)
-    return nodes.repeat(counts), indices[pos]
 
 
 def bfs_forest(g: Graph, alive, terminals, ids: IdAssignment) -> ForestLinks:

@@ -10,15 +10,19 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import chain, islice
-from operator import or_
 from typing import Iterable, Sequence
 
 import numpy as np
 
 # Sources per bit-parallel BFS pass in ``induced_diameter``.
 _SOURCE_BLOCK = 1024
+# ``induced_diameter`` gathers a neighbour column on its own when at least
+# this many rows have it; the rest go through one reduceat.
+_COLUMN_ROWS = 64
+# _BIT[i] is the word with only bit i set.
+_BIT = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
 
 class GraphError(ValueError):
@@ -241,47 +245,153 @@ def connected_components(g: Graph, alive: Iterable[int]) -> list[list[int]]:
     return out
 
 
+def eccentricity(g: Graph, nodes: Iterable[int], source: int) -> int | None:
+    """Largest hop distance from ``source`` inside the subgraph induced by ``nodes``.
+
+    None when some node is unreached, that is, when the induced subgraph is
+    disconnected.  One plain BFS that reads only the members' adjacency, so
+    its cost follows the node set, not n.  For a connected induced subgraph
+    and any member v, ecc(v) <= diameter <= 2 * ecc(v).
+    """
+    members = set(nodes)
+    if source not in members:
+        raise GraphError(f"source {source} not in the node set")
+    for v in (min(members), max(members)):
+        if not 0 <= v < g.n:
+            raise GraphError(f"node {v} out of range for n={g.n}")
+    seen = {source}
+    layer = [source]
+    ecc = -1
+    while layer:
+        ecc += 1
+        nxt: list[int] = []
+        for u in layer:
+            for w in g.adj[u]:
+                if w in members and w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        layer = nxt
+    return ecc if len(seen) == len(members) else None
+
+
+def _out_edges(indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(tail, head) arrays of every CSR edge leaving the nonempty ``nodes``, row by row."""
+    starts = indptr[nodes]
+    counts = indptr[nodes + 1] - starts
+    ends = counts.cumsum()
+    # Edge k of the output sits at CSR position starts[row] + (k - row offset).
+    pos = np.arange(ends[-1]) + (starts - ends + counts).repeat(counts)
+    return nodes.repeat(counts), indices[pos]
+
+
+def _degree_columns(g: Graph, members: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, np.ndarray] | None:
+    """The induced adjacency ``induced_diameter`` runs on; None when a member has no induced neighbour.
+
+    The sorted ``members`` are relabelled 0..k-1, highest induced degree
+    first, so the rows that have a j-th neighbour are a prefix for every j.
+    Returns the neighbour columns that at least ``_COLUMN_ROWS`` rows have
+    (column j lists the j-th neighbour of each of its rows), then the
+    remaining neighbours of the fewer rows of higher degree, row after row,
+    with the offset where each of those rows starts.
+    """
+    k = len(members)
+    tail, head = _out_edges(*g.csr, members)
+    pos = np.searchsorted(members, head)
+    inside = np.append(members, -1)[pos] == head
+    row, pos = np.searchsorted(members, tail[inside]), pos[inside]
+    old_deg = np.bincount(row, minlength=k)
+    if not old_deg.all():
+        return None
+    # Highest degree first, ties by node, as one sort of packed keys.
+    key = (old_deg.max() - old_deg) * k + np.arange(k)
+    key.sort()
+    by_deg = key % k
+    label = np.empty(k, dtype=np.intp)
+    label[by_deg] = np.arange(k)
+    deg = old_deg[by_deg]
+    iptr = np.zeros(k + 1, dtype=np.intp)
+    np.cumsum(deg, out=iptr[1:])
+    # Move each row's run of neighbour slots to where its new label's run
+    # starts, keeping each neighbour's offset within the run.
+    nbr = np.empty(len(pos), dtype=np.intp)
+    nbr[iptr[label[row]] + np.arange(len(row)) - (old_deg.cumsum() - old_deg)[row]] = label[pos]
+    # rows_with[j]: the number of rows with more than j neighbours.
+    rows_with = (k - np.searchsorted(deg[::-1], np.arange(int(deg[0])), side="right")).tolist()
+    cols = [nbr[iptr[:c] + j] for j, c in enumerate(rows_with) if c >= _COLUMN_ROWS]
+    t = len(cols)
+    tail_len = deg[: rows_with[t] if t < len(rows_with) else 0] - t
+    # The slots at offset t or more within their row, row after row.
+    tail_nbr = nbr[np.arange(len(nbr)) - np.repeat(iptr[:-1], deg) >= t]
+    return cols, tail_nbr, np.cumsum(tail_len) - tail_len
+
+
 def induced_diameter(g: Graph, nodes: Iterable[int]) -> int | None:
     """Diameter of the subgraph induced by ``nodes``; None when disconnected.
 
     Exact, by bit-parallel BFS from all sources at once (Akiba, Iwata and
-    Yoshida, SIGMOD 2013).  The k nodes are relabelled 0..k-1; each holds the
-    set of sources that have reached it as the bits of a Python int, and one
-    round ORs every node's neighbours' sets into its own.  The largest
-    eccentricity among the sources is the number of rounds until every set
-    is full; a round that changes nothing means the subgraph is
-    disconnected.  Sources run in blocks of ``_SOURCE_BLOCK``, so memory is
-    O(k * _SOURCE_BLOCK) bits and time is O(ceil(k / _SOURCE_BLOCK) * D * m_k)
-    word operations, for diameter D and m_k induced edges.
+    Yoshida, SIGMOD 2013), on numpy ``uint64`` rows.  The k members are
+    relabelled 0..k-1 from ``g.csr``, highest induced degree first, so the
+    rows that have a j-th neighbour are a prefix for every j.  Sources run
+    in blocks of ``_SOURCE_BLOCK``: row i of a (k x words) reach matrix
+    holds, one bit per source of the block, the sources that have reached
+    member i.  One round ORs each row's neighbours' rows into it: one
+    ``take`` per neighbour column that at least ``_COLUMN_ROWS`` rows have,
+    and one ``np.bitwise_or.reduceat`` over the remaining neighbours of the
+    fewer rows of higher degree.  The largest eccentricity among the sources
+    is the number of rounds before the first round that changes nothing.
+    The subgraph is disconnected when a member has no induced neighbour, or
+    when the rows then disagree: at that fixpoint each row holds the block's
+    sources in its own component.
+
+    Memory is three (k x block) bit matrices (the reach matrix, the next
+    round's, and one gathered neighbour column at a time) plus the induced
+    CSR and the gathered extra neighbours of the high-degree rows.  Time is
+    O(ceil(k / block) * (D + 1) * m_k * block / 64) word operations, for
+    block = ``_SOURCE_BLOCK``, diameter D and m_k induced edges, in
+    O(ceil(k / block) * (D + 1) * columns) numpy calls.
     """
-    order = sorted(set(nodes))
-    if not order:
+    members = np.array(sorted(set(nodes)), dtype=np.intp)
+    k = len(members)
+    if not k:
         raise GraphError("induced_diameter of empty node set")
-    for v in (order[0], order[-1]):
+    for v in (members[0], members[-1]):
         if not 0 <= v < g.n:
             raise GraphError(f"node {v} out of range for n={g.n}")
-    local = {v: i for i, v in enumerate(order)}
-    nbrs = [[local[w] for w in g.adj[v] if w in local] for v in order]
-    k = len(order)
+    if k == 1:
+        return 0
+    induced = _degree_columns(g, members)
+    if induced is None:
+        return None
+    cols, tail_nbr, tail_seg = induced
+    tail_rows = len(tail_seg)
+
     worst = 0
     for lo in range(0, k, _SOURCE_BLOCK):
-        hi = min(lo + _SOURCE_BLOCK, k)
-        full = (1 << (hi - lo)) - 1
-        reach = [0] * k
-        for i in range(lo, hi):
-            reach[i] = 1 << (i - lo)
-        pending = [i for i in range(k) if reach[i] != full]
+        width = min(_SOURCE_BLOCK, k - lo)
+        words = (width + 63) >> 6
+        reach = np.zeros((k, words), dtype=np.uint64)
+        src = np.arange(width)
+        reach.ravel()[(lo + src) * words + (src >> 6)] = _BIT[src & 63]
+        nxt = np.empty_like(reach)
+        gathered = np.empty_like(reach)
         rounds = 0
-        while pending:
-            get = reach.__getitem__
-            grown = [reduce(or_, map(get, nbrs[i]), reach[i]) for i in pending]
-            still = [i for i, x in zip(pending, grown) if x != full]
-            if len(still) == len(pending) and grown == list(map(get, pending)):
-                return None
-            for i, x in zip(pending, grown):
-                reach[i] = x
-            pending = still
+        while True:
+            np.copyto(nxt, reach)
+            for col in cols:
+                c = len(col)
+                reach.take(col, axis=0, out=gathered[:c])
+                np.bitwise_or(nxt[:c], gathered[:c], out=nxt[:c])
+            if tail_rows:
+                tail = reach.take(tail_nbr, axis=0)
+                np.bitwise_or.reduceat(tail, tail_seg, axis=0, out=gathered[:tail_rows])
+                np.bitwise_or(nxt[:tail_rows], gathered[:tail_rows], out=nxt[:tail_rows])
+            if (nxt == reach).all():
+                break
+            reach, nxt = nxt, reach
             rounds += 1
+        # Each row now holds the block's sources in its own component.
+        if not (reach == reach[0]).all():
+            return None
         worst = max(worst, rounds)
     return worst
 

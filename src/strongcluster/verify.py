@@ -1,11 +1,11 @@
 """Independent verification of every guarantee the executors claim.
 
-All checks are built from graph primitives (BFS, components, exact induced
-diameters) and the recorded traces; they never call into the phase engine or
-the simulator, so they stay meaningful as an oracle for both.  Artifacts are
-checked against the graph: a node outside it fails a range check.  A failing
-check always carries a concrete witness.  Witnesses name nodes by identifier
-when an assignment is supplied, by index otherwise.
+All checks are built from graph primitives (BFS, eccentricities, components,
+exact induced diameters) and the recorded traces; they never call into the
+phase engine or the simulator, so they stay meaningful as an oracle for
+both.  Artifacts are checked against the graph: a node outside it fails a
+range check.  A failing check always carries a concrete witness.  Witnesses
+name nodes by identifier when an assignment is supplied, by index otherwise.
 """
 
 from __future__ import annotations
@@ -16,7 +16,14 @@ from math import ceil, log2
 from typing import Iterable, Iterator
 
 from .cluster import Clustering, Decomposition
-from .graph import Graph, IdAssignment, connected_components, induced_diameter, multi_source_bfs
+from .graph import (
+    Graph,
+    IdAssignment,
+    connected_components,
+    eccentricity,
+    induced_diameter,
+    multi_source_bfs,
+)
 from .phase import PhaseResult, StepTrace
 
 
@@ -157,20 +164,26 @@ def check_clustering(
         partition_witness = f"clusters and unclustered hold {len(place)} nodes, universe has {clustering.n}"
     checks.append(CheckResult("partition", partition_witness is None, partition_witness))
 
-    # One exact diameter per cluster answers both checks (None: disconnected,
-    # and an empty cluster has none); each check keeps its first witness.
+    # One BFS per cluster, from its least member (a centre the oracle picks,
+    # not the artifact), answers both checks: None means disconnected (an
+    # empty cluster has no centre), and ecc <= 4b^3 proves diam <= 2 ecc <=
+    # 8b^3.  Only a cluster past that certificate gets its exact diameter,
+    # which decides the check and is its witness.  Each check keeps its
+    # first witness.
     conn_witness = None
     diam_witness = None
     for t, members in clustering.clusters:
         if conn_witness and diam_witness:
             break
-        d = induced_diameter(g, members) if members else None
-        if d is None:
+        ecc = eccentricity(g, members, min(members)) if members else None
+        if ecc is None:
             if conn_witness is None:
                 parts = len(connected_components(g, members))
                 conn_witness = f"cluster of terminal {name(t)} splits into {parts} components"
-        elif d > diameter_bound and diam_witness is None:
-            diam_witness = f"cluster of terminal {name(t)} has diameter {d}, bound {diameter_bound}"
+        elif 2 * ecc > diameter_bound and diam_witness is None:
+            d = induced_diameter(g, members)
+            if d > diameter_bound:
+                diam_witness = f"cluster of terminal {name(t)} has diameter {d}, bound {diameter_bound}"
     checks.append(CheckResult("clusters-connected", conn_witness is None, conn_witness))
     checks.append(CheckResult("cluster-diameter", diam_witness is None, diam_witness))
 

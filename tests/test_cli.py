@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import strongcluster
 from strongcluster.cli import main
-
 
 def run_cli(*argv):
     return main(list(argv))
@@ -137,6 +141,32 @@ def test_bad_input_file_exits_2(tmp_path, capsys):
     bad.write_text("2 1\n0 1\nid -1\nid 1\n")
     assert run_cli("cluster", "--input", str(bad)) == 2
     assert capsys.readouterr().err == "error: identifier -1 of node 0 is negative\n"
+
+
+# Run in its own interpreter: it caps its own address space at what it has
+# mapped after the import plus 128 MiB, so the header's 3e8 nodes run out of
+# memory at once and nothing outside that process is limited.
+_CAPPED_CLUSTER = """
+import resource, sys
+from strongcluster.cli import main
+mapped = int(open("/proc/self/statm").read().split()[0]) * resource.getpagesize()
+resource.setrlimit(resource.RLIMIT_AS, (mapped + (128 << 20), resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.exit(main(["cluster", "--input", sys.argv[1]]))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/statm").is_file(), reason="reads its mapped size from /proc")
+def test_huge_header_n_is_an_input_error(tmp_path):
+    huge = tmp_path / "huge.txt"
+    huge.write_text("300000000 1\n0 1\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(strongcluster.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", _CAPPED_CLUSTER, str(huge)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == "error: out of memory: the input is too large\n"
+    assert done.stdout == ""
 
 
 def test_bench_non_integer_size_exits_2(capsys):

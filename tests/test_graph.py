@@ -13,6 +13,7 @@ from strongcluster.graph import (
     build_graph,
     connected_components,
     default_bits,
+    eccentricity,
     induced_diameter,
     multi_source_bfs,
     parse_edge_list,
@@ -332,6 +333,77 @@ def test_diameter_rejects_out_of_range_node():
     g, _ = build_graph(2, [(0, 1)])
     with pytest.raises(GraphError):
         induced_diameter(g, {0, 2})
+
+
+def _cycle_with_hub(k):
+    """Cycle 0..k-1 plus hub k joined to every even node.
+
+    Every node is within 2 hops of the hub, and two odd nodes more than 3
+    apart on the cycle have no shorter path than through it, so the
+    diameter is 4 for every k tested here.
+    """
+    return build_graph(k + 1, [(v, (v + 1) % k) for v in range(k)] + [(v, k) for v in range(0, k, 2)])[0]
+
+
+@pytest.mark.parametrize("k", [63, 64, 65, 1023, 1024, 1025])
+def test_diameter_at_word_and_block_edges(k):
+    # k sources fill one word short, one word, one word and a bit; the
+    # last three do the same for a block of _SOURCE_BLOCK = 1024 sources.
+    cycle, _ = build_graph(k, [(v, (v + 1) % k) for v in range(k)])
+    assert induced_diameter(cycle, range(k)) == k // 2
+    # The hub's neighbours outnumber every other row's, and without the hub
+    # the members are the bare cycle again.
+    hub = _cycle_with_hub(k)
+    assert induced_diameter(hub, range(k + 1)) == 4
+    assert induced_diameter(hub, range(k)) == k // 2
+    if k < 100:
+        assert diameter_oracle(hub.adj, range(k + 1)) == 4
+        g, _ = random_graph(k, 4, seed=k)
+        members = max(connected_components(g, range(k)), key=len)
+        assert induced_diameter(g, members) == diameter_oracle(g.adj, members)
+        assert induced_diameter(g, range(k)) == diameter_oracle(g.adj, range(k))
+
+
+def test_diameter_of_a_member_with_no_induced_neighbour_is_none():
+    g, _ = build_graph(4, [(0, 1), (1, 2)])
+    assert induced_diameter(g, {0, 1, 3}) is None
+    assert induced_diameter(g, {0, 1, 2, 3}) is None
+    assert induced_diameter(g, {3}) == 0
+    assert induced_diameter(g, {1}) == 0
+
+
+def test_diameter_of_a_bare_path_longer_than_a_block():
+    g, _ = build_graph(1100, [(v, v + 1) for v in range(1099)])
+    assert induced_diameter(g, range(1100)) == 1099
+    assert induced_diameter(g, range(7, 1100)) == 1092
+    assert induced_diameter(g, [v for v in range(1100) if v != 550]) is None
+
+
+def test_eccentricity_is_one_bfs_inside_the_node_set():
+    g, _ = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 4)])
+    assert eccentricity(g, range(6), 0) == 3
+    assert eccentricity(g, range(6), 2) == 3
+    assert eccentricity(g, range(5), 0) == 4
+    assert eccentricity(g, {0, 1, 4}, 0) is None
+    assert eccentricity(g, {3}, 3) == 0
+    with pytest.raises(GraphError):
+        eccentricity(g, {0, 1}, 2)
+    with pytest.raises(GraphError):
+        eccentricity(g, {0, 6}, 0)
+
+
+def test_eccentricity_brackets_the_diameter_on_every_induced_subgraph_up_to_5_nodes():
+    for n in range(1, 6):
+        for g in all_graphs(n):
+            for mask in range(1, 1 << n):
+                nodes = [v for v in range(n) if mask >> v & 1]
+                dists = [bfs_oracle(g.adj, set(nodes), v) for v in nodes]
+                if any(len(d) < len(nodes) for d in dists):
+                    assert all(eccentricity(g, nodes, v) is None for v in nodes), (g.adj, nodes)
+                    continue
+                eccs = [eccentricity(g, nodes, v) for v in nodes]
+                assert eccs == [max(d.values()) for d in dists], (g.adj, nodes)
+                assert max(eccs) <= 2 * min(eccs)
 
 
 def test_edge_list_roundtrip():

@@ -2,9 +2,11 @@ import dataclasses
 
 import pytest
 
+from test_graph import all_graphs, bfs_oracle, diameter_oracle
+
 from strongcluster.cluster import Clustering, Decomposition, network_decomposition, strong_cluster
 from strongcluster.gen import FamilySpec, generate
-from strongcluster.graph import build_graph
+from strongcluster.graph import build_graph, connected_components
 from strongcluster.phase import Proposal, StepTrace, run_phase
 from strongcluster.verify import (
     check_clustering,
@@ -485,3 +487,78 @@ def test_diameter_checks_reject_a_long_path_at_b1():
     report = check_decomposition(g, Decomposition(colors_used=1, color=(0,) * 10), 1)
     assert [c.name for c in failures(report)] == ["per-color-clusterings"]
     assert "diameter 9, bound 8" in failures(report)[0].witness
+
+
+def _count_exact_diameters(monkeypatch):
+    """Count the oracle's exact diameter calls through its module binding."""
+    import strongcluster.verify as verify
+
+    calls = []
+    real = verify.induced_diameter
+
+    def counted(g, nodes):
+        calls.append(len(set(nodes)))
+        return real(g, nodes)
+
+    monkeypatch.setattr(verify, "induced_diameter", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_diameter_certificate_outcomes_on_paths_at_b1(monkeypatch, n):
+    # At b=1, paths of 1..5 nodes pass on the certificate (ecc 4b^3 = 4 from
+    # the least node), 6..9 on the exact diameter (bound 8), and 10..12 fail
+    # on it.  The artifact's terminal, at an end or in the middle, does not
+    # move the oracle's centre.
+    g, _ = build_graph(n, [(v, v + 1) for v in range(n - 1)])
+    calls = _count_exact_diameters(monkeypatch)
+    for terminal in (0, n // 2):
+        whole = Clustering(n=n, b=1, clusters=((terminal, tuple(range(n))),), unclustered=())
+        verdicts = {c.name: c for c in check_clustering(g, whole, 1).checks}
+        assert verdicts["clusters-connected"].passed
+        assert verdicts["cluster-diameter"].passed is (n - 1 <= 8)
+        if n - 1 > 8:
+            assert verdicts["cluster-diameter"].witness == (
+                f"cluster of terminal node {terminal} has diameter {n - 1}, bound 8"
+            )
+        assert calls == ([n] if n - 1 > 4 else [])
+        del calls[:]
+
+
+def test_connected_and_diameter_verdicts_match_the_oracle_on_every_graph_up_to_6_nodes(monkeypatch):
+    # Every node subset of every graph with n <= 5, and the whole node set of
+    # every 6-node graph, as one cluster at b = 1.  The exact diameter runs
+    # only where the BFS from the least member reaches past 4b^3 = 4.
+    calls = _count_exact_diameters(monkeypatch)
+    checked = 0
+    for n in range(1, 7):
+        masks = range(1, 1 << n) if n < 6 else [(1 << n) - 1]
+        for g in all_graphs(n):
+            for mask in masks:
+                members = tuple(v for v in range(n) if mask >> v & 1)
+                rest = tuple(v for v in range(n) if not mask >> v & 1)
+                one = Clustering(n=n, b=1, clusters=((members[-1], members),), unclustered=rest)
+                verdicts = {c.name: c for c in check_clustering(g, one, 1).checks}
+                diameter = diameter_oracle(g.adj, members)
+                connected = verdicts["clusters-connected"]
+                assert connected.passed is (diameter is not None), (g.adj, members)
+                if diameter is None:
+                    parts = len(connected_components(g, members))
+                    assert connected.witness == (
+                        f"cluster of terminal node {members[-1]} splits into {parts} components"
+                    )
+                assert verdicts["cluster-diameter"].passed
+                far = diameter is not None and max(bfs_oracle(g.adj, set(members), members[0]).values()) > 4
+                assert calls == ([len(members)] if far else []), (g.adj, members)
+                del calls[:]
+                checked += 1
+    assert checked == 32767 + 32768
+
+
+def test_a_passing_cube_clustering_needs_no_exact_diameter(monkeypatch):
+    g, ids = generate(FamilySpec("hypercube", dim=10))
+    clustering = strong_cluster(g, ids).clustering
+    calls = _count_exact_diameters(monkeypatch)
+    assert check_clustering(g, clustering, ids.b, ids).all_pass
+    assert max(len(members) for _, members in clustering.clusters) > 900
+    assert calls == []
