@@ -6,14 +6,13 @@ nothing else: no child lists and no tree sizes.
 ``bfs_forest`` runs a layer-synchronous BFS with numpy on the graph's cached
 CSR adjacency, so its cost follows the alive set and its edges; the
 pure-Python ``multi_source_bfs`` in ``graph.py`` stays the oracle's BFS, and
-debug runs audit the engine's starting forest against it.
+debug runs audit the engine's starting forest against it.  numpy is imported
+inside ``bfs_forest``, so importing this module does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .graph import Graph, GraphError, IdAssignment, _out_edges, multi_source_bfs
 
@@ -57,6 +56,8 @@ def bfs_forest(g: Graph, alive, terminals, ids: IdAssignment) -> ForestLinks:
     packed into one integer, so the first edge into each new node comes
     from its parent.
     """
+    import numpy as np
+
     n = g.n
     alive_sorted = sorted(set(alive))
     if alive_sorted and not (0 <= alive_sorted[0] and alive_sorted[-1] < n):

@@ -7,22 +7,20 @@ so identical (spec, seed) inputs produce byte-identical edge lists on every
 platform.  gnp keeps vertex pair k (row-major over u < v) iff draw k is below
 ``round(p * 2**64)``; the triangle's draws are one stream, screened in fixed
 blocks of in-place uint64 arithmetic, and every kept pair passes the exact
-comparison.
+comparison.  That screen is the only numpy here, and it imports numpy itself,
+so generating any other family does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .graph import Graph, GraphError, IdAssignment, build_graph
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-_M1 = np.uint64(0xBF58476D1CE4E5B9)
-_M2 = np.uint64(0x94D049BB133111EB)
-_S27, _S30, _S31 = np.uint64(27), np.uint64(30), np.uint64(31)
+# The finalizer's two multipliers.
+_M1, _M2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 # gnp screens the triangle in blocks of this many draws: 2**15 and 2**16 ran
 # fastest on n=16384; 2**13 and 2**17 were slower.
 _BLOCK = 1 << 16
@@ -31,8 +29,8 @@ _BLOCK = 1 << 16
 def mix64(x: int) -> int:
     """SplitMix64 finalizer on a 64-bit value."""
     x &= _MASK
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+    x = ((x ^ (x >> 30)) * _M1) & _MASK
+    x = ((x ^ (x >> 27)) * _M2) & _MASK
     return x ^ (x >> 31)
 
 
@@ -125,6 +123,8 @@ def _family_edges(spec: FamilySpec) -> tuple[int, list[tuple[int, int]]]:
 
 
 def _gnp_edges(n: int, p: float, seed: int) -> list[tuple[int, int]]:
+    import numpy as np
+
     threshold = round(p * float(1 << 64))
     total = n * (n - 1) // 2
     if threshold <= 0 or total == 0:
@@ -136,6 +136,8 @@ def _gnp_edges(n: int, p: float, seed: int) -> list[tuple[int, int]]:
     # every pair is kept on the exact z <= last.
     coarse = np.uint64(((last >> 33) << 33) | ((1 << 33) - 1))
     block = min(_BLOCK, total)
+    m1, m2 = np.uint64(_M1), np.uint64(_M2)
+    s27, s30, s31 = np.uint64(27), np.uint64(30), np.uint64(31)
     steps = np.arange(1, block + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
     x = np.empty(block, dtype=np.uint64)
     t = np.empty(block, dtype=np.uint64)
@@ -145,13 +147,13 @@ def _gnp_edges(n: int, p: float, seed: int) -> list[tuple[int, int]]:
         m = min(block, total - start)
         xs, ts = x[:m], t[:m]
         np.add(steps[:m], np.uint64((seed + start * _GOLDEN) & _MASK), out=xs)
-        np.bitwise_xor(xs, np.right_shift(xs, _S30, out=ts), out=xs)
-        np.multiply(xs, _M1, out=xs)
-        np.bitwise_xor(xs, np.right_shift(xs, _S27, out=ts), out=xs)
-        np.multiply(xs, _M2, out=xs)
+        np.bitwise_xor(xs, np.right_shift(xs, s30, out=ts), out=xs)
+        np.multiply(xs, m1, out=xs)
+        np.bitwise_xor(xs, np.right_shift(xs, s27, out=ts), out=xs)
+        np.multiply(xs, m2, out=xs)
         k = np.flatnonzero(np.less_equal(xs, coarse, out=near[:m]))
         y = xs[k]
-        hits.append(k[(y ^ (y >> _S31)) <= np.uint64(last)] + start)
+        hits.append(k[(y ^ (y >> s31)) <= np.uint64(last)] + start)
     ks = np.concatenate(hits)
     rows = np.arange(n - 1, dtype=np.int64)
     offsets = rows * (n - 1) - rows * (rows - 1) // 2

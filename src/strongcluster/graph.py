@@ -4,25 +4,36 @@ Everything downstream (forests, phase engine, simulator, verifiers) goes
 through the primitives in this module.  All types are immutable after
 construction and all operations are pure functions, so they are safe to call
 from parallel workers.
+
+numpy is imported inside the functions that run it (the CSR adjacency, the
+identifier order and ``induced_diameter``), so commands that call none of
+them, such as ``gen`` and ``verify``, start without it.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, islice
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Sources per bit-parallel BFS pass in ``induced_diameter``.
 _SOURCE_BLOCK = 1024
 # ``induced_diameter`` gathers a neighbour column on its own when at least
 # this many rows have it; the rest go through one reduceat.
 _COLUMN_ROWS = 64
-# _BIT[i] is the word with only bit i set.
-_BIT = np.uint64(1) << np.arange(64, dtype=np.uint64)
+
+
+@cache
+def _bits() -> np.ndarray:
+    """``_bits()[i]`` is the uint64 word with only bit i set; built on first use."""
+    import numpy as np
+
+    return np.uint64(1) << np.arange(64, dtype=np.uint64)
 
 
 class GraphError(ValueError):
@@ -58,8 +69,10 @@ class Graph:
         """``(indptr, indices)``: the neighbors of v are ``indices[indptr[v]:indptr[v + 1]]``.
 
         Built on first use and kept on the graph, for the numpy BFS in
-        ``forest.bfs_forest``.
+        ``forest.bfs_forest`` and ``induced_diameter``.
         """
+        import numpy as np
+
         indptr = np.zeros(self.n + 1, dtype=np.intp)
         np.cumsum(np.fromiter(map(len, self.adj), dtype=np.intp, count=self.n), out=indptr[1:])
         indices = np.fromiter(chain.from_iterable(self.adj), dtype=np.intp, count=int(indptr[-1]))
@@ -76,6 +89,8 @@ class IdAssignment:
     @cached_property
     def order(self) -> np.ndarray:
         """The nodes in ascending identifier order."""
+        import numpy as np
+
         return np.array(sorted(range(len(self.ids)), key=self.ids.__getitem__), dtype=np.intp)
 
     @cached_property
@@ -85,6 +100,8 @@ class IdAssignment:
         Compares like the identifiers themselves but fits a machine word
         whatever their width.
         """
+        import numpy as np
+
         rank = np.empty(len(self.order), dtype=np.intp)
         rank[self.order] = np.arange(len(self.order))
         return rank
@@ -276,6 +293,8 @@ def eccentricity(g: Graph, nodes: Iterable[int], source: int) -> int | None:
 
 def _out_edges(indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(tail, head) arrays of every CSR edge leaving the nonempty ``nodes``, row by row."""
+    import numpy as np
+
     starts = indptr[nodes]
     counts = indptr[nodes + 1] - starts
     ends = counts.cumsum()
@@ -294,6 +313,8 @@ def _degree_columns(g: Graph, members: np.ndarray) -> tuple[list[np.ndarray], np
     remaining neighbours of the fewer rows of higher degree, row after row,
     with the offset where each of those rows starts.
     """
+    import numpy as np
+
     k = len(members)
     tail, head = _out_edges(*g.csr, members)
     pos = np.searchsorted(members, head)
@@ -350,6 +371,8 @@ def induced_diameter(g: Graph, nodes: Iterable[int]) -> int | None:
     block = ``_SOURCE_BLOCK``, diameter D and m_k induced edges, in
     O(ceil(k / block) * (D + 1) * columns) numpy calls.
     """
+    import numpy as np
+
     members = np.array(sorted(set(nodes)), dtype=np.intp)
     k = len(members)
     if not k:
@@ -371,7 +394,7 @@ def induced_diameter(g: Graph, nodes: Iterable[int]) -> int | None:
         words = (width + 63) >> 6
         reach = np.zeros((k, words), dtype=np.uint64)
         src = np.arange(width)
-        reach.ravel()[(lo + src) * words + (src >> 6)] = _BIT[src & 63]
+        reach.ravel()[(lo + src) * words + (src >> 6)] = _bits()[src & 63]
         nxt = np.empty_like(reach)
         gathered = np.empty_like(reach)
         rounds = 0

@@ -24,7 +24,15 @@ schedule where silence means zero.  Rounds with no traffic are still rounds;
 the protocol always occupies exactly ``round_budget(n, b)`` of them.  The
 simulator skips waking nodes that provably would do nothing (no delivery, no
 due timer), which is what keeps large instances affordable; the lockstep
-driver wakes everyone every round and must behave identically.
+driver wakes everyone every round and must behave identically.  At a
+later phase's first round only the previous phase's roots wake, each by a
+timer it set as a root (one that joined a red tree meanwhile wakes only to
+reset its fields); every other survivor first wakes in a phase at its first
+BFS token, which reaches it because the root of its tree survives.
+
+A message is at most 4b+16 bits, and a node sends at most one message per
+port per round: a wakeup that puts two messages on one port, like an
+oversized payload, raises ``ProtocolViolation``.
 
 State layout: the ``Simulator`` holds node state in per-node lists (parent
 port, depth, BFS depth, root id, child ports, neighbor data, the
@@ -59,7 +67,7 @@ from .phase import PhaseResult, step_budget
 
 
 class ProtocolViolation(RuntimeError):
-    """A node broke the model contract (oversized message, late event)."""
+    """A node broke the model contract (oversized message, two messages on a port, late event)."""
 
 
 # Message tags are their names, the names the event log records.
@@ -164,7 +172,7 @@ def round_budget(n: int, b: int) -> int:
 
 
 class Simulator:
-    """Delivers messages, enforces the bit budget, and counts rounds.
+    """Delivers messages, enforces the bit budget and one message per port per round, counts rounds.
 
     ``driver="event"`` wakes a node only when it has deliveries or a due
     timer; ``driver="lockstep"`` wakes every node every round.  Both must
@@ -293,9 +301,12 @@ class Simulator:
                 self.port_id[v], self.nbr[v] = {}, {}
             self.children[v] = set()
             self.red_nbr[v] = None
-            if self.next_phase is not None:
-                wakes.append(self.next_phase)
             if self.parent[v] is None:  # a root of the last phase is a terminal
+                # Only roots wake at the next phase's first round: no node
+                # becomes a root mid-phase, and every other survivor enters
+                # the next phase at its first BFS token.
+                if self.next_phase is not None:
+                    wakes.append(self.next_phase)
                 announce = True
                 self.depth[v] = self.bfs_depth[v] = 0
                 root = self.root[v] = self.my_id[v]
@@ -504,7 +515,14 @@ class Simulator:
                 inboxes[v] = []
 
     def _deliver(self, sender: int, out: list[tuple[int, tuple]], r: int) -> int:
-        """Queue one wakeup's sends for the next round; returns the widest payload."""
+        """Queue one wakeup's sends for the next round; returns the widest payload.
+
+        A node wakes at most once per round, so two sends on one port in
+        one wakeup are two messages on one edge in one round: a violation.
+        Each neighbour's inbox gets this wakeup's messages to it as one run
+        at its end, nothing else being delivered meanwhile, so the check is
+        one look at the inbox's last entry.
+        """
         widths = self.widths
         adj, rev = self.g.adj[sender], self.rev_port[sender]
         events = self.events
@@ -521,11 +539,14 @@ class Simulator:
             if not 0 <= port < deg:
                 raise ProtocolViolation(f"node {sender} sent on missing port {port}")
             recipient = adj[port]
+            entry = (rev[port], m)
             inbox = inboxes.get(recipient)
             if inbox is None:
-                inboxes[recipient] = [(rev[port], m)]
+                inboxes[recipient] = [entry]
+            elif inbox and inbox[-1][0] == entry[0]:
+                raise ProtocolViolation(f"node {sender} sent two messages on port {port} in round {r}")
             else:
-                inbox.append((rev[port], m))
+                inbox.append(entry)
             if events is not None:
                 events.append((r, sender, recipient, m[0], m[1]))
         return widest

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import strongcluster
-from strongcluster.cli import main
+from strongcluster.cli import FAMILIES, main
 
 def run_cli(*argv):
     return main(list(argv))
@@ -167,6 +167,49 @@ def test_huge_header_n_is_an_input_error(tmp_path):
     assert done.returncode == 2, done.stderr
     assert done.stderr == "error: out of memory: the input is too large\n"
     assert done.stdout == ""
+
+
+# Runs each command line of the JSON list in argv[1] through ``main`` in one
+# fresh interpreter; the last line of its output lists, per command, the
+# exit status and whether numpy was loaded after it.
+_NUMPY_AFTER_EACH = """
+import json, sys
+from strongcluster.cli import main
+after = []
+for argv in json.loads(sys.argv[1]):
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    after.append([status, "numpy" in sys.modules])
+sys.stdout.write("\\n" + json.dumps(after) + "\\n")
+"""
+
+
+def _numpy_after_each(commands):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(strongcluster.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", _NUMPY_AFTER_EACH, json.dumps(commands)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_numpy_is_imported_only_where_a_numpy_kernel_runs(tmp_path):
+    # gen of every family but gnp, verify of a passing cube clustering (one
+    # BFS per cluster) and --help call no numpy kernel, so a fresh process
+    # does not import numpy for them; cluster (the exact diameters it
+    # reports) and gen of gnp do.
+    graph, artifact, out = tmp_path / "cube.txt", tmp_path / "cube.json", str(tmp_path / "out")
+    assert run_cli("gen", "--family", "hypercube", "--dim", "4", "--output", str(graph)) == 0
+    assert run_cli("cluster", "--input", str(graph), "--output", str(artifact)) == 0
+    light = [["gen", "--family", f, "--n", "16", "--dim", "4", "--output", out] for f in FAMILIES if f != "gnp"]
+    light += [["verify", "--input", str(graph), "--artifact", str(artifact)], ["--help"]]
+    cluster = ["cluster", "--input", str(graph), "--output", out]
+    assert _numpy_after_each(light + [cluster]) == [[0, False]] * len(light) + [[0, True]]
+    gnp = ["gen", "--family", "gnp", "--n", "16", "--p", "0.2", "--output", out]
+    assert _numpy_after_each([gnp]) == [[0, True]]
 
 
 def test_bench_non_integer_size_exits_2(capsys):

@@ -18,6 +18,11 @@ a test that can assert its verdict by name.
 
 Every per-node list the simulator keeps is read somewhere, so no node state
 is only ever written.
+
+The node program (``Simulator._wake`` and ``_rehang``) reads no state that
+spans the graph: not the graph itself, the identifier table, the run's alive
+set or the identifier map.  A node knows its own slots of the per-node
+lists, its inbox and the round context, nothing more.
 """
 
 import ast
@@ -171,3 +176,37 @@ def test_every_simulator_list_is_read():
     lists, unread = unread_simulator_lists()
     assert {"parent", "depth", "root", "red_nbr", "rev_port"} <= set(lists)
     assert unread == [], "simulator state that is only written: " + ", ".join(unread)
+
+
+# Simulator attributes that hold the whole graph's state, not one node's.
+GLOBAL_STATE = ("g", "id_to_index", "alive0", "ids")
+NODE_PROGRAM = ("_wake", "_rehang")
+
+
+def global_reads_in_node_program(source: str) -> tuple[list[str], list[str]]:
+    """The node-program methods found in ``source``, and each read of ``GLOBAL_STATE`` inside them."""
+    tree = ast.parse(source)
+    cls = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Simulator")
+    methods = [node for node in cls.body if isinstance(node, ast.FunctionDef) and node.name in NODE_PROGRAM]
+    reads = [
+        f"sim.py:{node.lineno} {method.name} reads self.{_self_attr(node)}"
+        for method in methods
+        for node in ast.walk(method)
+        if _self_attr(node) in GLOBAL_STATE
+    ]
+    return [method.name for method in methods], reads
+
+
+def test_node_program_reads_only_local_state():
+    found, reads = global_reads_in_node_program((PACKAGE / "sim.py").read_text())
+    assert sorted(found) == sorted(NODE_PROGRAM)
+    assert reads == [], "the node program reads global state: " + ", ".join(reads)
+
+
+def test_node_program_guard_sees_a_one_line_mutant():
+    # A wakeup that reads its neighbours off the graph is caught.
+    source = (PACKAGE / "sim.py").read_text()
+    anchor = "        if not self.alive[v]:\n            return\n"
+    assert source.count(anchor) == 1
+    _, reads = global_reads_in_node_program(source.replace(anchor, anchor + "        self.g.adj[v]\n"))
+    assert len(reads) == 1 and reads[0].endswith("_wake reads self.g"), reads

@@ -199,6 +199,32 @@ def test_wake_beyond_budget_is_rejected():
         sim.run()
 
 
+def test_two_messages_on_one_port_in_a_round_are_rejected():
+    # At round 0 node 0 announces its BFS token on its only port; a forged
+    # second message on that port in the same wakeup breaks the model.
+    sim = _k2_simulator(lambda r: ([(0, (sim_module.LEAVE, ()))] if r == 0 else [], []))
+    with pytest.raises(ProtocolViolation, match="node 0 sent two messages on port 0 in round 0"):
+        sim.run()
+
+
+def test_two_messages_on_one_port_apart_in_the_send_list_are_rejected():
+    # The middle of a 3-node path sends its tokens on ports 0 and 1, then a
+    # forged message on port 0 again.
+    g, ids = build_graph(3, [(0, 1), (1, 2)])
+    sim = Simulator(g, ids)
+    real = sim._wake
+
+    def wake(v, r, inbox, out, wakes):
+        real(v, r, inbox, out, wakes)
+        if v == 1 and r == 0:
+            assert [port for port, _ in out] == [0, 1]
+            out.append((0, (sim_module.LEAVE, ())))
+
+    sim._wake = wake
+    with pytest.raises(ProtocolViolation, match="node 1 sent two messages on port 0 in round 0"):
+        sim.run()
+
+
 def test_calendar_rejects_rounds_outside_budget():
     cal = Calendar(2)
     for r in (-1, cal.total):
@@ -404,6 +430,50 @@ def test_lockstep_and_event_drivers_agree_on_alive_subsets(seed):
     # two thirds of the nodes, in several pieces.
     g, ids = random_connected(8, 600 + seed)
     _assert_drivers_agree(g, ids, {v for v in range(g.n) if splitmix_at(seed, v) % 3})
+
+
+def _first_round_wakes(g, ids, alive=None):
+    """An event-driven run's phases, and per phase the nodes woken at its
+    first round: all of them, and those woken with an empty inbox."""
+    sim = Simulator(g, ids, alive=alive)
+    phase_of_round = {r: p for p, r in enumerate(sim.cal.phase_start)}
+    woken = {p: set() for p in phase_of_round.values()}
+    timer_woken = {p: set() for p in phase_of_round.values()}
+    real = sim._wake
+
+    def wake(v, r, inbox, out, wakes):
+        p = phase_of_round.get(r)
+        if p is not None:
+            woken[p].add(v)
+            if not inbox:
+                timer_woken[p].add(v)
+        real(v, r, inbox, out, wakes)
+
+    sim._wake = wake
+    phases, _ = sim.run()
+    return phases, woken, timer_woken
+
+
+def test_only_roots_wake_at_a_phase_first_round():
+    # Only a phase's roots set the timer for the next phase's first round;
+    # every other survivor enters a phase at its first BFS token.  So an
+    # empty-inbox wakeup at a phase's first round is at a root of the phase
+    # before (a root that joined a red tree mid-phase still wakes from its
+    # timer), and every root of the new phase wakes at that round.
+    runs = [(name, g, ids, None) for name, g, ids in corpus_entries(128)]
+    for name, make in sorted(RESIDUAL_GRAPHS.items()):
+        g, ids = make()
+        runs += [(name, g, ids, alive) for alive in _residual_alive_sets(g, ids)]
+    rehung = 0
+    for name, g, ids, alive in runs:
+        phases, woken, timer_woken = _first_round_wakes(g, ids, alive)
+        for p in range(1, len(phases)):
+            prev = phases[p - 1]
+            roots_before = {v for v in prev.alive_in if prev.f0_depth[v] == 0}
+            assert timer_woken[p] <= roots_before, (name, p)
+            assert set(prev.terminals_out) <= woken[p], (name, p)
+            rehung += len(timer_woken[p] - set(prev.terminals_out))
+    assert rehung > 0
 
 
 def test_flags_fall_in_stage_b_once_per_step():
