@@ -1,7 +1,7 @@
 """Rooted forests over graph nodes: the BFS forest a phase starts from, and its audits.
 
-A forest is four per-node lists of length ``g.n`` (``ForestLinks``), and
-nothing else: no child lists and no tree sizes.
+A forest is three per-node lists of length ``g.n`` (``ForestLinks``), and
+nothing else: no membership flags, no child lists and no tree sizes.
 
 ``bfs_forest`` runs a layer-synchronous BFS with numpy on the graph's cached
 CSR adjacency, so its cost follows the alive set and its edges; the
@@ -23,20 +23,20 @@ class ForestError(ValueError):
 
 @dataclass(frozen=True)
 class ForestLinks:
-    """A rooted forest on a subset of graph nodes: membership, parent links, depths, roots.
+    """A rooted forest on a subset of graph nodes: parent links, depths, roots.
 
-    Indexed by node, None for non-members (and ``parent`` None for roots).
-    ``depth[v]`` counts hops to the root and ``root_of[v]`` names it.  The
-    reference engine edits the four lists in place during its phase, and
-    a phase result keeps them as its final forest; child lists and tree
-    sizes follow from ``parent`` and ``root_of`` wherever they are needed.
+    Indexed by node, None for non-members (and ``parent`` None for roots):
+    a member is a node that has a depth.  ``depth[v]`` counts hops to the
+    root and ``root_of[v]`` names it.  The reference engine edits the three
+    lists in place during its phase, and a phase result keeps them as its
+    final forest; child lists and tree sizes follow from ``parent`` and
+    ``root_of`` wherever they are needed.
     A run keeps one forest per phase, so ``parent`` and ``root_of`` make
     no int objects of their own: ``bfs_forest`` fills them with the alive
     set's own ints, and the step loop copies in ints it reads from the
     graph and from the forest.
     """
 
-    member: list[bool]
     parent: list[int | None]
     depth: list[int | None]
     root_of: list[int | None]
@@ -111,18 +111,16 @@ def bfs_forest(g: Graph, alive, terminals, ids: IdAssignment) -> ForestLinks:
     # per node instead of holding fresh ones.
     node = np.empty(n, dtype=object)
     node[alive_arr] = alive_sorted
-    member = [False] * n
     depth_l: list[int | None] = [None] * n
     root_l: list[int | None] = [None] * n
     parent_l: list[int | None] = [None] * n
     columns = (node[origin[alive_arr]].tolist(), (reach - 1).tolist(), node[parent[alive_arr]].tolist())
     for v, r, dv, u in zip(alive_sorted, *columns):
-        member[v] = True
         depth_l[v] = dv
         root_l[v] = r
         if dv:
             parent_l[v] = u
-    return ForestLinks(member, parent_l, depth_l, root_l)
+    return ForestLinks(parent_l, depth_l, root_l)
 
 
 def audit_bfs(g: Graph, f: ForestLinks, alive, terminals, ids: IdAssignment) -> None:
@@ -148,9 +146,9 @@ def audit_depths(f: ForestLinks) -> None:
     Rehang arithmetic is the step most prone to off-by-one errors, so debug
     runs re-check the incrementally maintained depths structurally.
     """
-    n = len(f.member)
+    n = len(f.depth)
     for v in range(n):
-        if not f.member[v]:
+        if f.depth[v] is None:
             continue
         if (f.depth[v] == 0) != (f.parent[v] is None):
             raise ForestError(f"root flag drift at node {v}")

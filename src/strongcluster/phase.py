@@ -83,11 +83,11 @@ class StepTrace:
 class PhaseResult:
     """Outcome of one phase: survivors, surviving terminals, final forest.
 
-    ``alive_in`` is the sorted phase input.  When that input is the
-    previous phase's ``survivors`` tuple, it is that tuple itself, not a
-    copy, so a run's phases share their node tuples.
-    ``f0_depth`` keeps the starting BFS depth of every phase-input node
-    (None for non-members); step-level depth claims are checked against it.
+    ``alive_in`` and ``terminals_in`` are the sorted phase inputs.  An
+    input that is the previous phase's ``survivors`` or ``terminals_out``
+    is that tuple itself, and at phase 0 ``terminals_in`` is ``alive_in``,
+    so a run's phases share their node tuples.  The starting BFS forest,
+    which the graph and these inputs fix, is not kept.
     ``step_traces`` holds t traces, trace j at position j; after the last
     active step they are all one idle trace.  The simulated backend records
     no step traces: its ``step_traces`` is ().
@@ -96,12 +96,12 @@ class PhaseResult:
     p: int
     b: int
     alive_in: tuple[int, ...]
+    terminals_in: tuple[int, ...]
     survivors: tuple[int, ...]
     terminals_out: tuple[int, ...]
     deleted: tuple[int, ...]
     final_forest: ForestLinks
     step_traces: tuple[StepTrace, ...]
-    f0_depth: tuple[int | None, ...]
 
     @classmethod
     def from_forest(
@@ -109,28 +109,28 @@ class PhaseResult:
         p: int,
         b: int,
         alive_in: tuple[int, ...],
+        terminals_in: tuple[int, ...],
         forest: ForestLinks,
         step_traces: tuple[StepTrace, ...],
-        f0_depth: tuple[int | None, ...],
     ) -> "PhaseResult":
         """Read survivors, deletions and surviving terminals off the final forest.
 
-        ``alive_in`` is the sorted phase input; survivors, deletions and the
-        surviving terminals keep its order.
+        ``alive_in`` is the sorted phase input; survivors (the nodes that keep
+        a depth), deletions and the surviving terminals keep its order.
         """
-        in_forest = forest.member.__getitem__
-        survivors = tuple(filter(in_forest, alive_in))
+        depth = forest.depth
+        survivors = tuple(v for v in alive_in if depth[v] is not None)
         return cls(
             p=p,
             b=b,
             alive_in=alive_in,
+            terminals_in=terminals_in,
             survivors=survivors,
             # The roots are the survivors at depth 0.
-            terminals_out=tuple(filterfalse(forest.depth.__getitem__, survivors)),
-            deleted=tuple(filterfalse(in_forest, alive_in)),
+            terminals_out=tuple(filterfalse(depth.__getitem__, survivors)),
+            deleted=tuple(v for v in alive_in if depth[v] is None),
             final_forest=forest,
             step_traces=step_traces,
-            f0_depth=f0_depth,
         )
 
 
@@ -171,14 +171,17 @@ def run_phase(
         # The previous phase's survivors are already the sorted input: keep
         # that tuple rather than a copy, so the phases share one.
         alive_in = alive
+    # At phase 0 every alive node is a terminal; later q is a terminals_out.
+    terminals_in = alive_in if len(q_set) == len(alive_in) else tuple(sorted(q_set))
+    if terminals_in == q:
+        terminals_in = q
 
     f = bfs_forest(g, alive_in, q_set, ids)
-    f0_depth = tuple(f.depth)
     if debug:
         audit_bfs(g, f, alive_in, q_set, ids)
         audit_depths(f)
 
-    # The step loop edits f's four lists in place and keeps no other forest
+    # The step loop edits f's three lists in place and keeps no other forest
     # state, which rests on three facts of the process:
     # - A red node's depth and root are final for the phase: only blue
     #   subtrees move or leave.
@@ -198,23 +201,23 @@ def run_phase(
     # blue nodes sorted once by starting depth.
     #
     # Set-up, one pass over the alive nodes: a tree is blue when its root's
-    # identifier bit is 1, and an alive node takes its root's color.  Only
-    # red roots' tree sizes are kept; every target is a red root, so the
-    # lookup cannot miss.  The candidates are the blue neighbours of red
-    # nodes.
+    # identifier bit is 1, and an alive node takes its root's color, flagged
+    # in ``red`` or ``blue`` while it is a member.  Only red roots' tree
+    # sizes are kept; every target is a red root, so the lookup cannot miss.
+    # The candidates are the blue neighbours of red nodes.
     shift = b - 1 - p
     id_of = ids.ids
     blue_roots = {r for r in q_set if id_of[r] >> shift & 1}
-    member, parent, depth, root_of, adj = f.member, f.parent, f.depth, f.root_of, g.adj
+    parent, depth, root_of, adj = f.parent, f.depth, f.root_of, g.adj
     red = [False] * g.n
+    blue = [False] * g.n
     red_size: dict[int, int] = {}
     red_max = 0
-    blue: list[int] = []
     children: dict[int, list[int]] = {}
     for v in alive_in:
         r = root_of[v]
         if r in blue_roots:
-            blue.append(v)
+            blue[v] = True
             u = parent[v]
             if u is not None:
                 kids = children.get(u)
@@ -227,14 +230,14 @@ def run_phase(
             red_size[r] = red_size.get(r, 0) + 1
             if depth[v] > red_max:
                 red_max = depth[v]
-    candidates = {w for v in alive_in if red[v] for w in adj[v] if member[w] and not red[w]}
+    candidates = {w for v in alive_in if red[v] for w in adj[v] if blue[w]}
     # Popped from the end as they leave, so the last one is the deepest blue member.
-    blue_by_depth = sorted(blue, key=depth.__getitem__)
+    blue_by_depth = sorted(filter(blue.__getitem__, alive_in), key=depth.__getitem__)
     max_depth = max(red_max, depth[blue_by_depth[-1]] if blue_by_depth else 0)
     traces: list[StepTrace] = []
 
     def snapshot() -> dict[int, tuple[bool, int, int]]:
-        return {v: (red[v], depth[v], root_of[v]) for v in alive_in if member[v]}
+        return {v: (red[v], depth[v], root_of[v]) for v in alive_in if depth[v] is not None}
 
     add = candidates.add
     while len(traces) < t and candidates:
@@ -259,7 +262,7 @@ def run_phase(
                 kids = children.get(u)
                 if kids:
                     for w in kids:
-                        if member[w] and not red[w]:
+                        if blue[w]:
                             sub.append(w)
             walked.update(sub)
             found.append((Proposal(v, len(sub), attach, root_of[attach]), sub))
@@ -289,19 +292,20 @@ def run_phase(
                     depth[u] = d
                     root_of[u] = target
                     red[u] = True
+                    blue[u] = False
                     if d > red_max:
                         red_max = d
                     for w in adj[u]:
-                        if member[w] and not red[w]:
+                        if blue[w]:
                             add(w)
                 recolored_step.extend(sub)
             else:
                 for u in sub:
-                    member[u] = False
+                    blue[u] = False
                     parent[u] = depth[u] = root_of[u] = None
                 deleted_step.extend(sub)
         candidates.difference_update(recolored_step, deleted_step)
-        while blue_by_depth and (red[blue_by_depth[-1]] or not member[blue_by_depth[-1]]):
+        while blue_by_depth and not blue[blue_by_depth[-1]]:
             blue_by_depth.pop()
         max_depth = max(red_max, depth[blue_by_depth[-1]] if blue_by_depth else 0)
 
@@ -319,7 +323,7 @@ def run_phase(
             audit_depths(f)
             assert candidates == {
                 v for v in alive_in
-                if member[v] and not red[v] and any(red[w] for w in adj[v])
+                if blue[v] and any(red[w] for w in adj[v])
             }, "candidate set drifted from recomputation"
 
     # Every later step is idle and sees the final forest, so one trace serves them all.
@@ -328,6 +332,6 @@ def run_phase(
         max_depth=max_depth, red_sizes={}, snapshot=snapshot() if debug else None,
     )
     step_traces = tuple(traces) + (idle,) * (t - len(traces))
-    result = PhaseResult.from_forest(p, b, alive_in, f, step_traces, f0_depth)
+    result = PhaseResult.from_forest(p, b, alive_in, terminals_in, f, step_traces)
     assert set(result.terminals_out) <= q_set
     return result

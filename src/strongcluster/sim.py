@@ -35,10 +35,11 @@ port per round: a wakeup that puts two messages on one port, like an
 oversized payload, raises ``ProtocolViolation``.
 
 State layout: the ``Simulator`` holds node state in per-node lists (parent
-port, depth, BFS depth, root id, child ports, neighbor data, the
-convergecast accumulators, ...).  One wakeup of node v is one call of
-``Simulator._wake``, which reads and writes slot v of those lists and
-nothing else besides its inbox.  Fields that belong to one step or one
+port, depth, root id, child ports, neighbor data, the convergecast
+accumulators, ...), and the node program reads each of them; the port
+wiring ``rev_port`` is the simulator's own.  One wakeup of node v is one
+call of ``Simulator._wake``, which reads and writes slot v of those lists
+and nothing else besides its inbox.  Fields that belong to one step or one
 phase carry an epoch stamp, the step's first round or the phase index that
 wrote them, and read as empty once that epoch has passed, so nothing is
 cleared between steps.  A node's color is read off its root's phase bit.
@@ -234,7 +235,6 @@ class Simulator:
         self.phase_of = [-1] * n  # phase whose fields the node holds
         self.parent: list[int | None] = [None] * n  # parent port; None at a root
         self.depth: list[int | None] = [None] * n
-        self.bfs_depth: list[int | None] = [None] * n  # depth in the phase's BFS forest
         self.root: list[int | None] = [None] * n  # root identifier; red iff its phase bit is 0
         self.children: list[set[int] | None] = [None] * n  # child ports
         self.port_id: list[dict[int, int] | None] = [None] * n  # learned in phase 0
@@ -308,13 +308,13 @@ class Simulator:
                 if self.next_phase is not None:
                     wakes.append(self.next_phase)
                 announce = True
-                self.depth[v] = self.bfs_depth[v] = 0
+                self.depth[v] = 0
                 root = self.root[v] = self.my_id[v]
                 if not (root >> shift) & 1:
                     # Red roots must run stage F of step 0 to learn their tree size.
                     wakes.append(S + self.to_f)
             else:
-                self.parent[v] = self.depth[v] = self.bfs_depth[v] = self.root[v] = None
+                self.parent[v] = self.depth[v] = self.root[v] = None
 
         first = None  # port of the minimum-identifier first BFS token
         outcome = None
@@ -395,7 +395,7 @@ class Simulator:
 
         if first is not None:
             announce = True
-            d = self.depth[v] = self.bfs_depth[v] = first_dist + 1
+            d = self.depth[v] = first_dist + 1
             self.parent[v] = first
             root = self.root[v] = self.nbr[v][first][0]
             if not (root >> shift) & 1:
@@ -618,27 +618,21 @@ class Simulator:
         """Read the next phase's result off the state lists at its boundary."""
         n, adj = self.g.n, self.g.adj
         alive_in = done[-1].survivors if done else tuple(sorted(self.alive0))
-        member = [False] * n
+        # At phase 0 every alive node is a terminal.
+        terminals_in = done[-1].terminals_out if done else alive_in
         parent: list[int | None] = [None] * n
         depth: list[int | None] = [None] * n
         root_of: list[int | None] = [None] * n
-        f0_depth: list[int | None] = [None] * n
-        survivors = []
         for v in alive_in:
-            # Deletions come after the BFS stage, so every phase input has a
-            # starting depth.
-            f0_depth[v] = self.bfs_depth[v]
             if not self.alive[v]:
                 continue
-            survivors.append(v)
-            member[v] = True
             depth[v] = self.depth[v]
             root_of[v] = self.id_to_index[self.root[v]]
             pp = self.parent[v]
             if pp is not None:
                 parent[v] = adj[v][pp]
-        forest = ForestLinks(member, parent, depth, root_of)
-        return PhaseResult.from_forest(len(done), self.cal.b, alive_in, forest, (), tuple(f0_depth))
+        forest = ForestLinks(parent, depth, root_of)
+        return PhaseResult.from_forest(len(done), self.cal.b, alive_in, terminals_in, forest, ())
 
 
 def run_protocol(

@@ -219,10 +219,12 @@ def check_step_invariants(
 
     The depth, growth, proposer and frozen-tree claims read the post-step
     member snapshots of a debug run.  Without them (a non-debug or simulated
-    phase) those entries pass unchecked and say so in their names.  The
-    blame ledger reads the traces without snapshots, so it runs on every
-    reference phase; a simulated phase records no traces, and its ledger
-    entry says it was skipped.  The deletion budget counts the phase's
+    phase) those entries pass unchecked and say so in their names.  Starting
+    depths are the oracle's own BFS distances in G[alive_in] from
+    ``terminals_in``, not depths the phase records.  The blame ledger reads
+    the traces without snapshots, so it runs on every reference phase; a
+    simulated phase records no traces, and its ledger entry says it was
+    skipped.  The deletion budget counts the phase's
     ``deleted`` list, so it holds a simulated phase to the same bound.
     """
     name = _Names(ids)
@@ -233,9 +235,10 @@ def check_step_invariants(
 
     depth_witness = None
     if have_snapshots:
+        start = multi_source_bfs(g, phase.alive_in, phase.terminals_in).dist
         for j, tr in _distinct(phase.step_traces):
             for v, (is_red, depth, _) in tr.snapshot.items():
-                d0 = phase.f0_depth[v]
+                d0 = start[v]
                 if is_red:
                     if depth > d0 + 2 * (j + 1):
                         depth_witness = f"step {j}: red {name(v)} depth {depth} > {d0} + {2 * (j + 1)}"

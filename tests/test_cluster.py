@@ -240,12 +240,13 @@ def test_one_shot_alive_iterator_gives_equal_clusterings_on_both_backends():
     ],
     ids=lambda spec: spec.family,
 )
-def test_a_run_holds_at_most_80_bytes_per_phase_per_node(spec):
+def test_a_run_holds_at_most_60_bytes_per_phase_per_node(spec):
     # A run keeps all b phase results.  Their forests share one int object
-    # per node and each phase's input is the previous phase's survivors, so
-    # a run holds a few n-length pointer lists per phase; with fresh ints in
-    # every forest it held 113-124 bytes.  The warm-up run fills the cached
-    # CSR adjacency and identifier order first.
+    # per node and each phase's inputs are the previous phase's survivors
+    # and terminals, so a run holds three n-length pointer lists per phase
+    # plus its node tuples; with fresh ints in every forest it held 113-124
+    # bytes, and with membership and starting depths kept too, 70-73.  The
+    # warm-up run fills the cached CSR adjacency and identifier order first.
     g, ids = generate(spec)
     strong_cluster(g, ids)
     tracemalloc.start()
@@ -257,7 +258,7 @@ def test_a_run_holds_at_most_80_bytes_per_phase_per_node(spec):
         tracemalloc.stop()
     assert len(run.phases) == ids.b
     per = held / (ids.b * g.n)
-    assert per <= 80, f"{spec.family}: {per:.1f} bytes per phase per node"
+    assert per <= 60, f"{spec.family}: {per:.1f} bytes per phase per node"
 
 
 def test_debug_runs_need_the_reference_backend():
@@ -281,8 +282,9 @@ def _induced_relabelled(g, ids, nodes):
 def _phase_in_node_space(res, nodes, n):
     """A phase result on G[nodes] restated in the host graph's node indices.
 
-    A finished forest keeps no child lists or tree sizes; its member,
-    parent and root_of lists, compared here, determine both.
+    A finished forest keeps no child lists or tree sizes; its depth,
+    parent and root_of lists, compared here, determine both.  The
+    starting BFS forest is compared through the inputs that fix it.
     """
     lift = nodes.__getitem__
 
@@ -290,16 +292,11 @@ def _phase_in_node_space(res, nodes, n):
         return None if v is None else nodes[v]
 
     f = res.final_forest
-    per_node = {
-        "member": [False] * n, "parent": [None] * n, "depth": [None] * n,
-        "root_of": [None] * n, "f0_depth": [None] * n,
-    }
+    per_node = {"parent": [None] * n, "depth": [None] * n, "root_of": [None] * n}
     for i, v in enumerate(nodes):
-        per_node["member"][v] = f.member[i]
         per_node["parent"][v] = lift_opt(f.parent[i])
         per_node["depth"][v] = f.depth[i]
         per_node["root_of"][v] = lift_opt(f.root_of[i])
-        per_node["f0_depth"][v] = res.f0_depth[i]
     traces = [
         (
             [(lift(pr.proposer), pr.weight, lift(pr.attach_at), lift(pr.target_root))
@@ -311,6 +308,7 @@ def _phase_in_node_space(res, nodes, n):
         for tr in res.step_traces
     ]
     return {
+        "terminals_in": [lift(v) for v in res.terminals_in],
         "survivors": [lift(v) for v in res.survivors],
         "terminals_out": [lift(v) for v in res.terminals_out],
         "deleted": [lift(v) for v in res.deleted],
@@ -322,6 +320,7 @@ def _phase_in_node_space(res, nodes, n):
 def _phase_as_is(res):
     f = res.final_forest
     return {
+        "terminals_in": list(res.terminals_in),
         "survivors": list(res.survivors),
         "terminals_out": list(res.terminals_out),
         "deleted": list(res.deleted),
@@ -333,8 +332,7 @@ def _phase_as_is(res):
             )
             for tr in res.step_traces
         ],
-        "member": f.member, "parent": f.parent, "depth": f.depth,
-        "root_of": f.root_of, "f0_depth": list(res.f0_depth),
+        "parent": f.parent, "depth": f.depth, "root_of": f.root_of,
     }
 
 

@@ -17,7 +17,7 @@ def p3():
 def test_bfs_forest_chain():
     g, ids = p3()
     f = bfs_forest(g, {0, 1, 2}, {0}, ids)
-    assert f.member == [True, True, True]
+    assert [d is not None for d in f.depth] == [True, True, True]
     assert f.parent == [None, 0, 1]
     assert f.depth == [0, 1, 2]
     assert f.root_of == [0, 0, 0]
@@ -93,7 +93,7 @@ def _proposer_subtrees(g, ids, alive, terminals, p, j=0):
         before = {v for v, (is_red, _, _) in res.step_traces[j - 1].snapshot.items() if not is_red}
     else:
         shift = ids.b - 1 - p
-        before = {v for v in range(g.n) if f0.member[v] and ids.ids[f0.root_of[v]] >> shift & 1}
+        before = {v for v in range(g.n) if f0.depth[v] is not None and ids.ids[f0.root_of[v]] >> shift & 1}
     after = res.step_traces[j].snapshot
     left = {v for v in before if v not in after or after[v][0]}
     subtrees = {}
@@ -151,7 +151,7 @@ def test_rehang_singleton_under_root():
     assert tr.grows == (1,) and tr.red_sizes == {1: 1}
     assert after == {0: (True, 0, 0), 1: (True, 0, 1), 2: (True, 1, 1)}
     assert res.final_forest.parent == [None, None, 1]
-    assert res.f0_depth == (0, 0, 0)
+    assert multi_source_bfs(g, res.alive_in, res.terminals_in).dist == (0, 0, 0)
     audit_depths(res.final_forest)
 
 
@@ -161,7 +161,7 @@ def test_rehang_chain_depth_formula():
     # old - old(proposer) + depth(new parent) + 1.
     g, ids = build_graph(5, [(0, 1), (1, 2), (3, 4), (1, 4)], ids=[1, 0, 3, 2, 4])
     res, after = _first_step(g, ids, range(5), {0, 3}, 2)
-    assert res.f0_depth == (0, 1, 2, 0, 1)
+    assert multi_source_bfs(g, res.alive_in, res.terminals_in).dist == (0, 1, 2, 0, 1)
     assert [pr.proposer for pr in res.step_traces[0].proposals] == [1]
     assert after == {
         0: (False, 0, 0), 1: (True, 2, 3), 2: (True, 3, 3), 3: (True, 0, 3), 4: (True, 1, 3),
@@ -178,7 +178,7 @@ def test_rehang_preserves_member_count():
     g, ids = build_graph(5, [(0, 1), (1, 2), (3, 4), (1, 4)], ids=[1, 0, 3, 2, 4])
     res = run_phase(g, range(5), {0, 3}, 2, ids)
     assert res.deleted == ()
-    assert res.final_forest.member == [True] * 5
+    assert [d is not None for d in res.final_forest.depth] == [True] * 5
     assert res.survivors == res.alive_in
 
 
@@ -201,10 +201,10 @@ def test_delete_leaf():
     tr = res.step_traces[0]
     assert tr.declines == (0,) and tr.deleted == (11,)
     f = res.final_forest
-    assert not f.member[11]
+    assert f.depth[11] is None
     assert (f.parent[11], f.depth[11], f.root_of[11]) == (None, None, None)
     # The leaf's blue root stays, alone.
-    assert (f.member[10], f.parent[10], f.depth[10], f.root_of[10]) == (True, None, 0, 10)
+    assert (f.depth[10] is not None, f.parent[10], f.depth[10], f.root_of[10]) == (True, None, 0, 10)
     assert res.terminals_out == (0, 1, 10)
 
 
@@ -218,7 +218,7 @@ def test_delete_inner_subtree():
     assert [(pr.proposer, pr.weight) for pr in tr.proposals] == [(22, 2)]
     assert tr.declines == (0,) and tr.deleted == (22, 23)
     f = res.final_forest
-    assert f.member == [True] * 22 + [False, False]
+    assert [d is not None for d in f.depth] == [True] * 22 + [False, False]
     assert f.parent[22:] == f.depth[22:] == f.root_of[22:] == [None, None]
     assert res.survivors == tuple(range(22))
 
@@ -242,7 +242,7 @@ def test_delete_reduces_by_subtree_sizes():
             declined = sum(
                 pr.weight for tr in res.step_traces for pr in tr.proposals if pr.target_root in tr.declines
             )
-            assert sum(f.member) == len(res.alive_in) - declined, name
+            assert sum(d is not None for d in f.depth) == len(res.alive_in) - declined, name
             assert len(res.deleted) == declined, name
             for v in res.deleted:
                 assert (f.parent[v], f.depth[v], f.root_of[v]) == (None, None, None), name
@@ -265,7 +265,7 @@ def test_audit_after_edit_chains():
 
 
 def _forged(f, field, v, value):
-    links = {name: list(getattr(f, name)) for name in ("member", "parent", "depth", "root_of")}
+    links = {name: list(getattr(f, name)) for name in ("parent", "depth", "root_of")}
     links[field][v] = value
     return ForestLinks(**links)
 
@@ -300,15 +300,14 @@ def test_audit_bfs_rejects_forged_parent():
 
 def _forest_from_multi_source_bfs(g, alive, terminals, ids):
     """The engine's forest as the pure-Python oracle BFS gives it."""
-    members = set(alive)
-    dm = multi_source_bfs(g, members, terminals, ids)
-    return ForestLinks([v in members for v in range(g.n)], list(dm.parent), list(dm.dist), list(dm.origin))
+    dm = multi_source_bfs(g, alive, terminals, ids)
+    return ForestLinks(list(dm.parent), list(dm.dist), list(dm.origin))
 
 
 def _assert_same_forest(g, alive, terminals, ids, label):
     got = bfs_forest(g, alive, terminals, ids)
     want = _forest_from_multi_source_bfs(g, alive, terminals, ids)
-    for field in ("member", "parent", "depth", "root_of"):
+    for field in ("parent", "depth", "root_of"):
         assert getattr(got, field) == getattr(want, field), f"{label}: {field} differs"
     for field in ("parent", "depth", "root_of"):
         assert all(type(x) is int for x in getattr(got, field) if x is not None), label

@@ -39,7 +39,7 @@ def _root_path(parent, v):
 
 def brute_subtree(f, v):
     """Member v and every member whose parent links lead through v."""
-    return [u for u in range(len(f.member)) if f.member[u] and v in _root_path(f.parent, u)]
+    return [u for u in range(len(f.depth)) if f.depth[u] is not None and v in _root_path(f.parent, u)]
 
 
 def step_from_scratch(g, f, ids, p):
@@ -53,7 +53,7 @@ def step_from_scratch(g, f, ids, p):
     """
     b, id_of = ids.b, ids.ids
     shift = b - 1 - p
-    members = [v for v in range(g.n) if f.member[v]]
+    members = [v for v in range(g.n) if f.depth[v] is not None]
     red = {v for v in members if not id_of[f.root_of[v]] >> shift & 1}
     candidates = {v for v in members if v not in red and any(w in red for w in g.adj[v])}
     proposals = []
@@ -68,20 +68,19 @@ def step_from_scratch(g, f, ids, p):
         weights[pr.target_root] = weights.get(pr.target_root, 0) + pr.weight
     grows = {r for r, w in weights.items() if 2 * b * w >= red_sizes[r]}
 
-    member, parent = list(f.member), list(f.parent)
+    parent = list(f.parent)
     deleted = []
     for pr in proposals:
         if pr.target_root in grows:
             parent[pr.proposer] = pr.attach_at
         else:
             for u in brute_subtree(f, pr.proposer):
-                member[u] = False
                 parent[u] = None
                 deleted.append(u)
     depth = [None] * g.n
     root_of = [None] * g.n
-    for v in range(g.n):
-        if member[v]:
+    for v in members:
+        if v not in deleted:
             path = _root_path(parent, v)
             depth[v], root_of[v] = len(path) - 1, path[-1]
     trace = StepTrace(
@@ -92,7 +91,7 @@ def step_from_scratch(g, f, ids, p):
         max_depth=max((d for d in depth if d is not None), default=0),
         red_sizes=red_sizes,
     )
-    return ForestLinks(member, parent, depth, root_of), trace
+    return ForestLinks(parent, depth, root_of), trace
 
 
 # On K3 with identifiers 0, 1, 2 (b = 2) every blue terminal proposes to red
@@ -220,14 +219,14 @@ def test_apply_step_decline_deletes_proposer_subtree():
     g, ids = build_graph(8, [(0, i) for i in range(1, 7)] + [(1, 7)])
     assert ids.b == 3
     parent = [None, 0, 0, 0, 0, 0, 0, None]
-    f = ForestLinks([True] * 8, parent, [0, 1, 1, 1, 1, 1, 1, 0], [0] * 7 + [7])
+    f = ForestLinks(parent, [0, 1, 1, 1, 1, 1, 1, 0], [0] * 7 + [7])
     assert bfs_forest(g, range(8), {0, 7}, ids) == f
     f2, trace = step_from_scratch(g, f, ids, 0)
     assert trace.proposals == (Proposal(proposer=7, weight=1, attach_at=1, target_root=0),)
     assert run_phase(g, range(8), {0, 7}, 0, ids).step_traces[0].proposals == trace.proposals
     assert trace.declines == (0,) and trace.grows == ()
     assert trace.deleted == (7,)
-    assert not f2.member[7]
+    assert f2.depth[7] is None
     assert trace.red_sizes == {0: 7}
     assert f2.root_of == [0] * 7 + [None]
     # Red tree untouched.
@@ -381,7 +380,7 @@ def _padded(res, ids, debug):
     """
     active = tuple(itertools.takewhile(lambda tr: tr.proposals, res.step_traces))
     f = res.final_forest
-    members = [v for v in range(len(f.member)) if f.member[v]]
+    members = [v for v in range(len(f.depth)) if f.depth[v] is not None]
     shift = ids.b - 1 - res.p
     final = {
         v: (not (ids.ids[f.root_of[v]] >> shift) & 1, f.depth[v], f.root_of[v]) for v in members
@@ -452,12 +451,18 @@ def test_run_phase_alive_in_is_the_sorted_distinct_input(alive):
 
 def test_run_phase_keeps_a_sorted_tuple_input():
     # A sorted, distinct tuple is the phase input as it stands; in a run,
-    # each phase's input is the previous phase's survivors tuple itself.
+    # each phase's inputs are the previous phase's survivors and terminals
+    # tuples themselves, and phase 0's terminals are its alive tuple.
     g, ids = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     alive = (0, 1, 2, 3, 4)
     assert run_phase(g, alive, {0, 3}, 0, ids).alive_in is alive
+    q = (0, 3)
+    assert run_phase(g, alive, q, 0, ids).terminals_in is q
     name, g, ids = next(e for e in corpus_entries(128, min_n=128) if e[0] == "gnp-n128-ids11")
-    phases = strong_cluster(g, ids).phases
-    assert len(phases) == ids.b > 1
-    for prev, nxt in zip(phases, phases[1:]):
-        assert nxt.alive_in is prev.survivors, f"{name} p={nxt.p}"
+    for backend in ("reference", "simulated"):
+        phases = strong_cluster(g, ids, backend=backend).phases
+        assert len(phases) == ids.b > 1
+        assert phases[0].terminals_in is phases[0].alive_in, backend
+        for prev, nxt in zip(phases, phases[1:]):
+            assert nxt.alive_in is prev.survivors, f"{backend} {name} p={nxt.p}"
+            assert nxt.terminals_in is prev.terminals_out, f"{backend} {name} p={nxt.p}"

@@ -3,6 +3,8 @@ import itertools
 import os
 import subprocess
 import sys
+import types
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +13,7 @@ from conftest import corpus_entries
 from strongcluster import sim as sim_module
 from strongcluster.cluster import strong_cluster
 from strongcluster.gen import FamilySpec, generate, splitmix_at
-from strongcluster.graph import GraphError, build_graph
+from strongcluster.graph import GraphError, build_graph, multi_source_bfs
 from strongcluster.sim import (
     TAGS,
     Calendar,
@@ -260,7 +262,7 @@ def test_p3_matches_reference_per_phase():
         assert sim_phase.terminals_out == ref_phase.terminals_out
         assert sim_phase.final_forest.parent == ref_phase.final_forest.parent
         assert sim_phase.final_forest.depth == ref_phase.final_forest.depth
-        assert sim_phase.f0_depth == ref_phase.f0_depth
+        assert sim_phase.terminals_in == ref_phase.terminals_in
 
 
 def random_connected(n, seed):
@@ -329,14 +331,13 @@ def test_simulator_rejects_unknown_driver():
 
 def _forest_fields(phase):
     # A finished forest keeps no child lists or tree sizes; parent, root_of
-    # and member determine both.
+    # and depth determine both.
     f = phase.final_forest
     return {
-        "member": f.member,
         "parent": f.parent,
         "depth": f.depth,
         "root_of": f.root_of,
-        "f0_depth": phase.f0_depth,
+        "terminals_in": phase.terminals_in,
         "survivors": phase.survivors,
         "terminals_out": phase.terminals_out,
         "deleted": phase.deleted,
@@ -469,11 +470,107 @@ def test_only_roots_wake_at_a_phase_first_round():
         phases, woken, timer_woken = _first_round_wakes(g, ids, alive)
         for p in range(1, len(phases)):
             prev = phases[p - 1]
-            roots_before = {v for v in prev.alive_in if prev.f0_depth[v] == 0}
+            roots_before = set(prev.terminals_in)
             assert timer_woken[p] <= roots_before, (name, p)
             assert set(prev.terminals_out) <= woken[p], (name, p)
             rehung += len(timer_woken[p] - set(prev.terminals_out))
     assert rehung > 0
+
+
+def test_bfs_tokens_carry_each_node_s_distance_from_the_phase_terminals():
+    # The BFS stage builds the phase's starting forest: every token a node
+    # sends in phase p carries its distance in G[alive_in] from
+    # terminals_in, and a node that sends none has no alive neighbour, so it
+    # is a terminal at distance 0.
+    runs = [(name, g, ids, None) for name, g, ids in corpus_entries(64)]
+    for name, make in sorted(RESIDUAL_GRAPHS.items()):
+        g, ids = make()
+        runs += [(name, g, ids, alive) for alive in _residual_alive_sets(g, ids)]
+    senders = 0
+    for name, g, ids, alive in runs:
+        sim = Simulator(g, ids, alive=alive, record_events=True)
+        phases, _ = sim.run()
+        sent = [{} for _ in phases]
+        for r, sender, _, tag, data in sim.events:
+            if tag == sim_module.BFS_TOKEN:
+                d = sent[sim.cal.locate(r)[0]].setdefault(sender, data[1])
+                assert d == data[1], (name, r, sender)
+        for phase, depth in zip(phases, sent):
+            dist = multi_source_bfs(g, phase.alive_in, phase.terminals_in).dist
+            assert depth.keys() <= set(phase.alive_in), (name, phase.p)
+            assert [depth.get(v, 0) for v in phase.alive_in] == [dist[v] for v in phase.alive_in], (name, phase.p)
+            senders += len(depth)
+    assert senders > 0
+
+
+class _GuardedList(list):
+    """A per-node list that records each slot read or written other than the woken node's."""
+
+    def __init__(self, items, name, woken, strays):
+        super().__init__(items)
+        self.name, self.woken, self.strays = name, woken, strays
+
+    def __getitem__(self, i, get=list.__getitem__):
+        v = self.woken[0]
+        if i != v and v is not None:
+            self.strays.append((self.name, v, i))
+        return get(self, i)
+
+    def __setitem__(self, i, value, put=list.__setitem__):
+        v = self.woken[0]
+        if i != v and v is not None:
+            self.strays.append((self.name, v, i))
+        put(self, i, value)
+
+
+def _guard_locality(sim):
+    """Wrap each per-node list of ``sim``; returns the list of (list, woken node, slot) strays."""
+    woken, strays = [None], []
+    for name, value in list(vars(sim).items()):
+        if isinstance(value, (list, tuple)) and len(value) == sim.g.n:
+            setattr(sim, name, _GuardedList(value, name, woken, strays))
+    real = sim._wake
+
+    def wake(v, *args):
+        woken[0] = v
+        try:
+            real(v, *args)
+        finally:
+            woken[0] = None
+
+    sim._wake = wake
+    return strays
+
+
+def test_a_wakeup_touches_only_its_own_slot_of_node_state():
+    # The process is local: a wakeup of node v (its _rehang included) reads
+    # and writes slot v of the per-node lists and no other.
+    runs = 0
+    for name, g, ids in corpus_entries(64):
+        sim = Simulator(g, ids)
+        strays = _guard_locality(sim)
+        sim.run()
+        assert strays == [], (name, strays[:3])
+        runs += 1
+    assert runs > 400
+
+
+def test_locality_guard_sees_a_one_line_mutant(monkeypatch):
+    # A wakeup that reads node v + 1's depth, a neighbour on a path, is
+    # caught, though it reads no state that spans the graph.
+    source = Path(sim_module.__file__).read_text()
+    anchor = "        if not self.alive[v]:\n            return\n"
+    assert source.count(anchor) == 1
+    mutant = types.ModuleType("strongcluster.sim_mutant")
+    mutant.__package__ = "strongcluster"
+    monkeypatch.setitem(sys.modules, mutant.__name__, mutant)
+    mutated = source.replace(anchor, anchor + "        self.depth[v + 1] if v + 1 < len(self.depth) else None\n")
+    exec(compile(mutated, "sim_mutant.py", "exec"), mutant.__dict__)
+    g, ids = generate(FamilySpec("path", n=8))
+    sim = mutant.Simulator(g, ids)
+    strays = _guard_locality(sim)
+    sim.run()
+    assert strays and {(name, i - v) for name, v, i in strays} == {("depth", 1)}
 
 
 def test_flags_fall_in_stage_b_once_per_step():

@@ -6,7 +6,7 @@ from test_graph import all_graphs, bfs_oracle, diameter_oracle
 
 from strongcluster.cluster import Clustering, Decomposition, network_decomposition, strong_cluster
 from strongcluster.gen import FamilySpec, generate
-from strongcluster.graph import build_graph, connected_components
+from strongcluster.graph import build_graph, connected_components, multi_source_bfs
 from strongcluster.phase import Proposal, StepTrace, run_phase
 from strongcluster.verify import (
     check_clustering,
@@ -157,7 +157,7 @@ def test_step_invariants_number_steps_by_position():
     g, ids = build_graph(2, [(0, 1)])
     res = run_phase(g, {0, 1}, {0, 1}, 0, ids, debug=True)
     assert len(res.step_traces) == 2 and res.step_traces[1].proposals == ()
-    d0 = res.f0_depth[1]
+    d0 = multi_source_bfs(g, res.alive_in, res.terminals_in).dist[1]
 
     def with_red_1_at(depth):
         tr = res.step_traces[1]
@@ -188,7 +188,7 @@ def test_step_invariants_read_a_distinct_trace_inside_an_idle_run():
     # once.  After step 5 a red node may sit d0 + 12 deep.
     g, ids, res = _k2_phase_with_one_active_step()
     idle = res.step_traces[1]
-    d0 = res.f0_depth[1]
+    d0 = multi_source_bfs(g, res.alive_in, res.terminals_in).dist[1]
 
     def with_red_1_at(depth):
         forged = dataclasses.replace(idle, snapshot={**idle.snapshot, 1: (True, depth, 0)})
@@ -258,7 +258,7 @@ def test_step_invariants_reject_blue_node_deeper_than_its_start():
     g, ids = build_graph(4, [(0, 1), (1, 2), (2, 3)])
     res = run_phase(g, {0, 1, 2, 3}, {0, 3}, 0, ids, debug=True)
     tr = res.step_traces[0]
-    assert tr.snapshot[3] == (False, 0, 3) and res.f0_depth[3] == 0
+    assert tr.snapshot[3] == (False, 0, 3) and multi_source_bfs(g, res.alive_in, res.terminals_in).dist[3] == 0
     traces = (dataclasses.replace(tr, snapshot={**tr.snapshot, 3: (False, 1, 3)}),) + res.step_traces[1:]
     report = check_step_invariants(g, dataclasses.replace(res, step_traces=traces), ids)
     assert [(c.name, c.witness) for c in failures(report)] == [
