@@ -104,6 +104,9 @@ def _cmd_cluster(args) -> int:
             for phase in ref.phases:
                 lines = [tr.log_line(j) for j, tr in enumerate(phase.step_traces)]
                 (out / f"trace_phase{phase.p}.log").write_text("\n".join(lines) + "\n")
+        # Only the clustering is read from here on: free the phases before
+        # the simulator runs.
+        del ref
     equal = None
     if args.backend in ("simulated", "both"):
         transcript: list[str] | None = [] if args.trace else None

@@ -1,15 +1,20 @@
 """Full clustering runs, iterated network decomposition, and the MIS demo.
 
 ``strong_cluster`` composes b phases, threading the surviving node set and
-terminal set from phase to phase.  ``network_decomposition`` repeats the
-clustering on the unclustered remainder until every node is colored; the
-identifier assignment (and so b) stays fixed across iterations.
+terminal set from phase to phase, and keeps every phase's result as evidence.
+``network_decomposition`` repeats the clustering on the unclustered remainder
+until every node is colored; the identifier assignment (and so b) stays fixed
+across iterations.  A phase reads only the previous phase's survivors and
+terminals, so on the reference backend the decomposition holds one phase
+result at a time: both run the one phase loop, ``_phases``, which yields
+each result as soon as it exists, and the decomposition drops each result
+once it has read the next phase's inputs off it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .graph import Graph, GraphError, IdAssignment, connected_components, induced_diameter
 from .phase import PhaseResult, run_phase
@@ -141,16 +146,40 @@ def strong_cluster(
         raise GraphError(f"unknown backend {backend!r}")
 
     start = set(range(g.n)) if alive is None else set(alive)
-    alive_nodes: Iterable[int] = start
+    phases = tuple(_phases(g, ids, start, debug))
+    return ClusterRun(clustering=_clustering_after(g, ids, start, phases), phases=phases)
+
+
+def _phases(g: Graph, ids: IdAssignment, start: set[int], debug: bool = False) -> Iterator[PhaseResult]:
+    """Run the b phases from ``start``, yielding each result as soon as it exists.
+
+    Phase 0 takes every node of ``start`` as a terminal; phase p + 1 takes
+    phase p's survivors and surviving terminals.  ``start`` must not change
+    while the generator runs.
+    """
+    alive: Iterable[int] = start
     q: Iterable[int] = start
-    phases: list[PhaseResult] = []
     for p in range(ids.b):
-        res = run_phase(g, alive_nodes, q, p, ids, debug=debug)
-        phases.append(res)
-        alive_nodes = res.survivors
-        q = res.terminals_out
-    clustering = clustering_from_survivors(g, ids.b, start, alive_nodes, q)
-    return ClusterRun(clustering=clustering, phases=tuple(phases))
+        res = run_phase(g, alive, q, p, ids, debug=debug)
+        alive, q = res.survivors, res.terminals_out
+        yield res
+        # Not kept while the next phase runs, unless the consumer keeps it.
+        del res
+
+
+def _clustering_after(g: Graph, ids: IdAssignment, start: set[int], phases: Iterable[PhaseResult]) -> Clustering:
+    """The clustering a run from ``start`` leaves after ``phases``, read in order.
+
+    Only the latest survivors and terminals are kept, so a stream of phases
+    is read holding no result while the next phase runs.  With b = 0 there
+    is no phase, and the survivors and terminals are ``start`` itself.
+    """
+    survivors: Iterable[int] = start
+    terminals: Iterable[int] = start
+    for res in phases:
+        survivors, terminals = res.survivors, res.terminals_out
+        del res
+    return clustering_from_survivors(g, ids.b, start, survivors, terminals)
 
 
 def network_decomposition(
@@ -163,18 +192,27 @@ def network_decomposition(
     Each iteration clusters at least half of what is left, so the color count
     stays within ceil(log2 n) + 1.  Also returns the simulated rounds summed
     over the clusterings, or None on the reference backend.
+
+    On the reference backend each clustering streams its phases and keeps
+    only the latest survivors and terminals, so no earlier phase result is
+    alive while a phase runs, and ``remaining`` is handed to the first phase
+    as it is, since a phase neither changes nor keeps it.  The simulated
+    backend goes through ``strong_cluster``.
     """
     remaining = set(range(g.n))
     color: list[int] = [-1] * g.n
     rounds_total: int | None = None
     c = 0
     while remaining:
-        run = strong_cluster(g, ids, backend=backend, alive=remaining)
-        covered = run.clustering.covered_nodes()
-        if run.rounds is not None:
+        if backend == "reference":
+            clustering = _clustering_after(g, ids, remaining, _phases(g, ids, remaining))
+        else:
+            run = strong_cluster(g, ids, backend=backend, alive=remaining)
+            clustering = run.clustering
             rounds_total = (rounds_total or 0) + run.rounds.rounds
-        # The run holds every phase's forest; drop it before the next one.
-        del run
+            # A simulated run keeps every phase; drop it before the next one.
+            del run
+        covered = clustering.covered_nodes()
         if not covered:
             raise GraphError("clustering made no progress; decomposition cannot finish")
         for v in covered:

@@ -45,6 +45,8 @@ class ForestLinks:
 def bfs_forest(g: Graph, alive, terminals, ids: IdAssignment) -> ForestLinks:
     """BFS forest of G[alive] rooted at the terminal set.
 
+    ``alive`` and ``terminals`` are sorted sequences of distinct nodes, as
+    ``run_phase`` keeps its inputs, so neither is sorted again here.
     Parent choice follows the multi_source_bfs tie rule (minimum-identifier
     neighbor one layer closer), keyed by identifier rank so identifiers of
     any width share one path.  Rejects alive nodes out of range and
@@ -59,21 +61,19 @@ def bfs_forest(g: Graph, alive, terminals, ids: IdAssignment) -> ForestLinks:
     import numpy as np
 
     n = g.n
-    alive_sorted = sorted(set(alive))
-    if alive_sorted and not (0 <= alive_sorted[0] and alive_sorted[-1] < n):
-        bad = next(v for v in alive_sorted if not 0 <= v < n)
+    if alive and not (0 <= alive[0] and alive[-1] < n):
+        bad = next(v for v in alive if not 0 <= v < n)
         raise GraphError(f"alive node {bad} out of range")
-    alive_arr = np.array(alive_sorted, dtype=np.intp)
+    alive_arr = np.array(alive, dtype=np.intp)
     # reach[v] is -1 outside the alive set, 0 for an alive node not reached
     # yet and 1 + its BFS depth once reached; parent and origin are read
     # only where reach is positive.
     reach = np.full(n, -1, dtype=np.intp)
     reach[alive_arr] = 0
-    sources = sorted(set(terminals))
-    in_range = not sources or (0 <= sources[0] and sources[-1] < n)
-    layer = np.array(sources if in_range else [], dtype=np.intp)
+    in_range = not terminals or (0 <= terminals[0] and terminals[-1] < n)
+    layer = np.array(terminals if in_range else [], dtype=np.intp)
     if not in_range or np.count_nonzero(reach[layer]):
-        bad = next(s for s in sources if not (0 <= s < n and reach[s] == 0))
+        bad = next(s for s in terminals if not (0 <= s < n and reach[s] == 0))
         raise GraphError(f"source {bad} not in alive set")
 
     indptr, indices = g.csr
@@ -110,12 +110,12 @@ def bfs_forest(g: Graph, alive, terminals, ids: IdAssignment) -> ForestLinks:
     # objects, so that every forest built on one alive set shares one int
     # per node instead of holding fresh ones.
     node = np.empty(n, dtype=object)
-    node[alive_arr] = alive_sorted
+    node[alive_arr] = alive
     depth_l: list[int | None] = [None] * n
     root_l: list[int | None] = [None] * n
     parent_l: list[int | None] = [None] * n
     columns = (node[origin[alive_arr]].tolist(), (reach - 1).tolist(), node[parent[alive_arr]].tolist())
-    for v, r, dv, u in zip(alive_sorted, *columns):
+    for v, r, dv, u in zip(alive, *columns):
         depth_l[v] = dv
         root_l[v] = r
         if dv:

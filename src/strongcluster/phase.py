@@ -21,7 +21,8 @@ the starting BFS forest (``forest.bfs_forest``) is built with numpy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import filterfalse
+from itertools import filterfalse, islice
+from operator import lt
 from typing import Iterable, NamedTuple
 
 from .forest import ForestLinks, audit_bfs, audit_depths, bfs_forest
@@ -158,8 +159,10 @@ def run_phase(
     candidate set) against recomputation; ``verify.check_step_invariants``
     checks the step claims on the snapshots.
     """
-    alive_set = set(alive)
-    q_set = set(q)
+    # A set passed in is used as it is: the phase neither changes nor keeps
+    # it.  At phase 0 the terminals are the alive set itself.
+    alive_set = alive if isinstance(alive, set) else set(alive)
+    q_set = alive_set if q is alive else q if isinstance(q, set) else set(q)
     if not q_set <= alive_set:
         raise PhaseError("terminals must be alive")
     if p >= ids.b:
@@ -171,14 +174,18 @@ def run_phase(
         # The previous phase's survivors are already the sorted input: keep
         # that tuple rather than a copy, so the phases share one.
         alive_in = alive
-    # At phase 0 every alive node is a terminal; later q is a terminals_out.
-    terminals_in = alive_in if len(q_set) == len(alive_in) else tuple(sorted(q_set))
-    if terminals_in == q:
+    # At phase 0 every alive node is a terminal; later q is the previous
+    # phase's terminals_out, a strictly increasing tuple, kept as it is.
+    if len(q_set) == len(alive_in):
+        terminals_in = alive_in
+    elif isinstance(q, tuple) and all(map(lt, q, islice(q, 1, None))):
         terminals_in = q
+    else:
+        terminals_in = tuple(sorted(q_set))
 
-    f = bfs_forest(g, alive_in, q_set, ids)
+    f = bfs_forest(g, alive_in, terminals_in, ids)
     if debug:
-        audit_bfs(g, f, alive_in, q_set, ids)
+        audit_bfs(g, f, alive_in, terminals_in, ids)
         audit_depths(f)
 
     # The step loop edits f's three lists in place and keeps no other forest

@@ -1,10 +1,12 @@
 import itertools
 import json
 import tracemalloc
+import weakref
 
 import pytest
 
 from conftest import corpus_entries
+from strongcluster import cluster as cluster_module
 from strongcluster.cluster import (
     Decomposition,
     mis_via_decomposition,
@@ -16,6 +18,7 @@ from strongcluster.graph import IdAssignment, build_graph, connected_components,
 from strongcluster.phase import run_phase
 from strongcluster.sim import round_budget
 from strongcluster.verify import check_clustering, check_decomposition, check_mis
+from test_sim import RESIDUAL_GRAPHS
 
 
 def test_k2_single_cluster():
@@ -134,6 +137,78 @@ def test_decomposition_json_shape():
     doc = d.to_json_dict()
     assert list(doc.keys()) == ["colors", "color_of"]
     assert doc["color_of"] == [0, 0]
+
+
+def _live_phases_at_each_phase(monkeypatch, run):
+    """How many earlier phase results are still alive as each phase starts."""
+    seen: list[weakref.ref] = []
+    live: list[int] = []
+
+    def tracked(*args, **kwargs):
+        live.append(sum(r() is not None for r in seen))
+        res = run_phase(*args, **kwargs)
+        seen.append(weakref.ref(res))
+        return res
+
+    with monkeypatch.context() as m:
+        m.setattr(cluster_module, "run_phase", tracked)
+        kept = run()
+    return live, kept
+
+
+def test_a_decomposition_holds_one_phase_at_a_time(monkeypatch):
+    # A phase reads only the previous phase's survivors and terminals, so a
+    # decomposition frees each result once it has the next phase's inputs,
+    # before that phase runs; a clustering run keeps all of its b phases as
+    # evidence.
+    g, ids = RESIDUAL_GRAPHS["gnp-15-6"]()
+    assert ids.b >= 3
+    live, (d, _) = _live_phases_at_each_phase(monkeypatch, lambda: network_decomposition(g, ids))
+    assert d.colors_used >= 2
+    assert len(live) == d.colors_used * ids.b
+    assert live == [0] * len(live)
+    live, _ = _live_phases_at_each_phase(monkeypatch, lambda: strong_cluster(g, ids))
+    assert live == list(range(ids.b))
+
+
+def test_run_phase_leaves_a_given_set_unchanged_and_b0_runs_no_phase():
+    g, ids = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    alive, q = {0, 1, 2, 3, 4}, {0, 3}
+    for p in range(ids.b):
+        run_phase(g, alive, alive, p, ids)
+        run_phase(g, alive, q, p, ids)
+        assert (alive, q) == ({0, 1, 2, 3, 4}, {0, 3})
+    # With b = 0 no phase runs: the start set is the survivors and terminals.
+    g, ids = build_graph(1, [], b=0)
+    run = strong_cluster(g, ids)
+    assert run.phases == ()
+    assert run.clustering.clusters == ((0, (0,)),)
+    assert network_decomposition(g, ids) == (Decomposition(colors_used=1, color=(0,)), None)
+
+
+def _decomposition_of_kept_runs(g, ids):
+    """The colouring built from strong_cluster runs, each keeping its phases."""
+    remaining = set(range(g.n))
+    color = [-1] * g.n
+    c = 0
+    while remaining:
+        covered = strong_cluster(g, ids, alive=remaining).clustering.covered_nodes()
+        for v in covered:
+            color[v] = c
+        remaining -= covered
+        c += 1
+    return Decomposition(colors_used=c, color=tuple(color))
+
+
+def test_streamed_decomposition_equals_the_kept_one():
+    graphs = list(corpus_entries(6))
+    graphs += [(name, *make()) for name, make in sorted(RESIDUAL_GRAPHS.items())]
+    residual = 0
+    for name, g, ids in graphs:
+        kept = _decomposition_of_kept_runs(g, ids)
+        assert network_decomposition(g, ids) == (kept, None), name
+        residual += kept.colors_used > 1
+    assert residual >= len(RESIDUAL_GRAPHS)
 
 
 def test_mis_triangle_takes_min_identifier():

@@ -16,7 +16,7 @@ def p3():
 
 def test_bfs_forest_chain():
     g, ids = p3()
-    f = bfs_forest(g, {0, 1, 2}, {0}, ids)
+    f = bfs_forest(g, [0, 1, 2], [0], ids)
     assert [d is not None for d in f.depth] == [True, True, True]
     assert f.parent == [None, 0, 1]
     assert f.depth == [0, 1, 2]
@@ -31,7 +31,7 @@ def test_bfs_forest_parents_and_roots_are_the_alive_ints():
     n = 600
     g, ids = build_graph(n, [(v, v + 1) for v in range(n - 1)])
     alive = [int(str(v)) for v in range(n)]
-    f = bfs_forest(g, alive, {0, 300, n - 1}, ids)
+    f = bfs_forest(g, alive, [0, 300, n - 1], ids)
     assert f.parent[400] == 399 and f.root_of[400] == 300
     for v in range(n):
         assert f.root_of[v] is alive[f.root_of[v]]
@@ -40,7 +40,7 @@ def test_bfs_forest_parents_and_roots_are_the_alive_ints():
 
 def test_bfs_forest_two_terminals_tie_rule():
     g, ids = p3()
-    f = bfs_forest(g, {0, 1, 2}, {0, 2}, ids)
+    f = bfs_forest(g, [0, 1, 2], [0, 2], ids)
     assert f.parent[1] == 0
     assert f.root_of == [0, 0, 2]
     assert f.depth == [0, 1, 0]
@@ -48,7 +48,7 @@ def test_bfs_forest_two_terminals_tie_rule():
 
 def test_bfs_forest_all_terminals():
     g, ids = p3()
-    f = bfs_forest(g, {0, 1, 2}, {0, 1, 2}, ids)
+    f = bfs_forest(g, [0, 1, 2], [0, 1, 2], ids)
     assert f.depth == [0, 0, 0]
     assert f.parent == [None, None, None]
     assert f.root_of == [0, 1, 2]
@@ -57,7 +57,7 @@ def test_bfs_forest_all_terminals():
 def test_bfs_forest_rejects_unreachable():
     g, ids = build_graph(3, [(0, 1)])
     with pytest.raises(ForestError, match="unreachable"):
-        bfs_forest(g, {0, 1, 2}, {0}, ids)
+        bfs_forest(g, [0, 1, 2], [0], ids)
 
 
 # The subtree walk, rehang and deletion happen inside the reference engine,
@@ -88,7 +88,7 @@ def _proposer_subtrees(g, ids, alive, terminals, p, j=0):
     size, and every node that leaves must lie in some proposer's subtree.
     """
     res = run_phase(g, alive, terminals, p, ids, debug=True)
-    f0 = bfs_forest(g, alive, terminals, ids)
+    f0 = bfs_forest(g, sorted(alive), sorted(terminals), ids)
     if j:
         before = {v for v, (is_red, _, _) in res.step_traces[j - 1].snapshot.items() if not is_red}
     else:
@@ -227,7 +227,7 @@ def test_delete_empty_is_identity():
     # One red tree and nothing to propose: the phase ends on its BFS forest.
     g, ids = p3()
     res = run_phase(g, {0, 1, 2}, {0}, 0, ids)
-    assert res.final_forest == bfs_forest(g, {0, 1, 2}, {0}, ids)
+    assert res.final_forest == bfs_forest(g, [0, 1, 2], [0], ids)
     assert res.deleted == ()
 
 
@@ -283,7 +283,7 @@ def _forged(f, field, v, value):
 )
 def test_audit_rejects_forged_links(forge, message):
     g, ids = p3()
-    f = bfs_forest(g, {0, 1, 2}, {0}, ids)
+    f = bfs_forest(g, [0, 1, 2], [0], ids)
     audit_depths(f)
     with pytest.raises(ForestError, match=message):
         audit_depths(forge(f))
@@ -292,7 +292,7 @@ def test_audit_rejects_forged_links(forge, message):
 def test_audit_bfs_rejects_forged_parent():
     # Node 1 lies one hop from both terminals; the tie rule picks 0.
     g, ids = p3()
-    f = bfs_forest(g, {0, 1, 2}, {0, 2}, ids)
+    f = bfs_forest(g, [0, 1, 2], [0, 2], ids)
     audit_bfs(g, f, {0, 1, 2}, {0, 2}, ids)
     with pytest.raises(ForestError, match="BFS parent drift at node 1"):
         audit_bfs(g, _forged(f, "parent", 1, 2), {0, 1, 2}, {0, 2}, ids)
@@ -305,7 +305,7 @@ def _forest_from_multi_source_bfs(g, alive, terminals, ids):
 
 
 def _assert_same_forest(g, alive, terminals, ids, label):
-    got = bfs_forest(g, alive, terminals, ids)
+    got = bfs_forest(g, sorted(alive), sorted(terminals), ids)
     want = _forest_from_multi_source_bfs(g, alive, terminals, ids)
     for field in ("parent", "depth", "root_of"):
         assert getattr(got, field) == getattr(want, field), f"{label}: {field} differs"
@@ -372,7 +372,7 @@ def test_bfs_forest_errors_match_multi_source_bfs(alive, terminals, error, messa
     # oracle's, word for word; unreachable nodes are the forest's own error.
     g, ids = build_graph(4, [(0, 1), (1, 2)])
     with pytest.raises(error) as got:
-        bfs_forest(g, alive, terminals, ids)
+        bfs_forest(g, sorted(alive), sorted(terminals), ids)
     assert str(got.value) == message
     if error is GraphError:
         with pytest.raises(GraphError) as oracle:

@@ -128,7 +128,7 @@ def test_split_terminals_rejects_large_phase():
 def test_propose_set_p3_second_phase():
     # Terminals {0, 1}; bit 1 makes 0 red and 1 blue; node 1 roots the tree {1, 2}.
     g, ids = p3()
-    f = bfs_forest(g, {0, 1, 2}, {0, 1}, ids)
+    f = bfs_forest(g, [0, 1, 2], [0, 1], ids)
     _, trace = step_from_scratch(g, f, ids, 1)
     assert trace.proposals == (Proposal(proposer=1, weight=2, attach_at=0, target_root=0),)
 
@@ -137,7 +137,7 @@ def test_propose_set_ancestor_rule():
     # Blue chain 1 <- 2 <- 3; red chain 0 <- 4, with 4 adjacent to 2 and 3.
     # Both 2 and 3 are red-adjacent but 3 sits below red-adjacent 2.
     g, ids = build_graph(5, [(0, 4), (1, 2), (2, 3), (4, 2), (4, 3)], ids=[0, 4, 1, 3, 2])
-    f = bfs_forest(g, range(5), {0, 1}, ids)
+    f = bfs_forest(g, list(range(5)), [0, 1], ids)
     assert f.parent == [None, None, 1, 2, 0]
     _, trace = step_from_scratch(g, f, ids, 0)
     assert trace.proposals == (Proposal(proposer=2, weight=2, attach_at=4, target_root=0),)
@@ -151,7 +151,7 @@ def test_proposals_listed_by_identifier_not_depth():
     # (identifier 1) is at depth 2.  The trace lists proposer 6 first.
     edges = [(0, 1), (1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (1, 6)]
     g, ids = build_graph(7, edges, ids=[0, 3, 6, 4, 7, 2, 1])
-    f = bfs_forest(g, range(7), {0, 2, 4}, ids)
+    f = bfs_forest(g, list(range(7)), [0, 2, 4], ids)
     assert f.depth == [0, 1, 0, 1, 0, 1, 2]
     assert f.parent == [None, 0, None, 2, None, 4, 5]
     _, trace = step_from_scratch(g, f, ids, 0)
@@ -168,7 +168,7 @@ def test_proposals_listed_by_identifier_not_depth():
 
 def test_propose_set_empty_without_red_adjacency():
     g, ids = build_graph(4, [(0, 1), (2, 3)])
-    f = bfs_forest(g, {0, 1, 2, 3}, {0, 2}, ids)
+    f = bfs_forest(g, [0, 1, 2, 3], [0, 2], ids)
     # Terminals 0 and 2 both have bit 1 cases: 0 -> red, 2 -> red; no blues at all.
     assert step_from_scratch(g, f, ids, 1)[1].proposals == ()
 
@@ -192,7 +192,7 @@ def test_grow_threshold_boundary():
 
 def test_apply_step_k2_first_step():
     g, ids = k2()
-    f = bfs_forest(g, {0, 1}, {0, 1}, ids)
+    f = bfs_forest(g, [0, 1], [0, 1], ids)
     f2, trace = step_from_scratch(g, f, ids, 0)
     assert trace.proposals == (Proposal(proposer=1, weight=1, attach_at=0, target_root=0),)
     assert trace.grows == (0,) and trace.declines == ()
@@ -206,7 +206,7 @@ def test_apply_step_k2_first_step():
 
 def test_apply_step_fixed_point_on_empty_propose_set():
     g, ids = build_graph(2, [])
-    f = bfs_forest(g, {0, 1}, {0, 1}, ids)
+    f = bfs_forest(g, [0, 1], [0, 1], ids)
     f2, trace = step_from_scratch(g, f, ids, 0)
     assert trace.proposals == () and trace.deleted == ()
     assert trace.red_sizes == {}
@@ -220,7 +220,7 @@ def test_apply_step_decline_deletes_proposer_subtree():
     assert ids.b == 3
     parent = [None, 0, 0, 0, 0, 0, 0, None]
     f = ForestLinks(parent, [0, 1, 1, 1, 1, 1, 1, 0], [0] * 7 + [7])
-    assert bfs_forest(g, range(8), {0, 7}, ids) == f
+    assert bfs_forest(g, list(range(8)), [0, 7], ids) == f
     f2, trace = step_from_scratch(g, f, ids, 0)
     assert trace.proposals == (Proposal(proposer=7, weight=1, attach_at=1, target_root=0),)
     assert run_phase(g, range(8), {0, 7}, 0, ids).step_traces[0].proposals == trace.proposals
@@ -322,7 +322,7 @@ def _labelled_graphs(max_n):
 def _assert_phase_matches_stepwise_apply(g, ids, alive, q, p, label):
     """run_phase's traces and final forest equal the oracle's, step by step."""
     res = run_phase(g, alive, q, p, ids)
-    f = bfs_forest(g, alive, q, ids)
+    f = bfs_forest(g, sorted(alive), sorted(q), ids)
     for j, tr in enumerate(res.step_traces):
         f, tr2 = step_from_scratch(g, f, ids, p)
         assert tr2 == tr, f"{label} p={p} step {j}"
@@ -349,7 +349,7 @@ def test_run_phase_matches_stepwise_apply(seed):
 @pytest.mark.parametrize("seed", range(6))
 def test_proposer_subtrees_disjoint_and_cover_candidates(seed):
     g, ids = random_connected_graph(14, 200 + seed)
-    f = bfs_forest(g, set(range(g.n)), set(range(g.n)), ids)
+    f = bfs_forest(g, list(range(g.n)), list(range(g.n)), ids)
     _, trace = step_from_scratch(g, f, ids, 0)
     covered = set()
     for pr in trace.proposals:
