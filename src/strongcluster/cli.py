@@ -12,17 +12,21 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .cluster import (
     Clustering,
     Decomposition,
+    _clustering_after,
+    _phases,
     mis_via_decomposition,
     network_decomposition,
-    strong_cluster,
+    strong_cluster,  # not called here; perfbench/layers.py wraps this binding
 )
 from .gen import FamilySpec, generate
 from .graph import Graph, GraphError, IdAssignment, parse_edge_list, write_edge_list
-from .sim import run_protocol
+from .phase import PhaseResult
+from .sim import _streamed_run, run_protocol  # run_protocol: not called here either
 from .verify import Report, check_clustering, check_decomposition, check_mis
 
 FAMILIES = ("path", "cycle", "grid", "complete", "tree", "hypercube", "gnp", "star")
@@ -91,26 +95,31 @@ def _trace_dir() -> Path:
     return out
 
 
+def _write_step_logs(phases: Iterable[PhaseResult], out: Path) -> Iterator[PhaseResult]:
+    """Pass the phases on, writing each one's ``trace_phase{p}.log`` as it arrives."""
+    for phase in phases:
+        lines = [tr.log_line(j) for j, tr in enumerate(phase.step_traces)]
+        (out / f"trace_phase{phase.p}.log").write_text("\n".join(lines) + "\n")
+        yield phase
+        del phase  # not kept while the next phase runs
+
+
 def _cmd_cluster(args) -> int:
+    """Each backend streams its phases, so at most one phase result is alive at a time."""
     g, ids = _load_graph(args)
     status = 0
     clustering = None
     stats = None
     if args.backend in ("reference", "both"):
-        ref = strong_cluster(g, ids)
-        clustering = ref.clustering
+        start = set(range(g.n))
+        phases = _phases(g, ids, start)
         if args.trace:
-            out = _trace_dir()
-            for phase in ref.phases:
-                lines = [tr.log_line(j) for j, tr in enumerate(phase.step_traces)]
-                (out / f"trace_phase{phase.p}.log").write_text("\n".join(lines) + "\n")
-        # Only the clustering is read from here on: free the phases before
-        # the simulator runs.
-        del ref
+            phases = _write_step_logs(phases, _trace_dir())
+        clustering = _clustering_after(g, ids, start, phases)
     equal = None
     if args.backend in ("simulated", "both"):
         transcript: list[str] | None = [] if args.trace else None
-        sim_clustering, stats, _ = run_protocol(g, ids, transcript=transcript)
+        sim_clustering, stats = _streamed_run(g, ids, transcript=transcript)
         if clustering is None:
             clustering = sim_clustering
         else:
@@ -235,7 +244,7 @@ def _cmd_bench(args) -> int:
             id_seed=args.id_seed,
         )
         g, ids = generate(spec)
-        clustering, stats, _ = run_protocol(g, ids)
+        clustering, stats = _streamed_run(g, ids)
         doc = clustering.to_json_dict(g)
         coverage = doc["coverage"] / doc["n"]
         ratio = stats.rounds / ids.b**6

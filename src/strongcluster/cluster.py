@@ -5,10 +5,11 @@ terminal set from phase to phase, and keeps every phase's result as evidence.
 ``network_decomposition`` repeats the clustering on the unclustered remainder
 until every node is colored; the identifier assignment (and so b) stays fixed
 across iterations.  A phase reads only the previous phase's survivors and
-terminals, so on the reference backend the decomposition holds one phase
-result at a time: both run the one phase loop, ``_phases``, which yields
-each result as soon as it exists, and the decomposition drops each result
-once it has read the next phase's inputs off it.
+terminals, so the decomposition holds one phase result at a time: the
+reference backend's one phase loop, ``_phases``, and the simulator's
+``Simulator.phases`` each yield a result as soon as it exists, and
+``_clustering_after`` drops each result once it has read the next phase's
+inputs off it.
 """
 
 from __future__ import annotations
@@ -193,12 +194,15 @@ def network_decomposition(
     stays within ceil(log2 n) + 1.  Also returns the simulated rounds summed
     over the clusterings, or None on the reference backend.
 
-    On the reference backend each clustering streams its phases and keeps
-    only the latest survivors and terminals, so no earlier phase result is
-    alive while a phase runs, and ``remaining`` is handed to the first phase
-    as it is, since a phase neither changes nor keeps it.  The simulated
-    backend goes through ``strong_cluster``.
+    On either backend each clustering streams its phases and keeps only the
+    latest survivors and terminals, so no earlier phase result is alive
+    while a phase runs.  The reference backend hands ``remaining`` to the
+    first phase as it is, since a phase neither changes nor keeps it.
     """
+    if backend == "simulated":
+        from .sim import _streamed_run
+    elif backend != "reference":
+        raise GraphError(f"unknown backend {backend!r}")
     remaining = set(range(g.n))
     color: list[int] = [-1] * g.n
     rounds_total: int | None = None
@@ -207,11 +211,8 @@ def network_decomposition(
         if backend == "reference":
             clustering = _clustering_after(g, ids, remaining, _phases(g, ids, remaining))
         else:
-            run = strong_cluster(g, ids, backend=backend, alive=remaining)
-            clustering = run.clustering
-            rounds_total = (rounds_total or 0) + run.rounds.rounds
-            # A simulated run keeps every phase; drop it before the next one.
-            del run
+            clustering, stats = _streamed_run(g, ids, alive=remaining)
+            rounds_total = (rounds_total or 0) + stats.rounds
         covered = clustering.covered_nodes()
         if not covered:
             raise GraphError("clustering made no progress; decomposition cannot finish")

@@ -37,14 +37,21 @@ oversized payload, raises ``ProtocolViolation``.
 State layout: the ``Simulator`` holds node state in per-node lists (parent
 port, depth, root id, child ports, neighbor data, the convergecast
 accumulators, ...), and the node program reads each of them; the port
-wiring ``rev_port`` is the simulator's own.  One wakeup of node v is one
-call of ``Simulator._wake``, which reads and writes slot v of those lists
-and nothing else besides its inbox.  Fields that belong to one step or one
-phase carry an epoch stamp, the step's first round or the phase index that
-wrote them, and read as empty once that epoch has passed, so nothing is
-cleared between steps.  A node's color is read off its root's phase bit.
-At each phase boundary the simulator reads each survivor's parent, depth
-and root off the lists into a ``ForestLinks``.
+wiring ``rev_port`` is the simulator's own.  A node's per-port state (the
+identifiers and the latest data heard on each port) is a list with one slot
+per port, built once; its lists of ports (children, proposers, children
+that sent weight) are cleared in place; ``rev_port`` and ``live_ports`` are
+per-node tuples.  No node state is a dict or a set.  One wakeup of node v
+is one call of ``Simulator._wake``, which reads and writes slot v of those
+lists and nothing else besides its inbox.  Fields that belong to one step
+or one phase carry an epoch stamp, the step's first round or the phase
+index that wrote them, and read as empty once that epoch has passed; a
+list among them is cleared in place when its stamp changes, so no step or
+phase rebuilds node state.  A node's color is read off its root's phase
+bit.  At each phase boundary the simulator reads each survivor's parent,
+depth and root off the lists into a ``ForestLinks`` and yields the phase's
+result (``Simulator.phases``); between phases it keeps only the latest
+survivors and terminals.
 
 A message is a plain ``(tag, data)`` tuple, and a tag is its own name, the
 string the event log records: BFS_TOKEN = "bfs" (BFS wave), COLOR
@@ -56,12 +63,13 @@ depends only on its tag.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Iterable
+from itertools import accumulate, chain
+from typing import Iterable, Iterator
 
-from .cluster import Clustering, clustering_from_survivors
+# clustering_from_survivors is not called here; perfbench/layers.py wraps this binding.
+from .cluster import Clustering, _clustering_after, clustering_from_survivors
 from .forest import ForestLinks
 from .graph import Graph, GraphError, IdAssignment
 from .phase import PhaseResult, step_budget
@@ -180,7 +188,8 @@ class Simulator:
     produce identical transcripts; the lockstep driver exists to validate
     the event scheduler on small instances.  One agenda decides who wakes:
     it maps each round to the woken nodes and each of those to its inbox,
-    and a timer wake is an empty inbox.  The agenda is also the schedule:
+    and a timer wake is one shared empty tuple, which the first delivery to
+    that node replaces with an inbox list.  The agenda is also the schedule:
     the event driver runs its earliest round next.
     """
 
@@ -200,18 +209,19 @@ class Simulator:
         for v in self.alive0:
             if not 0 <= v < g.n:
                 raise GraphError(f"alive node {v} out of range")
-        n = g.n
+        n, adj = g.n, g.adj
         self.g = g
         self.ids = ids
         self.cal = Calendar(ids.b)
         self.driver = driver
         self.transcript = transcript
-        pos = [{w: i for i, w in enumerate(g.adj[v])} for v in range(n)]
-        self.rev_port = [[pos[w][v] for w in g.adj[v]] for v in range(n)]
+        # The port of v at each neighbour w: v's place in w's sorted list.
+        self.rev_port = [tuple([bisect_left(adj[w], v) for w in adj[v]]) for v in range(n)]
         self.id_to_index = {ids.ids[v]: v for v in range(n)}
         # Round -> node -> inbox of (port, message) pairs: the nodes woken in
-        # that round, a timer wake being an empty inbox.
-        self.agenda: dict[int, dict[int, list[tuple[int, tuple]]]] = {}
+        # that round, a timer wake being the shared empty tuple until a
+        # delivery gives the node an inbox list.
+        self.agenda: dict[int, dict[int, list[tuple[int, tuple]] | tuple[()]]] = {}
         self.messages_total = 0
         self.max_bits = 0
         # b is fixed for the run and a width depends only on the tag, so each
@@ -224,21 +234,24 @@ class Simulator:
         self.events: list[tuple[int, int, int, str, tuple[int, ...]]] | None = (
             [] if record_events else None
         )
+        self.stats: RoundStats | None = None  # set once the phase stream is exhausted
 
-        # Node state, one slot per node.  Ports are indices into g.adj[v].
+        # Node state, one slot per node.  Ports are indices into g.adj[v];
+        # a per-port field is a list with one slot per port.
         self.my_id = ids.ids
         self.alive = [v in self.alive0 for v in range(n)]
         # Ports to neighbors in the run's alive set, the ones BFS tokens and
         # color announcements go to.  A residual run's nodes know them from
         # the previous clustering's final state; nodes outside never wake.
-        self.live_ports = [[i for i, w in enumerate(a) if self.alive[w]] for a in g.adj]
+        alive = self.alive
+        self.live_ports = [tuple([i for i, w in enumerate(a) if alive[w]]) for a in adj]
         self.phase_of = [-1] * n  # phase whose fields the node holds
         self.parent: list[int | None] = [None] * n  # parent port; None at a root
         self.depth: list[int | None] = [None] * n
         self.root: list[int | None] = [None] * n  # root identifier; red iff its phase bit is 0
-        self.children: list[set[int] | None] = [None] * n  # child ports
-        self.port_id: list[dict[int, int] | None] = [None] * n  # learned in phase 0
-        self.nbr: list[dict[int, tuple] | None] = [None] * n  # port -> (root, depth, ...)
+        self.children: list[list[int]] = [[] for _ in range(n)]  # child ports, cleared each phase
+        self.port_id: list[list[int | None]] = [[None] * len(a) for a in adj]  # learned in phase 0
+        self.nbr: list[list[tuple | None]] = [[None] * len(a) for a in adj]  # per port: (root, depth, ...)
         # Min-identifier red neighbor port.  Only BFS tokens and COLOR
         # announcements change it, so in stage H it is still the port the
         # node proposed to in stage D.
@@ -253,8 +266,8 @@ class Simulator:
         self.e_at = [-1] * n  # stamp of the stage-E fields below
         self.e_weight = [0] * n  # proposal plus child weights, stage E
         self.e_count = [0] * n  # child tree sizes, stage E of step 0
-        self.e_ports: list[list[int] | None] = [None] * n  # children that sent weight
-        self.props: list[list[int] | None] = [None] * n  # proposer ports
+        self.e_ports: list[list[int]] = [[] for _ in range(n)]  # children that sent weight
+        self.props: list[list[int]] = [[] for _ in range(n)]  # proposer ports
         self.decided = [-1] * n
         self.decision = [0] * n  # 1 grow, 0 decline
         self.p = self.stage_first = self.stage_end = -1
@@ -297,9 +310,7 @@ class Simulator:
         announce = False  # the node learns its BFS depth in this wakeup
         if self.phase_of[v] != p:
             self.phase_of[v] = p
-            if p == 0:
-                self.port_id[v], self.nbr[v] = {}, {}
-            self.children[v] = set()
+            self.children[v].clear()
             self.red_nbr[v] = None
             if self.parent[v] is None:  # a root of the last phase is a terminal
                 # Only roots wake at the next phase's first round: no node
@@ -327,7 +338,7 @@ class Simulator:
                     if p == 0:
                         pid[port] = root
                     if data[2]:
-                        self.children[v].add(port)
+                        self.children[v].append(port)
                     if self.depth[v] is None:
                         if first is None:
                             first, first_dist = port, data[1]
@@ -345,7 +356,8 @@ class Simulator:
                 if self.e_at[v] != S:
                     self.e_at[v] = S
                     self.e_weight[v] = self.e_count[v] = 0
-                    self.e_ports[v], self.props[v] = [], []
+                    self.e_ports[v].clear()
+                    self.props[v].clear()
                 self.e_weight[v] += w
                 if tag == PROPOSE:
                     self.props[v].append(port)
@@ -391,7 +403,9 @@ class Simulator:
                     out.append((c, m))
                 return
             elif tag == LEAVE:
-                self.children[v].discard(port)
+                children = self.children[v]
+                if port in children:
+                    children.remove(port)
 
         if first is not None:
             announce = True
@@ -510,9 +524,9 @@ class Simulator:
                 raise ProtocolViolation(f"node {v} scheduled wake {r} beyond budget {total}")
             inboxes = agenda.get(r)
             if inboxes is None:
-                agenda[r] = {v: []}
+                agenda[r] = {v: ()}
             elif v not in inboxes:
-                inboxes[v] = []
+                inboxes[v] = ()
 
     def _deliver(self, sender: int, out: list[tuple[int, tuple]], r: int) -> int:
         """Queue one wakeup's sends for the next round; returns the widest payload.
@@ -541,9 +555,9 @@ class Simulator:
             recipient = adj[port]
             entry = (rev[port], m)
             inbox = inboxes.get(recipient)
-            if inbox is None:
+            if not inbox:  # none yet, or a timer wake's empty tuple
                 inboxes[recipient] = [entry]
-            elif inbox and inbox[-1][0] == entry[0]:
+            elif inbox[-1][0] == entry[0]:
                 raise ProtocolViolation(f"node {sender} sent two messages on port {port} in round {r}")
             else:
                 inbox.append(entry)
@@ -579,26 +593,52 @@ class Simulator:
 
     def run(self) -> tuple[list[PhaseResult], RoundStats]:
         """Execute all phases; returns each phase's result plus statistics."""
+        phases = list(self.phases())
+        return phases, self.stats
+
+    def phases(self) -> Iterator[PhaseResult]:
+        """Execute all phases, yielding each phase's result at its boundary.
+
+        Between phases only the latest survivors and terminals are kept, so
+        a consumer that drops each result holds one at a time.  ``stats``
+        is set once the stream is exhausted.
+        """
         cal = self.cal
-        boundaries = cal.phase_start[1:] + [cal.total]
-        phases: list[PhaseResult] = []
-
-        def extract_before(r: int) -> None:
-            while len(phases) < cal.b and r >= boundaries[len(phases)]:
-                phases.append(self._extract_phase(phases))
-
+        ends = cal.phase_start[1:] + [cal.total]  # phase p is read off at round ends[p]
         if self.driver == "lockstep":
             everyone = set(range(self.g.n))
-            for r in range(cal.total):
-                extract_before(r)
-                self._run_round(r, everyone)
+            rounds: Iterable[int] = range(cal.total)
         else:
-            for v in self.alive0:
-                self._schedule_wakes(v, [0], -1)
-            while self.agenda and (r := min(self.agenda)) < cal.total:
-                extract_before(r)
-                self._run_round(r)
-        # Terminal computation: process deliveries from the final round.
+            everyone = None
+            if cal.total:  # with b = 0 there is no round to wake in
+                for v in self.alive0:
+                    self._schedule_wakes(v, [0], -1)
+            rounds = self._agenda_rounds()
+        p = 0
+        alive_in = terminals_in = tuple(sorted(self.alive0))  # at phase 0 every alive node is a terminal
+        for r in chain(rounds, (cal.total,)):
+            if r == cal.total:
+                self._terminal_computation()
+            while p < cal.b and r >= ends[p]:
+                res = self._extract_phase(p, alive_in, terminals_in)
+                alive_in, terminals_in = res.survivors, res.terminals_out
+                p += 1
+                yield res
+                # Not kept while the next phase runs, unless the consumer keeps it.
+                del res
+            if r < cal.total:
+                self._run_round(r, everyone)
+        self.stats = RoundStats(cal.total, self.messages_total, self.max_bits)
+
+    def _agenda_rounds(self) -> Iterator[int]:
+        """The event driver's schedule: the agenda's earliest round inside the budget, while there is one."""
+        total = self.cal.total
+        while self.agenda and (r := min(self.agenda)) < total:
+            yield r
+
+    def _terminal_computation(self) -> None:
+        """Process the deliveries of the final round, which may send and schedule nothing."""
+        cal = self.cal
         leftovers = self.agenda.pop(cal.total, {})
         if leftovers:
             self._enter(cal.total - 1)
@@ -611,15 +651,14 @@ class Simulator:
                     raise ProtocolViolation(f"node {v} acted after the final round")
         if self.agenda:
             raise ProtocolViolation("messages scheduled beyond the budget")
-        extract_before(cal.total)
-        return phases, RoundStats(cal.total, self.messages_total, self.max_bits)
 
-    def _extract_phase(self, done: list[PhaseResult]) -> PhaseResult:
-        """Read the next phase's result off the state lists at its boundary."""
+    def _extract_phase(self, p: int, alive_in: tuple[int, ...], terminals_in: tuple[int, ...]) -> PhaseResult:
+        """Read phase p's result off the state lists at its boundary.
+
+        ``alive_in`` and ``terminals_in`` are the phase's inputs: the
+        previous phase's survivors and surviving terminals.
+        """
         n, adj = self.g.n, self.g.adj
-        alive_in = done[-1].survivors if done else tuple(sorted(self.alive0))
-        # At phase 0 every alive node is a terminal.
-        terminals_in = done[-1].terminals_out if done else alive_in
         parent: list[int | None] = [None] * n
         depth: list[int | None] = [None] * n
         root_of: list[int | None] = [None] * n
@@ -632,7 +671,7 @@ class Simulator:
             if pp is not None:
                 parent[v] = adj[v][pp]
         forest = ForestLinks(parent, depth, root_of)
-        return PhaseResult.from_forest(len(done), self.cal.b, alive_in, terminals_in, forest, ())
+        return PhaseResult.from_forest(p, self.cal.b, alive_in, terminals_in, forest, ())
 
 
 def run_protocol(
@@ -645,12 +684,21 @@ def run_protocol(
 
     The clustering itself (components of the survivor set, one terminal
     each) is read off the final state; the round budget covers exactly the
-    b phases.
+    b phases.  Every phase's result is kept and returned.
     """
     sim = Simulator(g, ids, alive=alive, transcript=transcript)
     phases, stats = sim.run()
-    last = phases[-1]
-    clustering = clustering_from_survivors(
-        g, ids.b, sim.alive0, last.survivors, last.terminals_out
-    )
-    return clustering, stats, phases
+    return _clustering_after(g, ids, sim.alive0, phases), stats, phases
+
+
+def _streamed_run(
+    g: Graph,
+    ids: IdAssignment,
+    alive: Iterable[int] | None = None,
+    transcript: list[str] | None = None,
+) -> tuple[Clustering, RoundStats]:
+    """``run_protocol`` without the phase results: it reads the phase
+    stream and keeps no earlier result while a phase runs."""
+    sim = Simulator(g, ids, alive=alive, transcript=transcript)
+    clustering = _clustering_after(g, ids, sim.alive0, sim.phases())
+    return clustering, sim.stats

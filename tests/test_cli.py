@@ -230,6 +230,14 @@ def test_negative_bits_exits_2(tmp_path, capsys):
     assert run_cli("cluster", "--family", "path", "--n", "1", "--bits", "0", "--output", str(out)) == 0
     doc = json.loads(out.read_text())
     assert (doc["b"], doc["clusters"]) == (0, [{"terminal": 0, "nodes": [0]}])
+    # The simulator runs its empty calendar, so both backends agree.
+    assert run_cli("cluster", "--family", "path", "--n", "1", "--bits", "0", "--backend", "both",
+                   "--output", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["equivalence"], doc["rounds"], doc["clusters"]) == ("PASS", 0, [{"terminal": 0, "nodes": [0]}])
+    assert run_cli("decompose", "--family", "path", "--n", "1", "--bits", "0", "--backend", "simulated",
+                   "--output", str(out)) == 0
+    assert json.loads(out.read_text())["rounds_total"] == 0
 
 
 def test_non_utf8_input_file_exits_2(tmp_path, capsys):
@@ -282,6 +290,27 @@ def test_trace_logs_are_byte_identical(tmp_path, monkeypatch, family, phases, ac
     text = "".join(log.read_text() for log in logs)
     assert sum("proposals=[]" not in line for line in text.splitlines()) == active
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# SHA-256 of the transcript.log that ``cluster --backend both --trace``
+# writes on TRACE_GOLDEN's graphs, in its order; recorded when the
+# simulator kept a set of child ports and dicts keyed by port.
+TRANSCRIPT_GOLDEN = [
+    "acf419c28f1af8a6f131786e8ad497f8846975c692bff9fbd339c6fa6bbbe373",
+    "7989d56bff6869d958be6a16e9a35859a1dc68796108bea62948ddfa250da375",
+]
+
+
+@pytest.mark.parametrize("golden, digest", zip(TRACE_GOLDEN, TRANSCRIPT_GOLDEN), ids=("gnp", "grid"))
+def test_transcript_log_is_byte_identical(tmp_path, monkeypatch, golden, digest):
+    family, phases, _, phase_digest = golden
+    monkeypatch.setenv("STRONGCLUSTER_TRACE_DIR", str(tmp_path))
+    assert run_cli("cluster", *family, "--backend", "both", "--trace", "--output", str(tmp_path / "c.json")) == 0
+    assert json.loads((tmp_path / "c.json").read_text())["equivalence"] == "PASS"
+    assert hashlib.sha256((tmp_path / "transcript.log").read_bytes()).hexdigest() == digest
+    # The phase logs, written as each phase arrives, are those of a reference-only run.
+    text = "".join((tmp_path / f"trace_phase{p}.log").read_text() for p in range(phases))
+    assert hashlib.sha256(text.encode()).hexdigest() == phase_digest
 
 
 def verify_artifact(tmp_path, doc, *extra):

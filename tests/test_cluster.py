@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import tracemalloc
@@ -6,7 +7,9 @@ import weakref
 import pytest
 
 from conftest import corpus_entries
+from strongcluster import cli
 from strongcluster import cluster as cluster_module
+from strongcluster import sim as sim_module
 from strongcluster.cluster import (
     Decomposition,
     mis_via_decomposition,
@@ -14,9 +17,9 @@ from strongcluster.cluster import (
     strong_cluster,
 )
 from strongcluster.gen import FamilySpec, generate, splitmix_at
-from strongcluster.graph import IdAssignment, build_graph, connected_components, multi_source_bfs
+from strongcluster.graph import IdAssignment, build_graph, connected_components, multi_source_bfs, write_edge_list
 from strongcluster.phase import run_phase
-from strongcluster.sim import round_budget
+from strongcluster.sim import round_budget, run_protocol
 from strongcluster.verify import check_clustering, check_decomposition, check_mis
 from test_sim import RESIDUAL_GRAPHS
 
@@ -139,21 +142,28 @@ def test_decomposition_json_shape():
     assert doc["color_of"] == [0, 0]
 
 
-def _live_phases_at_each_phase(monkeypatch, run):
-    """How many earlier phase results are still alive as each phase starts."""
-    seen: list[weakref.ref] = []
-    live: list[int] = []
+def _earlier_phases_alive_as_each_is_made(monkeypatch, run):
+    """(backend, earlier results of either backend still alive) per phase result made.
 
-    def tracked(*args, **kwargs):
-        live.append(sum(r() is not None for r in seen))
-        res = run_phase(*args, **kwargs)
+    A reference result is made by ``cluster.run_phase``, a simulated one by
+    ``Simulator._extract_phase``.
+    """
+    seen: list[weakref.ref] = []
+    made: list[tuple[str, int]] = []
+    extract = sim_module.Simulator._extract_phase
+
+    def tracked(backend, make, *args, **kwargs):
+        made.append((backend, sum(r() is not None for r in seen)))
+        res = make(*args, **kwargs)
         seen.append(weakref.ref(res))
         return res
 
     with monkeypatch.context() as m:
-        m.setattr(cluster_module, "run_phase", tracked)
+        m.setattr(cluster_module, "run_phase", functools.partial(tracked, "reference", run_phase))
+        m.setattr(sim_module.Simulator, "_extract_phase",
+                  lambda self, *args: tracked("simulated", extract, self, *args))
         kept = run()
-    return live, kept
+    return made, kept
 
 
 def test_a_decomposition_holds_one_phase_at_a_time(monkeypatch):
@@ -163,12 +173,37 @@ def test_a_decomposition_holds_one_phase_at_a_time(monkeypatch):
     # evidence.
     g, ids = RESIDUAL_GRAPHS["gnp-15-6"]()
     assert ids.b >= 3
-    live, (d, _) = _live_phases_at_each_phase(monkeypatch, lambda: network_decomposition(g, ids))
+    made, (d, _) = _earlier_phases_alive_as_each_is_made(monkeypatch, lambda: network_decomposition(g, ids))
     assert d.colors_used >= 2
-    assert len(live) == d.colors_used * ids.b
-    assert live == [0] * len(live)
-    live, _ = _live_phases_at_each_phase(monkeypatch, lambda: strong_cluster(g, ids))
-    assert live == list(range(ids.b))
+    assert made == [("reference", 0)] * (d.colors_used * ids.b)
+    made, _ = _earlier_phases_alive_as_each_is_made(monkeypatch, lambda: strong_cluster(g, ids))
+    assert made == [("reference", p) for p in range(ids.b)]
+
+
+def test_the_cluster_command_holds_one_phase_at_a_time_on_each_backend(monkeypatch, tmp_path):
+    # Both backends stream their phases, so when a phase result is made no
+    # earlier one of either backend is alive: in the cluster command, with
+    # and without step logs, and in a simulated decomposition.
+    # strong_cluster and run_protocol keep every phase they return.
+    g, ids = RESIDUAL_GRAPHS["gnp-15-6"]()
+    graph = tmp_path / "g.txt"
+    graph.write_text(write_edge_list(g, ids))
+    monkeypatch.setenv("STRONGCLUSTER_TRACE_DIR", str(tmp_path / "traces"))
+    for trace in ((), ("--trace",)):
+        argv = ["cluster", "--input", str(graph), "--backend", "both", *trace, "--output", str(tmp_path / "c.json")]
+        made, status = _earlier_phases_alive_as_each_is_made(monkeypatch, lambda: cli.main(argv))
+        assert status == 0
+        assert made == [("reference", 0)] * ids.b + [("simulated", 0)] * ids.b, trace
+    assert len(list((tmp_path / "traces").glob("trace_phase*.log"))) == ids.b
+    made, (d, _) = _earlier_phases_alive_as_each_is_made(
+        monkeypatch, lambda: network_decomposition(g, ids, backend="simulated"))
+    assert d.colors_used >= 2
+    assert made == [("simulated", 0)] * (d.colors_used * ids.b)
+    made, run = _earlier_phases_alive_as_each_is_made(
+        monkeypatch, lambda: strong_cluster(g, ids, backend="simulated"))
+    assert made == [("simulated", p) for p in range(ids.b)] and len(run.phases) == ids.b
+    made, (_, _, phases) = _earlier_phases_alive_as_each_is_made(monkeypatch, lambda: run_protocol(g, ids))
+    assert made == [("simulated", p) for p in range(ids.b)] and len(phases) == ids.b
 
 
 def test_run_phase_leaves_a_given_set_unchanged_and_b0_runs_no_phase():

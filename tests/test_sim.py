@@ -3,6 +3,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -249,6 +250,17 @@ def test_single_node_runs_whole_protocol():
     clustering, stats, _ = run_protocol(g, ids)
     assert stats.rounds == 61
     assert clustering.clusters == ((0, (0,)),)
+
+
+def test_zero_bits_run_no_round():
+    # With b = 0 the calendar is empty: neither driver wakes a node, and the
+    # one node is its own cluster, as on the reference backend.
+    g, ids = build_graph(1, [], b=0)
+    for driver in ("event", "lockstep"):
+        assert Simulator(g, ids, driver=driver).run() == ([], RoundStats(0, 0, 0))
+    clustering, stats, phases = run_protocol(g, ids)
+    assert (clustering, stats, phases) == (strong_cluster(g, ids).clustering, RoundStats(0, 0, 0), [])
+    assert strong_cluster(g, ids, backend="simulated").clustering.clusters == ((0, (0,)),)
 
 
 def test_p3_matches_reference_per_phase():
@@ -571,6 +583,60 @@ def test_locality_guard_sees_a_one_line_mutant(monkeypatch):
     strays = _guard_locality(sim)
     sim.run()
     assert strays and {(name, i - v) for name, v, i in strays} == {("depth", 1)}
+
+
+# Node state kept as lists of ports, per-port lists or tuples.
+PORT_STATE = ("children", "port_id", "nbr", "e_ports", "props", "rev_port", "live_ports")
+
+
+def _deep_size(obj, seen: set[int]) -> int:
+    """Bytes of obj and of the containers and values inside it, each object counted once."""
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    size = sys.getsizeof(obj)
+    if isinstance(obj, (list, tuple, set)):
+        size += sum(_deep_size(x, seen) for x in obj)
+    elif isinstance(obj, dict):
+        size += sum(_deep_size(k, seen) + _deep_size(x, seen) for k, x in obj.items())
+    return size
+
+
+@pytest.mark.parametrize("spec", [
+    FamilySpec("path", n=4096, seed=1, id_seed=1),
+    FamilySpec("gnp", n=4096, p=3 / 4096, seed=1, id_seed=1),
+], ids=lambda spec: spec.family)
+def test_simulator_node_state_is_lean(spec):
+    # A node's port state is a list with one slot per port, its lists of
+    # ports are cleared in place and the port wiring is tuples found by
+    # bisection.  A constructed simulator allocates at most 800 bytes per
+    # node at its peak (711-742 measured), and after a full run no per-node
+    # slot is a dict or a set and the per-node state holds at most 900
+    # bytes per node (819-823; 1301-1321 with a set of child ports and
+    # dicts keyed by port).
+    g, ids = generate(spec)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sim = Simulator(g, ids)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak / g.n <= 800, f"{spec.family}: construction peaks at {peak / g.n:.1f} bytes per node"
+    sim.run()
+    per_node = {
+        name: value for name, value in vars(sim).items()
+        if isinstance(value, (list, tuple)) and len(value) == g.n and value is not ids.ids
+    }
+    assert set(PORT_STATE) <= per_node.keys()
+    containers = [
+        (name, v, type(x).__name__) for name, value in per_node.items()
+        for v, x in enumerate(value) if isinstance(x, (dict, set))
+    ]
+    assert containers == [], containers[:3]
+    seen: set[int] = set()
+    held = sum(_deep_size(value, seen) for value in per_node.values())
+    assert held / g.n <= 900, f"{spec.family}: {held / g.n:.1f} bytes of node state per node"
 
 
 def test_flags_fall_in_stage_b_once_per_step():
