@@ -39,10 +39,15 @@ def _add_input_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--w", type=int, default=0, help="grid width")
     sub.add_argument("--arity", type=int, default=2, help="tree arity")
     sub.add_argument("--dim", type=int, default=0, help="hypercube dimension")
-    sub.add_argument("--p", type=float, default=0.0, help="gnp edge probability")
+    sub.add_argument("--p", type=float, default=None, help="gnp edge probability (default min(1, 3/n))")
     sub.add_argument("--seed", type=int, default=0, help="generator seed")
     sub.add_argument("--id-seed", type=int, default=None, help="seeded identifier permutation")
     sub.add_argument("--bits", type=int, default=None, help="identifier width override")
+
+
+def _gnp_p(p: float | None, n: int) -> float:
+    """The gnp edge probability: ``--p`` when given, else min(1, 3/n)."""
+    return p if p is not None else min(1.0, 3.0 / max(n, 1))
 
 
 def _load_graph(args) -> tuple[Graph, IdAssignment]:
@@ -54,7 +59,7 @@ def _load_graph(args) -> tuple[Graph, IdAssignment]:
     else:
         spec = FamilySpec(
             family=args.family, n=args.n, w=args.w, arity=args.arity,
-            dim=args.dim, p=args.p, seed=args.seed, id_seed=args.id_seed,
+            dim=args.dim, p=_gnp_p(args.p, args.n), seed=args.seed, id_seed=args.id_seed,
         )
         g, ids = generate(spec)
     if args.bits is not None:
@@ -239,7 +244,7 @@ def _cmd_bench(args) -> int:
             family=args.family,
             n=n,
             dim=max(n - 1, 0).bit_length() if args.family == "hypercube" else 0,
-            p=args.p if args.p is not None else min(1.0, 3.0 / max(n, 1)),
+            p=_gnp_p(args.p, n),
             seed=args.seed,
             id_seed=args.id_seed,
         )
@@ -298,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     b = subs.add_parser("bench", help="sweep a family over sizes; emit CSV")
     b.add_argument("--family", choices=FAMILIES, required=True)
     b.add_argument("--sizes", required=True, help="comma-separated node counts")
-    b.add_argument("--p", type=float, default=None, help="gnp probability (default 3/n)")
+    b.add_argument("--p", type=float, default=None, help="gnp edge probability (default min(1, 3/n))")
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--id-seed", type=int, default=None)
     b.add_argument("--output")

@@ -15,7 +15,7 @@ inputs off it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Collection, Iterable, Iterator
 
 from .graph import Graph, GraphError, IdAssignment, connected_components, induced_diameter
 from .phase import PhaseResult, run_phase
@@ -168,7 +168,7 @@ def _phases(g: Graph, ids: IdAssignment, start: set[int], debug: bool = False) -
         del res
 
 
-def _clustering_after(g: Graph, ids: IdAssignment, start: set[int], phases: Iterable[PhaseResult]) -> Clustering:
+def _clustering_after(g: Graph, ids: IdAssignment, start: Collection[int], phases: Iterable[PhaseResult]) -> Clustering:
     """The clustering a run from ``start`` leaves after ``phases``, read in order.
 
     Only the latest survivors and terminals are kept, so a stream of phases

@@ -24,11 +24,11 @@ schedule where silence means zero.  Rounds with no traffic are still rounds;
 the protocol always occupies exactly ``round_budget(n, b)`` of them.  The
 simulator skips waking nodes that provably would do nothing (no delivery, no
 due timer), which is what keeps large instances affordable; the lockstep
-driver wakes everyone every round and must behave identically.  At a
-later phase's first round only the previous phase's roots wake, each by a
-timer it set as a root (one that joined a red tree meanwhile wakes only to
-reset its fields); every other survivor first wakes in a phase at its first
-BFS token, which reaches it because the root of its tree survives.
+driver wakes everyone every round and must behave identically.  One rule
+starts every phase: the simulator wakes the phase's terminals at its first
+round (at phase 0 these are the run's alive nodes, later the previous
+phase's surviving roots); every other survivor first wakes in a phase at
+its first BFS token, which reaches it because the root of its tree survives.
 
 A message is at most 4b+16 bits, and a node sends at most one message per
 port per round: a wakeup that puts two messages on one port, like an
@@ -65,7 +65,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 # clustering_from_survivors is not called here; perfbench/layers.py wraps this binding.
@@ -205,11 +205,11 @@ class Simulator:
         round_budget(g.n, ids.b)  # raises unless b bits can name n nodes
         if driver not in ("event", "lockstep"):
             raise ValueError(f"unknown driver {driver!r}")
-        self.alive0 = set(range(g.n)) if alive is None else set(alive)
-        for v in self.alive0:
-            if not 0 <= v < g.n:
-                raise GraphError(f"alive node {v} out of range")
         n, adj = g.n, g.adj
+        # The run's alive nodes, sorted: phase 0's input and terminals.
+        self.start = start = tuple(range(n)) if alive is None else tuple(sorted(set(alive)))
+        if start and not 0 <= start[0] <= start[-1] < n:
+            raise GraphError(f"alive node {start[0] if start[0] < 0 else start[-1]} out of range")
         self.g = g
         self.ids = ids
         self.cal = Calendar(ids.b)
@@ -217,7 +217,6 @@ class Simulator:
         self.transcript = transcript
         # The port of v at each neighbour w: v's place in w's sorted list.
         self.rev_port = [tuple([bisect_left(adj[w], v) for w in adj[v]]) for v in range(n)]
-        self.id_to_index = {ids.ids[v]: v for v in range(n)}
         # Round -> node -> inbox of (port, message) pairs: the nodes woken in
         # that round, a timer wake being the shared empty tuple until a
         # delivery gives the node an inbox list.
@@ -239,7 +238,9 @@ class Simulator:
         # Node state, one slot per node.  Ports are indices into g.adj[v];
         # a per-port field is a list with one slot per port.
         self.my_id = ids.ids
-        self.alive = [v in self.alive0 for v in range(n)]
+        self.alive = [False] * n
+        for v in start:
+            self.alive[v] = True
         # Ports to neighbors in the run's alive set, the ones BFS tokens and
         # color announcements go to.  A residual run's nodes know them from
         # the previous clustering's final state; nodes outside never wake.
@@ -286,15 +287,16 @@ class Simulator:
             self.shift = cal.b - 1 - p
             self.block = cal.block[p]
             self.first_step = cal.phase_start[p] + cal.L[p]
-            self.next_phase = cal.phase_start[p + 1] if p + 1 < cal.b else None
             # Offsets from a step's first round: rel 1 of stages B, D, F and
             # G, and the last rounds of C and E, from which the convergecast
             # rounds subtract the depth.
             self.to_b, self.to_d, self.to_f, self.to_g = st[1], st[3], st[5], st[6]
             self.to_c_fire = st[3] - 1
             self.to_e_fire = st[5] - 1
-        # The step epoch; the BFS stage computes step-0 rounds from it.
+        # The step epoch; the BFS stage computes step-0 rounds from it.  The
+        # next step's epoch is one shared int, the recolor stamp of a rehang.
         self.epoch = self.first_step + max(self.step, 0) * self.block
+        self.next_epoch = self.epoch + self.block
 
     # -- node program --------------------------------------------------------
 
@@ -313,11 +315,6 @@ class Simulator:
             self.children[v].clear()
             self.red_nbr[v] = None
             if self.parent[v] is None:  # a root of the last phase is a terminal
-                # Only roots wake at the next phase's first round: no node
-                # becomes a root mid-phase, and every other survivor enters
-                # the next phase at its first BFS token.
-                if self.next_phase is not None:
-                    wakes.append(self.next_phase)
                 announce = True
                 self.depth[v] = 0
                 root = self.root[v] = self.my_id[v]
@@ -510,8 +507,8 @@ class Simulator:
         # Rehang waves always complete inside stage H; the guard keeps the
         # terminal computation from scheduling anything.
         if self.stage == "H" and self.step + 1 < self.cal.t:
-            self.recolor[v] = self.epoch + self.block
-            wakes.append(self.epoch + self.block)
+            self.recolor[v] = self.next_epoch
+            wakes.append(self.next_epoch)
 
     # -- scheduling and delivery ---------------------------------------------
 
@@ -599,42 +596,35 @@ class Simulator:
     def phases(self) -> Iterator[PhaseResult]:
         """Execute all phases, yielding each phase's result at its boundary.
 
-        Between phases only the latest survivors and terminals are kept, so
-        a consumer that drops each result holds one at a time.  ``stats``
-        is set once the stream is exhausted.
+        Each phase starts the same way: its terminals wake at its first
+        round (at phase 0 every alive node is a terminal).  The event
+        driver then runs the agenda's rounds below the phase's end, the
+        lockstep driver every round of the phase.  Between phases only the
+        latest survivors and terminals are kept, so a consumer that drops
+        each result holds one at a time.  ``stats`` is set once the stream
+        is exhausted.
         """
-        cal = self.cal
-        ends = cal.phase_start[1:] + [cal.total]  # phase p is read off at round ends[p]
-        if self.driver == "lockstep":
-            everyone = set(range(self.g.n))
-            rounds: Iterable[int] = range(cal.total)
-        else:
-            everyone = None
-            if cal.total:  # with b = 0 there is no round to wake in
-                for v in self.alive0:
-                    self._schedule_wakes(v, [0], -1)
-            rounds = self._agenda_rounds()
-        p = 0
-        alive_in = terminals_in = tuple(sorted(self.alive0))  # at phase 0 every alive node is a terminal
-        for r in chain(rounds, (cal.total,)):
-            if r == cal.total:
+        cal, agenda = self.cal, self.agenda
+        everyone = set(range(self.g.n)) if self.driver == "lockstep" else None
+        alive_in = terminals_in = self.start
+        ends = cal.phase_start[1:] + [cal.total]
+        for p, (first, end) in enumerate(zip(cal.phase_start, ends)):
+            for v in terminals_in:
+                self._schedule_wakes(v, (first,), first - 1)
+            if everyone is None:
+                while agenda and (r := min(agenda)) < end:
+                    self._run_round(r)
+            else:
+                for r in range(first, end):
+                    self._run_round(r, everyone)
+            if end == cal.total:
                 self._terminal_computation()
-            while p < cal.b and r >= ends[p]:
-                res = self._extract_phase(p, alive_in, terminals_in)
-                alive_in, terminals_in = res.survivors, res.terminals_out
-                p += 1
-                yield res
-                # Not kept while the next phase runs, unless the consumer keeps it.
-                del res
-            if r < cal.total:
-                self._run_round(r, everyone)
+            res = self._extract_phase(p, alive_in, terminals_in)
+            alive_in, terminals_in = res.survivors, res.terminals_out
+            yield res
+            # Not kept while the next phase runs, unless the consumer keeps it.
+            del res
         self.stats = RoundStats(cal.total, self.messages_total, self.max_bits)
-
-    def _agenda_rounds(self) -> Iterator[int]:
-        """The event driver's schedule: the agenda's earliest round inside the budget, while there is one."""
-        total = self.cal.total
-        while self.agenda and (r := min(self.agenda)) < total:
-            yield r
 
     def _terminal_computation(self) -> None:
         """Process the deliveries of the final round, which may send and schedule nothing."""
@@ -656,17 +646,19 @@ class Simulator:
         """Read phase p's result off the state lists at its boundary.
 
         ``alive_in`` and ``terminals_in`` are the phase's inputs: the
-        previous phase's survivors and surviving terminals.
+        previous phase's survivors and surviving terminals.  A survivor's
+        root identifier names one of the phase's roots, the survivors with
+        no parent port.
         """
         n, adj = self.g.n, self.g.adj
         parent: list[int | None] = [None] * n
         depth: list[int | None] = [None] * n
         root_of: list[int | None] = [None] * n
-        for v in alive_in:
-            if not self.alive[v]:
-                continue
+        survivors = [v for v in alive_in if self.alive[v]]
+        index_of_root = {self.my_id[v]: v for v in survivors if self.parent[v] is None}
+        for v in survivors:
             depth[v] = self.depth[v]
-            root_of[v] = self.id_to_index[self.root[v]]
+            root_of[v] = index_of_root[self.root[v]]
             pp = self.parent[v]
             if pp is not None:
                 parent[v] = adj[v][pp]
@@ -688,7 +680,7 @@ def run_protocol(
     """
     sim = Simulator(g, ids, alive=alive, transcript=transcript)
     phases, stats = sim.run()
-    return _clustering_after(g, ids, sim.alive0, phases), stats, phases
+    return _clustering_after(g, ids, sim.start, phases), stats, phases
 
 
 def _streamed_run(
@@ -700,5 +692,5 @@ def _streamed_run(
     """``run_protocol`` without the phase results: it reads the phase
     stream and keeps no earlier result while a phase runs."""
     sim = Simulator(g, ids, alive=alive, transcript=transcript)
-    clustering = _clustering_after(g, ids, sim.alive0, sim.phases())
+    clustering = _clustering_after(g, ids, sim.start, sim.phases())
     return clustering, sim.stats

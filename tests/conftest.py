@@ -9,8 +9,11 @@ structures are cached per (family, size): identifier permutations reuse them.
 
 from __future__ import annotations
 
+import functools
+import itertools
+
 from strongcluster.gen import FamilySpec, generate, seeded_permutation
-from strongcluster.graph import IdAssignment
+from strongcluster.graph import IdAssignment, build_graph
 
 CORPUS_SIZES = [2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512,
                 1024, 2048, 4096]
@@ -60,3 +63,22 @@ def corpus_entries(max_n: int, id_seeds=ID_SEEDS, min_n: int = 2):
                         ids=tuple(seeded_permutation(g.n, id_seed)),
                     )
                 yield f"{spec.family}-n{n}-ids{id_seed}", g, ids
+
+
+@functools.cache
+def labelled_graphs(max_n: int) -> tuple:
+    """(label, graph, ids) for every labelled graph on 1..max_n nodes.
+
+    Graphs come in order of n, then of edge mask over the sorted node pairs,
+    with identity identifiers.  Each sweep is built once and shared by the
+    test modules and by the larger sweeps, which extend it; graphs and
+    identifier assignments are frozen.
+    """
+    if max_n < 1:
+        return ()
+    pairs = list(itertools.combinations(range(max_n), 2))
+    graphs = []
+    for mask in range(1 << len(pairs)):
+        edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+        graphs.append((f"n={max_n} edges={edges}", *build_graph(max_n, edges)))
+    return labelled_graphs(max_n - 1) + tuple(graphs)

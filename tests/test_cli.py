@@ -131,6 +131,21 @@ def test_bench_explicit_zero_p_is_edgeless(tmp_path):
     assert row["max_diameter"] == "0"
 
 
+def test_gen_gnp_without_p_uses_the_bench_default(tmp_path):
+    # The graph-input flags default --p to min(1, 3/n), as bench does.
+    default, explicit = tmp_path / "default.txt", tmp_path / "explicit.txt"
+    assert run_cli("gen", "--family", "gnp", "--n", "64", "--output", str(default)) == 0
+    assert run_cli("gen", "--family", "gnp", "--n", "64", "--p", "0.046875", "--output", str(explicit)) == 0
+    assert default.read_bytes() == explicit.read_bytes()
+    assert default.read_text().split("\n", 1)[0] != "64 0"
+
+
+def test_gen_gnp_explicit_zero_p_is_edgeless(tmp_path):
+    out = tmp_path / "gnp.txt"
+    assert run_cli("gen", "--family", "gnp", "--n", "64", "--p", "0", "--output", str(out)) == 0
+    assert out.read_text().split("\n", 1)[0] == "64 0"
+
+
 def test_bad_input_file_exits_2(tmp_path, capsys):
     missing = tmp_path / "nope.txt"
     assert run_cli("cluster", "--input", str(missing)) == 2

@@ -6,7 +6,7 @@ import weakref
 
 import pytest
 
-from conftest import corpus_entries
+from conftest import corpus_entries, labelled_graphs
 from strongcluster import cli
 from strongcluster import cluster as cluster_module
 from strongcluster import sim as sim_module
@@ -295,9 +295,10 @@ def mis_per_cluster(g, ids, d):
 def test_mis_matches_per_cluster_passes_on_every_4_node_coloring():
     # Every 4-node graph under two identifier orders and every color vector
     # over {-1, 0, 1, 2}: colors outside [0, 2) are left out by both.
-    pairs = list(itertools.combinations(range(4), 2))
-    for mask in range(1 << len(pairs)):
-        edges = [e for i, e in enumerate(pairs) if mask >> i & 1]
+    for _, four, _ in labelled_graphs(4):
+        if four.n != 4:
+            continue
+        edges = list(four.edges())
         for ident in ([0, 1, 2, 3], [2, 0, 3, 1]):
             g, ids = build_graph(4, edges, ids=ident)
             for color in itertools.product((-1, 0, 1, 2), repeat=4):
@@ -308,20 +309,15 @@ def test_mis_matches_per_cluster_passes_on_every_4_node_coloring():
 def test_all_tiny_graphs_under_every_identifier_permutation():
     # Connected graphs on up to 4 nodes, every identifier permutation: the
     # guarantees are identifier-order-independent.
-    for n in range(1, 5):
-        pairs = list(itertools.combinations(range(n), 2))
-        for mask in range(1 << len(pairs)):
-            edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-            comps = connected_components(build_graph(n, edges)[0], range(n))
-            if len(comps) != 1:
-                continue
-            for perm in itertools.permutations(range(n)):
-                g, ids = build_graph(n, edges, ids=list(perm))
-                run = strong_cluster(g, ids)
-                report = check_clustering(g, run.clustering, ids.b, ids)
-                assert report.all_pass, (
-                    f"n={n} edges={edges} ids={perm}:\n{report.to_text()}"
-                )
+    for name, base, _ in labelled_graphs(4):
+        n = base.n
+        if len(connected_components(base, range(n))) != 1:
+            continue
+        for perm in itertools.permutations(range(n)):
+            g, ids = build_graph(n, base.edges(), ids=list(perm))
+            run = strong_cluster(g, ids)
+            report = check_clustering(g, run.clustering, ids.b, ids)
+            assert report.all_pass, f"{name} ids={perm}:\n{report.to_text()}"
 
 
 def test_residual_alive_subset_keeps_identifiers():

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import corpus_entries
+from conftest import corpus_entries, labelled_graphs
 from strongcluster.cluster import strong_cluster
 from strongcluster.forest import ForestError, ForestLinks, audit_bfs, audit_depths, bfs_forest
 from strongcluster.gen import splitmix_at
@@ -330,17 +330,15 @@ def test_bfs_forest_matches_multi_source_bfs_exhaustively():
     # a smaller alive graph with edges into dead nodes, which the n <= 4
     # sweep has; all 160 208 of them would take ~15 s.
     cases = 0
-    for n in range(1, 6):
-        pairs = list(itertools.combinations(range(n), 2))
+    for name, g, ids in labelled_graphs(5):
+        n = g.n
         alive_sets = [range(n)] if n == 5 else [
             [v for v in range(n) if mask >> v & 1] for mask in range(1 << n)
         ]
-        for mask in range(1 << len(pairs)):
-            g, ids = build_graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
-            for alive in alive_sets:
-                for terminals in _reaching_terminal_sets(g, alive):
-                    _assert_same_forest(g, alive, terminals, ids, f"n={n} mask={mask} {alive} {terminals}")
-                    cases += 1
+        for alive in alive_sets:
+            for terminals in _reaching_terminal_sets(g, alive):
+                _assert_same_forest(g, alive, terminals, ids, f"{name} {alive} {terminals}")
+                cases += 1
     assert cases == 3162 + 26704
 
 

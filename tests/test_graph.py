@@ -1,10 +1,9 @@
-import itertools
 import tracemalloc
 from collections import deque
 
 import pytest
 
-from conftest import corpus_entries
+from conftest import corpus_entries, labelled_graphs
 from strongcluster.cluster import strong_cluster
 
 from strongcluster.graph import (
@@ -36,14 +35,28 @@ def bfs_oracle(adj, alive, source):
 
 
 def diameter_oracle(adj, nodes):
-    """All-pairs diameter by one plain BFS per node; None when disconnected."""
-    alive = set(nodes)
+    """All-pairs diameter by one plain BFS per node; None when disconnected.
+
+    The nodes are relabelled 0..k-1 with their induced neighbour lists, so
+    each BFS keeps its distances in a list.
+    """
+    members = sorted(set(nodes))
+    index = {v: i for i, v in enumerate(members)}
+    local = [[index[w] for w in adj[v] if w in index] for v in members]
+    k = len(local)
     worst = 0
-    for s in alive:
-        dist = bfs_oracle(adj, alive, s)
-        if len(dist) != len(alive):
+    for s in range(k):
+        dist = [-1] * k
+        dist[s] = 0
+        queue = [s]
+        for u in queue:  # grows while it is read: a FIFO queue
+            for w in local[u]:
+                if dist[w] < 0:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        if len(queue) != k:
             return None
-        worst = max(worst, max(dist.values()))
+        worst = max(worst, dist[queue[-1]])  # BFS order never lowers the distance
     return worst
 
 
@@ -159,20 +172,17 @@ def test_bfs_matches_per_source_oracle_on_random_graphs():
 
 def test_bfs_matches_oracle_exhaustively_on_tiny_graphs():
     # All graphs on up to 5 labeled nodes, two source patterns each.
-    import itertools
-
-    for n in range(2, 6):
-        pairs = list(itertools.combinations(range(n), 2))
-        for mask in range(1 << len(pairs)):
-            edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-            g, _ = build_graph(n, edges)
-            alive = set(range(n))
-            for sources in ({0}, {0, n - 1}):
-                dm = multi_source_bfs(g, alive, sources)
-                per_source = [bfs_oracle(g.adj, alive, s) for s in sources]
-                for v in alive:
-                    expect = min((d[v] for d in per_source if v in d), default=None)
-                    assert dm.dist[v] == expect
+    for _, g, _ in labelled_graphs(5):
+        n = g.n
+        if n < 2:
+            continue
+        alive = set(range(n))
+        for sources in ({0}, {0, n - 1}):
+            dm = multi_source_bfs(g, alive, sources)
+            per_source = [bfs_oracle(g.adj, alive, s) for s in sources]
+            for v in alive:
+                expect = min((d[v] for d in per_source if v in d), default=None)
+                assert dm.dist[v] == expect
 
 
 def bfs_tree_oracle(n, adj, alive, sources, key):
@@ -281,9 +291,7 @@ def test_diameter_monotone_under_added_edges():
 
 
 def all_graphs(n):
-    pairs = list(itertools.combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        yield build_graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])[0]
+    return [g for _, g, _ in labelled_graphs(n) if g.n == n]
 
 
 def test_diameter_matches_oracle_on_every_induced_subgraph_up_to_5_nodes():
@@ -308,11 +316,15 @@ def test_diameter_matches_oracle_on_every_6_node_graph():
 
 
 def test_diameter_matches_oracle_on_corpus_clusters():
+    # Identifier permutations of one corpus graph share its structure and
+    # often a cluster, so the oracle runs once per graph and member set.
+    oracle = {}
     for name, g, ids in corpus_entries(512):
         for terminal, members in strong_cluster(g, ids).clustering.clusters:
-            assert induced_diameter(g, members) == diameter_oracle(g.adj, members), (
-                f"{name}: cluster of terminal {terminal}"
-            )
+            key = (id(g), members)
+            if key not in oracle:
+                oracle[key] = diameter_oracle(g.adj, members)
+            assert induced_diameter(g, members) == oracle[key], f"{name}: cluster of terminal {terminal}"
 
 
 def test_diameter_across_source_blocks():

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import corpus_entries
+from conftest import corpus_entries, labelled_graphs
 from strongcluster.cluster import strong_cluster
 from strongcluster.forest import ForestLinks, bfs_forest
 from strongcluster.graph import build_graph
@@ -310,15 +310,6 @@ def test_run_phase_debug_invariants_random(seed):
         assert check_step_invariants(g, res1, ids).all_pass
 
 
-def _labelled_graphs(max_n):
-    """(label, graph, ids) for every labelled graph with 1 <= n <= max_n."""
-    for n in range(1, max_n + 1):
-        pairs = list(itertools.combinations(range(n), 2))
-        for mask in range(1 << len(pairs)):
-            g, ids = build_graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
-            yield f"n={n} mask={mask}", g, ids
-
-
 def _assert_phase_matches_stepwise_apply(g, ids, alive, q, p, label):
     """run_phase's traces and final forest equal the oracle's, step by step."""
     res = run_phase(g, alive, q, p, ids)
@@ -336,7 +327,7 @@ def test_run_phase_matches_stepwise_apply(seed):
     # from all terminals, then phase 1 from where phase 0 ended, so phase 1
     # starts from multi-node trees.
     if seed == "n<=5":
-        graphs = _labelled_graphs(5)
+        graphs = labelled_graphs(5)
     else:
         graphs = [(f"seed {seed}", *random_connected_graph(10 + seed, 77 + seed))]
     for label, g, ids in graphs:
@@ -392,7 +383,7 @@ def _padded(res, ids, debug):
 
 
 def _phases_to_check():
-    for name, g, ids in _labelled_graphs(5):
+    for name, g, ids in labelled_graphs(5):
         yield name, g, ids, g.n <= 3
     for name, g, ids in corpus_entries(128):
         yield name, g, ids, g.n <= 16

@@ -186,7 +186,7 @@ def test_every_simulator_list_is_read():
 
 
 # Simulator attributes that hold the whole graph's state, not one node's.
-GLOBAL_STATE = ("g", "id_to_index", "alive0", "ids")
+GLOBAL_STATE = ("g", "start", "ids")
 NODE_PROGRAM = ("_wake", "_rehang")
 
 
