@@ -34,8 +34,8 @@ PACKAGE = ROOT / "src" / "strongcluster"
 
 # Public names that nothing in the program calls, each kept for a reason.
 ALLOWED = {
-    "check_ruling": "the ruling claim's checker; it keeps the verify.multi_source_bfs "
-                    "binding that the benchmark wraps",
+    "check_ruling": "the ruling-radius checker; ROADMAP item 4 gives it a program caller "
+                    "that checks each streamed phase",
     "check_step_invariants": "the checker of the per-step claims the acceptance module "
                              "runs; the program's modules name it only in docstrings",
 }
