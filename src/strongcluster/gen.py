@@ -7,12 +7,16 @@ so identical (spec, seed) inputs produce byte-identical edge lists on every
 platform.  gnp keeps vertex pair k (row-major over u < v) iff draw k is below
 ``round(p * 2**64)``; the triangle's draws are one stream, screened in fixed
 blocks of in-place uint64 arithmetic, and every kept pair passes the exact
-comparison.  That screen is the only numpy here, and it imports numpy itself,
-so generating any other family does not load it.
+comparison.  Each block's draws depend only on their indices, so the blocks
+run on every usable CPU and are joined in block order: ``gen`` writes the
+same bytes on any machine.  That screen is the only numpy here, and it
+imports numpy itself, so generating any other family does not load it.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 from .graph import Graph, GraphError, IdAssignment, build_graph
@@ -122,6 +126,13 @@ def _family_edges(spec: FamilySpec) -> tuple[int, list[tuple[int, int]]]:
     raise GraphError(f"unknown family {fam!r}")
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _gnp_edges(n: int, p: float, seed: int) -> list[tuple[int, int]]:
     import numpy as np
 
@@ -139,21 +150,52 @@ def _gnp_edges(n: int, p: float, seed: int) -> list[tuple[int, int]]:
     m1, m2 = np.uint64(_M1), np.uint64(_M2)
     s27, s30, s31 = np.uint64(27), np.uint64(30), np.uint64(31)
     steps = np.arange(1, block + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
-    x = np.empty(block, dtype=np.uint64)
-    t = np.empty(block, dtype=np.uint64)
-    near = np.empty(block, dtype=bool)
-    hits = []
-    for start in range(0, total, block):
-        m = min(block, total - start)
-        xs, ts = x[:m], t[:m]
-        np.add(steps[:m], np.uint64((seed + start * _GOLDEN) & _MASK), out=xs)
-        np.bitwise_xor(xs, np.right_shift(xs, s30, out=ts), out=xs)
-        np.multiply(xs, m1, out=xs)
-        np.bitwise_xor(xs, np.right_shift(xs, s27, out=ts), out=xs)
-        np.multiply(xs, m2, out=xs)
-        k = np.flatnonzero(np.less_equal(xs, coarse, out=near[:m]))
-        y = xs[k]
-        hits.append(k[(y ^ (y >> s31)) <= np.uint64(last)] + start)
+    starts = range(0, total, block)
+    # Block i's kept pair indices land in hits[i], whichever worker screens it.
+    hits: list = [None] * len(starts)
+    claims = iter(enumerate(starts))
+    errors: list[BaseException] = []
+
+    def screen() -> None:
+        x = np.empty(block, dtype=np.uint64)
+        t = np.empty(block, dtype=np.uint64)
+        near = np.empty(block, dtype=bool)
+        try:
+            # Under the GIL each next() on the shared iterator hands out a
+            # block exactly once.
+            for i, start in claims:
+                if errors:  # another worker failed: claim no more blocks
+                    return
+                m = min(block, total - start)
+                xs, ts = x[:m], t[:m]
+                np.add(steps[:m], np.uint64((seed + start * _GOLDEN) & _MASK), out=xs)
+                np.bitwise_xor(xs, np.right_shift(xs, s30, out=ts), out=xs)
+                np.multiply(xs, m1, out=xs)
+                np.bitwise_xor(xs, np.right_shift(xs, s27, out=ts), out=xs)
+                np.multiply(xs, m2, out=xs)
+                k = np.flatnonzero(np.less_equal(xs, coarse, out=near[:m]))
+                y = xs[k]
+                hits[i] = k[(y ^ (y >> s31)) <= np.uint64(last)] + start
+        except BaseException as e:
+            errors.append(e)
+
+    # numpy releases the GIL inside its ufunc loops, so threads screen blocks
+    # in parallel; one worker (one CPU or one block) screens in the caller.
+    workers = min(_usable_cpus(), len(starts))
+    if workers == 1:
+        screen()
+    else:
+        threads = []
+        try:
+            for _ in range(workers):
+                th = threading.Thread(target=screen)
+                th.start()
+                threads.append(th)
+        finally:
+            for th in threads:
+                th.join()
+    if errors:
+        raise errors[0]
     ks = np.concatenate(hits)
     rows = np.arange(n - 1, dtype=np.int64)
     offsets = rows * (n - 1) - rows * (rows - 1) // 2

@@ -1,7 +1,13 @@
 import hashlib
+import os
+import subprocess
+import sys
+import threading
 
+import numpy as np
 import pytest
 
+import strongcluster
 from strongcluster.gen import (
     FamilySpec,
     generate,
@@ -9,7 +15,7 @@ from strongcluster.gen import (
     seeded_permutation,
     splitmix_at,
 )
-from strongcluster.graph import GraphError, write_edge_list
+from strongcluster.graph import GraphError, build_graph, write_edge_list
 
 
 def edge_set(g):
@@ -179,14 +185,116 @@ def test_gnp_threshold_is_exact_at_the_boundary(k):
         assert sorted(g.edges()) == scalar_screen(n, p, seed)
 
 
+GOLDEN_GNP = FamilySpec("gnp", n=4096, p=3 / 4096, seed=4096)
+GOLDEN_GNP_SHA256 = "e221bf06cadd5ce696a29fa3328a0dc50f6c267327e25f4d3b9a9ee5cb31961c"
+
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    """Every thread started while the test runs, in start order."""
+    started = []
+    start = threading.Thread.start
+
+    def record(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", record)
+    return started
+
+
+def use_cpus(monkeypatch, k):
+    """Make the screen see k usable CPUs, through what it reads for them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: k)
+
+
 def test_gnp_golden_digest_over_many_blocks():
     # 8 386 560 draws: 128 blocks of the stream, the last one partial.
-    g, ids = generate(FamilySpec("gnp", n=4096, p=3 / 4096, seed=4096))
+    g, ids = generate(GOLDEN_GNP)
     assert g.edge_count == 6029
     text = write_edge_list(g, ids)
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "e221bf06cadd5ce696a29fa3328a0dc50f6c267327e25f4d3b9a9ee5cb31961c"
-    )
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_GNP_SHA256
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+@pytest.mark.parametrize(
+    "spec, blocks",
+    [
+        (FamilySpec("gnp", n=362, p=0.01, seed=3), 1),  # 65 341 draws: one block
+        (FamilySpec("gnp", n=400, p=0.05, seed=19), 2),  # ragged last block
+        (FamilySpec("gnp", n=400, p=1.0, seed=2), 2),
+        (GOLDEN_GNP, 128),
+    ],
+)
+def test_gnp_bytes_do_not_depend_on_the_worker_count(monkeypatch, started_threads, spec, blocks, workers):
+    use_cpus(monkeypatch, workers)
+    text = write_edge_list(*generate(spec)).encode()
+    # A worker per usable CPU, never more than the blocks; one runs inline.
+    assert len(started_threads) == (0 if min(workers, blocks) == 1 else min(workers, blocks))
+    if spec == GOLDEN_GNP:
+        assert hashlib.sha256(text).hexdigest() == GOLDEN_GNP_SHA256
+    else:
+        expected = build_graph(spec.n, scalar_screen(spec.n, spec.p, spec.seed), ids=None)
+        assert text == write_edge_list(*expected).encode()
+
+
+def test_gnp_screen_leaves_no_thread_running(monkeypatch, started_threads):
+    use_cpus(monkeypatch, 8)
+    before = threading.active_count()
+    generate(GOLDEN_GNP)
+    assert len(started_threads) == 8
+    assert threading.active_count() == before
+    assert not any(t.is_alive() for t in started_threads)
+
+
+def test_gnp_worker_exception_reaches_the_caller(monkeypatch, started_threads):
+    # Only the ragged last block (block 127 of 128) is shorter than 2^16.
+    use_cpus(monkeypatch, 8)
+    raised_in = []
+    flatnonzero = np.flatnonzero
+
+    def fail_on_last_block(a):
+        if len(a) < 1 << 16:
+            raised_in.append(threading.current_thread())
+            raise RuntimeError("block 127")
+        return flatnonzero(a)
+
+    monkeypatch.setattr(np, "flatnonzero", fail_on_last_block)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="^block 127$"):
+        generate(GOLDEN_GNP)
+    assert raised_in and raised_in[0] in started_threads
+    assert threading.active_count() == before
+    assert not any(t.is_alive() for t in started_threads)
+
+
+# gen's edge list with this process pinned to one CPU first, when argv[1] is 1.
+_GEN_PINNED = """
+import os, sys
+if sys.argv[1] == "1":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    assert len(os.sched_getaffinity(0)) == 1
+from strongcluster.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="pins the child with sched_setaffinity")
+def test_gen_writes_the_same_bytes_pinned_to_one_cpu(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(strongcluster.__file__)))
+    written = []
+    for pinned in ("1", "0"):
+        out = tmp_path / f"pinned{pinned}.txt"
+        argv = ["gen", "--family", "gnp", "--n", "4096", "--seed", "4096", "--output", str(out)]
+        done = subprocess.run(
+            [sys.executable, "-c", _GEN_PINNED, pinned, *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    assert hashlib.sha256(written[0]).hexdigest() == GOLDEN_GNP_SHA256
 
 
 @pytest.mark.parametrize(
