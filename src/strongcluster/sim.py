@@ -24,9 +24,12 @@ schedule where silence means zero.  Rounds with no traffic are still rounds;
 the protocol always occupies exactly ``round_budget(n, b)`` of them.  The
 simulator skips waking nodes that provably would do nothing (no delivery, no
 due timer), which is what keeps large instances affordable; the lockstep
-driver wakes everyone every round and must behave identically.  One rule
-starts every phase: the simulator wakes the phase's terminals at its first
-round (at phase 0 these are the run's alive nodes, later the previous
+driver wakes everyone every round and must behave identically.  One method,
+``Simulator._run_round``, is the whole round: it wakes the round's nodes in
+index order, queues each wakeup's sends in the next round's inboxes and its
+timer requests on the agenda, and counts the traffic.  One rule starts
+every phase: the simulator puts the phase's terminals on the agenda at its
+first round (at phase 0 these are the run's alive nodes, later the previous
 phase's surviving roots); every other survivor first wakes in a phase at
 its first BFS token, which reaches it because the root of its tree survives.
 
@@ -190,7 +193,8 @@ class Simulator:
     it maps each round to the woken nodes and each of those to its inbox,
     and a timer wake is one shared empty tuple, which the first delivery to
     that node replaces with an inbox list.  The agenda is also the schedule:
-    the event driver runs its earliest round next.
+    the event driver runs its earliest round next.  Both drivers run each
+    round through ``_run_round``; the lockstep driver hands it every node.
     """
 
     def __init__(
@@ -510,78 +514,61 @@ class Simulator:
             self.recolor[v] = self.next_epoch
             wakes.append(self.next_epoch)
 
-    # -- scheduling and delivery ---------------------------------------------
+    # -- the round loop ------------------------------------------------------
 
-    def _schedule_wakes(self, v: int, rounds: list[int], now: int) -> None:
-        total, agenda = self.cal.total, self.agenda
-        for r in rounds:
-            if r <= now:
-                raise ProtocolViolation(f"node {v} scheduled a non-future wake {r} at round {now}")
-            if r >= total:
-                raise ProtocolViolation(f"node {v} scheduled wake {r} beyond budget {total}")
-            inboxes = agenda.get(r)
-            if inboxes is None:
-                agenda[r] = {v: ()}
-            elif v not in inboxes:
-                inboxes[v] = ()
-
-    def _deliver(self, sender: int, out: list[tuple[int, tuple]], r: int) -> int:
-        """Queue one wakeup's sends for the next round; returns the widest payload.
+    def _run_round(self, r: int, everyone: range | None = None) -> None:
+        """Run round r: wake its agenda entries in index order, or the nodes
+        of ``everyone``, and queue each wakeup's sends for round r + 1 and
+        its timer requests on the agenda.
 
         A node wakes at most once per round, so two sends on one port in
         one wakeup are two messages on one edge in one round: a violation.
-        Each neighbour's inbox gets this wakeup's messages to it as one run
-        at its end, nothing else being delivered meanwhile, so the check is
-        one look at the inbox's last entry.
+        A wakeup's messages to one neighbour form one run at the end of its
+        inbox, so the check is one look at the inbox's last entry.  Sends in
+        the final round land at ``cal.total``, the terminal computation.
         """
-        widths = self.widths
-        adj, rev = self.g.adj[sender], self.rev_port[sender]
-        events = self.events
-        # Sends in the final round land at cal.total; their processing is
-        # the nodes' terminal computation after the last round.
-        inboxes = self.agenda.get(r + 1)
-        if inboxes is None:
-            inboxes = self.agenda[r + 1] = {}
-        widest, deg = 0, len(adj)
-        for port, m in out:
-            bits = widths[m[0]]
-            if bits > widest:
-                widest = bits
-            if not 0 <= port < deg:
-                raise ProtocolViolation(f"node {sender} sent on missing port {port}")
-            recipient = adj[port]
-            entry = (rev[port], m)
-            inbox = inboxes.get(recipient)
-            if not inbox:  # none yet, or a timer wake's empty tuple
-                inboxes[recipient] = [entry]
-            elif inbox[-1][0] == entry[0]:
-                raise ProtocolViolation(f"node {sender} sent two messages on port {port} in round {r}")
-            else:
-                inbox.append(entry)
-            if events is not None:
-                events.append((r, sender, recipient, m[0], m[1]))
-        return widest
-
-    def _run_round(self, r: int, everyone: set[int] | None = None) -> None:
-        """Wake round r's agenda entries, or with ``everyone``, every node."""
         self._enter(r)
-        inboxes = self.agenda.pop(r, {})
-        woken = sorted(inboxes) if everyone is None else sorted(everyone | inboxes.keys())
-        wake, deliver, schedule = self._wake, self._deliver, self._schedule_wakes
+        agenda, total = self.agenda, self.cal.total
+        inboxes = agenda.pop(r, {})
+        adj, rev_port, widths, events = self.g.adj, self.rev_port, self.widths, self.events
+        wake = self._wake
         out: list[tuple[int, tuple]] = []
         wakes: list[int] = []
-        traffic = 0
-        bits_max = 0
-        for v in woken:
+        nxt = None  # round r + 1's inboxes, made at the first send: a quiet round adds none
+        traffic = bits_max = 0
+        for v in sorted(inboxes) if everyone is None else everyone:
             wake(v, r, inboxes.get(v, ()), out, wakes)
             if out:
-                bits = deliver(v, out, r)
-                if bits > bits_max:
-                    bits_max = bits
+                if nxt is None:
+                    nxt = agenda.setdefault(r + 1, {})
+                nbrs, rev = adj[v], rev_port[v]
+                deg = len(nbrs)
+                for port, m in out:
+                    bits = widths[m[0]]
+                    if bits > bits_max:
+                        bits_max = bits
+                    if not 0 <= port < deg:
+                        raise ProtocolViolation(f"node {v} sent on missing port {port}")
+                    recipient = nbrs[port]
+                    entry = (rev[port], m)
+                    inbox = nxt.get(recipient)
+                    if not inbox:  # none yet, or a timer wake's empty tuple
+                        nxt[recipient] = [entry]
+                    elif inbox[-1][0] == entry[0]:
+                        raise ProtocolViolation(f"node {v} sent two messages on port {port} in round {r}")
+                    else:
+                        inbox.append(entry)
+                    if events is not None:
+                        events.append((r, v, recipient, m[0], m[1]))
                 traffic += len(out)
                 out.clear()
             if wakes:
-                schedule(v, wakes, r)
+                for t in wakes:
+                    if t <= r:
+                        raise ProtocolViolation(f"node {v} scheduled a non-future wake {t} at round {r}")
+                    if t >= total:
+                        raise ProtocolViolation(f"node {v} scheduled wake {t} beyond budget {total}")
+                    agenda.setdefault(t, {}).setdefault(v, ())
                 wakes.clear()
         self.messages_total += traffic
         self.max_bits = max(self.max_bits, bits_max)
@@ -605,12 +592,12 @@ class Simulator:
         is exhausted.
         """
         cal, agenda = self.cal, self.agenda
-        everyone = set(range(self.g.n)) if self.driver == "lockstep" else None
+        everyone = range(self.g.n) if self.driver == "lockstep" else None
         alive_in = terminals_in = self.start
         ends = cal.phase_start[1:] + [cal.total]
         for p, (first, end) in enumerate(zip(cal.phase_start, ends)):
             for v in terminals_in:
-                self._schedule_wakes(v, (first,), first - 1)
+                agenda.setdefault(first, {}).setdefault(v, ())
             if everyone is None:
                 while agenda and (r := min(agenda)) < end:
                     self._run_round(r)

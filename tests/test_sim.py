@@ -681,9 +681,61 @@ def test_messages_scale_with_change_not_rounds():
     assert stats.messages_total < stats.rounds
 
 
+def _count_wakeups_and_rounds(sim):
+    """Record each (round, node) wakeup and each round run of ``sim``, in order."""
+    woken, rounds = [], []
+    wake, run_round = sim._wake, sim._run_round
+
+    def counted_wake(v, r, *args):
+        woken.append((r, v))
+        wake(v, r, *args)
+
+    def counted_round(r, *args):
+        rounds.append(r)
+        run_round(r, *args)
+
+    sim._wake, sim._run_round = counted_wake, counted_round
+    return woken, rounds
+
+
+def test_a_phase_start_merges_with_a_timer_for_that_round():
+    # Node 0, a terminal of phase 1, asks at round 0 for a wake at phase 1's
+    # first round, where the simulator also puts the phase's terminals: it
+    # wakes there once, and the run is the unpatched one.
+    g, ids = build_graph(2, [(0, 1)], b=2)
+    plain = Simulator(g, ids, record_events=True)
+    want = plain.run()
+    sim = Simulator(g, ids, record_events=True)
+    first = sim.cal.phase_start[1]
+    real = sim._wake
+
+    def wake(v, r, inbox, out, wakes):
+        real(v, r, inbox, out, wakes)
+        if v == 0 and r == 0:
+            wakes.append(first)
+
+    sim._wake = wake
+    woken, _ = _count_wakeups_and_rounds(sim)
+    assert sim.run() == want and sim.events == plain.events
+    assert 0 in want[0][0].terminals_out
+    assert woken.count((first, 0)) == 1
+
+
+def test_lockstep_driver_wakes_every_node_every_round_in_order():
+    g, ids = build_graph(2, [(0, 1)], b=1)
+    sim = Simulator(g, ids, driver="lockstep")
+    woken, rounds = _count_wakeups_and_rounds(sim)
+    sim.run()
+    assert sim.cal.total == 61
+    assert woken == [(r, v) for r in range(61) for v in (0, 1)]
+    assert rounds == list(range(61))
+
+
 # Recorded on the simulator before its hot path was reworked: the round
 # statistics and the SHA-256 of the transcript lines and of the event log
-# (one repr per event), each joined by newlines.
+# (one repr per event), each joined by newlines.  The last two fields, the
+# event driver's wakeups (terminal computation included) and the rounds it
+# runs, were recorded before its round loop became one method.
 GOLDEN = {
     "path-64": (
         lambda: generate(FamilySpec("path", n=64)),
@@ -691,6 +743,8 @@ GOLDEN = {
         849,
         "0ec52326f219deb98f44ec9749668aa6add1dab5ebd7c3f40763f4bd4a2cac3f",
         "0b1dc35eddc0c329d369ade84eeba017e4666523cf25a218953c1112ff1d7b01",
+        2440,
+        1062,
     ),
     "random-14-901": (
         lambda: random_connected(14, 901),
@@ -698,6 +752,8 @@ GOLDEN = {
         53,
         "3d9aeaa5be6e54babc2f6252fba60f8fc306abd34c5ffe2c9142e448e3a01da1",
         "3ccd4c6dd11d83cd30a79c84963ffac0ae974a89d8907acd1f12302d33344f7c",
+        356,
+        88,
     ),
     "gnp-128-ids11": (
         lambda: generate(FamilySpec("gnp", n=128, p=3 / 128, seed=128, id_seed=11)),
@@ -705,18 +761,25 @@ GOLDEN = {
         416,
         "7d0a4600aad1658a5976fa94bfaf23a0014650e0f2f2789e8e09aa0c1c8a0b46",
         "2b9da69aae96fb273a8182c310ab8435015a56e6fbef308c3cc002b2e174a045",
+        5532,
+        554,
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_stats_transcript_and_events(name):
-    make, stats, n_lines, lines_sha, events_sha = GOLDEN[name]
+    make, stats, n_lines, lines_sha, events_sha, wakeups, rounds_run = GOLDEN[name]
     g, ids = make()
     lines: list[str] = []
     sim = Simulator(g, ids, transcript=lines, record_events=True)
+    woken, rounds = _count_wakeups_and_rounds(sim)
     _, got = sim.run()
     assert got == stats
+    # A node wakes at most once per round: the one-look check for two
+    # messages on one port rests on it.
+    assert len(woken) == wakeups and len(set(woken)) == wakeups
+    assert len(rounds) == rounds_run
     assert len(lines) == n_lines and len(sim.events) == stats.messages_total
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == lines_sha
     assert hashlib.sha256("\n".join(map(repr, sim.events)).encode()).hexdigest() == events_sha
