@@ -17,8 +17,8 @@ from typing import Iterable, Iterator
 from .cluster import (
     Clustering,
     Decomposition,
+    _backend_phases,
     _clustering_after,
-    _phases,
     mis_via_decomposition,
     network_decomposition,
     strong_cluster,  # not called here; perfbench/layers.py wraps this binding
@@ -26,7 +26,7 @@ from .cluster import (
 from .gen import FamilySpec, generate
 from .graph import Graph, GraphError, IdAssignment, parse_edge_list, write_edge_list
 from .phase import PhaseResult
-from .sim import _streamed_run, run_protocol  # run_protocol: not called here either
+from .sim import run_protocol  # not called here either
 from .verify import Report, check_clustering, check_decomposition, check_mis
 
 FAMILIES = ("path", "cycle", "grid", "complete", "tree", "hypercube", "gnp", "star")
@@ -113,30 +113,28 @@ def _cmd_cluster(args) -> int:
     """Each backend streams its phases, so at most one phase result is alive at a time."""
     g, ids = _load_graph(args)
     status = 0
-    clustering = None
+    start = set(range(g.n))
+    clusterings = []
     stats = None
-    if args.backend in ("reference", "both"):
-        start = set(range(g.n))
-        phases = _phases(g, ids, start)
-        if args.trace:
-            phases = _write_step_logs(phases, _trace_dir())
-        clustering = _clustering_after(g, ids, start, phases)
-    equal = None
-    if args.backend in ("simulated", "both"):
+    for backend in ("reference", "simulated") if args.backend == "both" else (args.backend,):
         transcript: list[str] | None = [] if args.trace else None
-        sim_clustering, stats = _streamed_run(g, ids, transcript=transcript)
-        if clustering is None:
-            clustering = sim_clustering
-        else:
-            equal = sim_clustering == clustering
-        if args.trace and transcript is not None:
-            (_trace_dir() / "transcript.log").write_text("\n".join(transcript) + "\n")
+        phases, sim = _backend_phases(g, ids, start, backend, transcript=transcript)
+        if args.trace and sim is None:
+            phases = _write_step_logs(phases, _trace_dir())
+        clusterings.append(_clustering_after(g, ids, start, phases))
+        if sim is not None:
+            stats = sim.stats
+            if args.trace:
+                (_trace_dir() / "transcript.log").write_text("\n".join(transcript) + "\n")
+        del phases, sim  # the simulator's node state is freed before the JSON is built
+    clustering = clusterings[0]
     doc = clustering.to_json_dict(g)
     if stats is not None:
         doc["rounds"] = stats.rounds
         doc["messages_total"] = stats.messages_total
         doc["max_message_bits"] = stats.max_message_bits
-    if equal is not None:
+    if len(clusterings) == 2:
+        equal = clusterings[1] == clusterings[0]
         doc["equivalence"] = "PASS" if equal else "FAIL"
         if not equal:
             status = 1
@@ -249,7 +247,11 @@ def _cmd_bench(args) -> int:
             id_seed=args.id_seed,
         )
         g, ids = generate(spec)
-        clustering, stats = _streamed_run(g, ids)
+        start = set(range(g.n))
+        phases, sim = _backend_phases(g, ids, start, "simulated")
+        clustering = _clustering_after(g, ids, start, phases)
+        stats = sim.stats
+        del phases, sim  # the simulator's node state is freed before the JSON is built
         doc = clustering.to_json_dict(g)
         coverage = doc["coverage"] / doc["n"]
         ratio = stats.rounds / ids.b**6

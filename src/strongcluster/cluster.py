@@ -4,12 +4,13 @@
 terminal set from phase to phase, and keeps every phase's result as evidence.
 ``network_decomposition`` repeats the clustering on the unclustered remainder
 until every node is colored; the identifier assignment (and so b) stays fixed
-across iterations.  A phase reads only the previous phase's survivors and
-terminals, so the decomposition holds one phase result at a time: the
-reference backend's one phase loop, ``_phases``, and the simulator's
-``Simulator.phases`` each yield a result as soon as it exists, and
-``_clustering_after`` drops each result once it has read the next phase's
-inputs off it.
+across iterations.  Every run of either backend starts in one function,
+``_backend_phases``: it streams the reference backend's one phase loop,
+``_phases``, or the phases of a ``Simulator``, each result yielded as soon
+as it exists.  A phase reads only the previous phase's survivors and
+terminals, so ``_clustering_after`` reads a stream holding one phase result
+at a time: it drops each result once it has read the next phase's inputs
+off it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .graph import Graph, GraphError, IdAssignment, connected_components, induce
 from .phase import PhaseResult, run_phase
 
 if TYPE_CHECKING:
-    from .sim import RoundStats
+    from .sim import Simulator
 
 
 @dataclass(frozen=True)
@@ -80,14 +81,10 @@ class Decomposition:
 
 @dataclass(frozen=True)
 class ClusterRun:
-    """One clustering execution: the clustering plus per-phase evidence.
-
-    ``rounds`` is populated by the simulated backend only.
-    """
+    """One clustering execution: the clustering plus per-phase evidence."""
 
     clustering: Clustering
     phases: tuple[PhaseResult, ...]
-    rounds: "RoundStats | None" = None
 
 
 def clustering_from_survivors(
@@ -131,24 +128,42 @@ def strong_cluster(
     """Cluster at least half the (alive) nodes into non-adjacent low-diameter clusters.
 
     ``backend="reference"`` runs the centralized phase engine;
-    ``backend="simulated"`` runs the synchronous message-passing executor and
-    attaches its round statistics.  Both produce identical clusterings.
-    ``debug=True`` records per-step snapshots, which only the reference
-    backend emits, so the simulated backend rejects it.
+    ``backend="simulated"`` runs the synchronous message-passing executor.
+    Both produce identical clusterings.  ``debug=True`` records per-step
+    snapshots, which only the reference backend emits, so the simulated
+    backend rejects it.
     """
-    if backend == "simulated":
-        if debug:
-            raise ValueError("backend='simulated' with debug=True: the simulator records no step traces")
-        from .sim import run_protocol
-
-        clustering, stats, phases = run_protocol(g, ids, alive=alive)
-        return ClusterRun(clustering=clustering, phases=tuple(phases), rounds=stats)
-    if backend != "reference":
-        raise GraphError(f"unknown backend {backend!r}")
-
     start = set(range(g.n)) if alive is None else set(alive)
-    phases = tuple(_phases(g, ids, start, debug))
+    stream, _ = _backend_phases(g, ids, start, backend, debug)
+    phases = tuple(stream)
     return ClusterRun(clustering=_clustering_after(g, ids, start, phases), phases=phases)
+
+
+def _backend_phases(
+    g: Graph,
+    ids: IdAssignment,
+    start: set[int],
+    backend: str = "reference",
+    debug: bool = False,
+    transcript: list[str] | None = None,
+) -> tuple[Iterator[PhaseResult], Simulator | None]:
+    """A backend's phase stream from ``start``, and the simulator that runs it.
+
+    Every run of either backend starts here.  The reference backend streams
+    ``_phases`` and has no simulator; the simulator's ``stats`` are set once
+    its stream is exhausted.  Only the reference backend takes ``debug``,
+    and only the simulator writes a ``transcript``.
+    """
+    if backend == "reference":
+        return _phases(g, ids, start, debug), None
+    if backend != "simulated":
+        raise GraphError(f"unknown backend {backend!r}")
+    if debug:
+        raise ValueError("backend='simulated' with debug=True: the simulator records no step traces")
+    from .sim import Simulator
+
+    sim = Simulator(g, ids, alive=start, transcript=transcript)
+    return sim.phases(), sim
 
 
 def _phases(g: Graph, ids: IdAssignment, start: set[int], debug: bool = False) -> Iterator[PhaseResult]:
@@ -194,25 +209,21 @@ def network_decomposition(
     stays within ceil(log2 n) + 1.  Also returns the simulated rounds summed
     over the clusterings, or None on the reference backend.
 
-    On either backend each clustering streams its phases and keeps only the
-    latest survivors and terminals, so no earlier phase result is alive
-    while a phase runs.  The reference backend hands ``remaining`` to the
-    first phase as it is, since a phase neither changes nor keeps it.
+    Each clustering reads its phase stream keeping only the latest
+    survivors and terminals, so no earlier phase result is alive while a
+    phase runs.  ``remaining`` is the first phase's input as it is, since
+    no backend changes or keeps it.
     """
-    if backend == "simulated":
-        from .sim import _streamed_run
-    elif backend != "reference":
-        raise GraphError(f"unknown backend {backend!r}")
     remaining = set(range(g.n))
     color: list[int] = [-1] * g.n
     rounds_total: int | None = None
     c = 0
     while remaining:
-        if backend == "reference":
-            clustering = _clustering_after(g, ids, remaining, _phases(g, ids, remaining))
-        else:
-            clustering, stats = _streamed_run(g, ids, alive=remaining)
-            rounds_total = (rounds_total or 0) + stats.rounds
+        phases, sim = _backend_phases(g, ids, remaining, backend)
+        clustering = _clustering_after(g, ids, remaining, phases)
+        if sim is not None:
+            rounds_total = (rounds_total or 0) + sim.stats.rounds
+        del phases, sim  # the simulator's node state is freed before the next one is built
         covered = clustering.covered_nodes()
         if not covered:
             raise GraphError("clustering made no progress; decomposition cannot finish")

@@ -53,8 +53,9 @@ list among them is cleared in place when its stamp changes, so no step or
 phase rebuilds node state.  A node's color is read off its root's phase
 bit.  At each phase boundary the simulator reads each survivor's parent,
 depth and root off the lists into a ``ForestLinks`` and yields the phase's
-result (``Simulator.phases``); between phases it keeps only the latest
-survivors and terminals.
+result from ``Simulator.phases``; between phases it keeps only the latest
+survivors and terminals.  Every simulated run reads that stream from
+``cluster._backend_phases``, the one place a run of either backend starts.
 
 A message is a plain ``(tag, data)`` tuple, and a tag is its own name, the
 string the event log records: BFS_TOKEN = "bfs" (BFS wave), COLOR
@@ -72,7 +73,7 @@ from itertools import accumulate
 from typing import Iterable, Iterator
 
 # clustering_from_survivors is not called here; perfbench/layers.py wraps this binding.
-from .cluster import Clustering, _clustering_after, clustering_from_survivors
+from .cluster import Clustering, _backend_phases, _clustering_after, clustering_from_survivors
 from .forest import ForestLinks
 from .graph import Graph, GraphError, IdAssignment
 from .phase import PhaseResult, step_budget
@@ -575,11 +576,6 @@ class Simulator:
         if self.transcript is not None and traffic:
             self.transcript.append(f"round {r}: msgs={traffic} bits_max={bits_max}")
 
-    def run(self) -> tuple[list[PhaseResult], RoundStats]:
-        """Execute all phases; returns each phase's result plus statistics."""
-        phases = list(self.phases())
-        return phases, self.stats
-
     def phases(self) -> Iterator[PhaseResult]:
         """Execute all phases, yielding each phase's result at its boundary.
 
@@ -665,19 +661,7 @@ def run_protocol(
     each) is read off the final state; the round budget covers exactly the
     b phases.  Every phase's result is kept and returned.
     """
-    sim = Simulator(g, ids, alive=alive, transcript=transcript)
-    phases, stats = sim.run()
-    return _clustering_after(g, ids, sim.start, phases), stats, phases
-
-
-def _streamed_run(
-    g: Graph,
-    ids: IdAssignment,
-    alive: Iterable[int] | None = None,
-    transcript: list[str] | None = None,
-) -> tuple[Clustering, RoundStats]:
-    """``run_protocol`` without the phase results: it reads the phase
-    stream and keeps no earlier result while a phase runs."""
-    sim = Simulator(g, ids, alive=alive, transcript=transcript)
-    clustering = _clustering_after(g, ids, sim.start, sim.phases())
-    return clustering, sim.stats
+    start = set(range(g.n)) if alive is None else set(alive)
+    stream, sim = _backend_phases(g, ids, start, "simulated", transcript=transcript)
+    phases = list(stream)
+    return _clustering_after(g, ids, start, phases), sim.stats, phases

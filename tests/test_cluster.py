@@ -17,7 +17,7 @@ from strongcluster.cluster import (
     strong_cluster,
 )
 from strongcluster.gen import FamilySpec, generate, splitmix_at
-from strongcluster.graph import IdAssignment, build_graph, connected_components, multi_source_bfs, write_edge_list
+from strongcluster.graph import GraphError, IdAssignment, build_graph, connected_components, multi_source_bfs, write_edge_list
 from strongcluster.phase import run_phase
 from strongcluster.sim import round_budget, run_protocol
 from strongcluster.verify import check_clustering, check_decomposition, check_mis
@@ -375,6 +375,13 @@ def test_debug_runs_need_the_reference_backend():
     assert run.phases and all(
         p.step_traces and all(tr.snapshot is not None for tr in p.step_traces) for p in run.phases
     )
+
+
+@pytest.mark.parametrize("run", [strong_cluster, network_decomposition])
+def test_an_unknown_backend_is_an_input_error(run):
+    g, ids = build_graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(GraphError, match="unknown backend 'x'"):
+        run(g, ids, backend="x")
 
 
 def _induced_relabelled(g, ids, nodes):

@@ -20,6 +20,11 @@ Every per-node list the simulator keeps, but for its port wiring, is read
 by the node program, so no node state is only written, or kept only for
 what the simulator reads off it at phase boundaries.
 
+Every run of either backend starts in one function, the phase-stream seam
+``cluster._backend_phases``: no other function builds a ``Simulator`` or
+calls the reference phase loop ``_phases``, and the simulator has no
+second entry point beside ``Simulator.phases``.
+
 The node program (``Simulator._wake`` and ``_rehang``) reads no state that
 spans the graph: not the graph itself, the identifier table, the run's alive
 set or the identifier map.  A node knows its own slots of the per-node
@@ -217,3 +222,51 @@ def test_node_program_guard_sees_a_one_line_mutant():
     assert source.count(anchor) == 1
     _, reads = global_reads_in_node_program(source.replace(anchor, anchor + "        self.g.adj[v]\n"))
     assert len(reads) == 1 and reads[0].endswith("_wake reads self.g"), reads
+
+
+SEAM = "_backend_phases"
+
+
+def _calls_by_function(tree: ast.AST, owner: str | None = None):
+    """(name of the innermost enclosing function, call) for every call in ``tree``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _calls_by_function(node, node.name)
+            continue
+        if isinstance(node, ast.Call):
+            yield owner, node
+        yield from _calls_by_function(node, owner)
+
+
+def backend_starts(package: Path = PACKAGE) -> list[str]:
+    """``file:line function callee`` of every call that builds a ``Simulator`` or runs ``_phases``."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for owner, call in _calls_by_function(ast.parse(path.read_text(), filename=str(path))):
+            callee = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            if callee in ("Simulator", "_phases"):
+                found.append(f"{path.name}:{call.lineno} {owner} {callee}")
+    return found
+
+
+def second_entry_points(package: Path = PACKAGE) -> list[str]:
+    """``_streamed_run`` anywhere in the package, and a ``run`` method on ``Simulator``."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.FunctionDef) and node.name == "_streamed_run":
+                found.append(f"{path.name}:{node.lineno} _streamed_run")
+            if isinstance(node, ast.ClassDef) and node.name == "Simulator":
+                found += [
+                    f"{path.name}:{item.lineno} Simulator.run"
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and item.name == "run"
+                ]
+    return found
+
+
+def test_every_backend_run_starts_in_the_seam():
+    starts = backend_starts()
+    assert sorted(entry.split()[-1] for entry in starts) == ["Simulator", "_phases"], starts
+    assert [entry for entry in starts if entry.split()[1] != SEAM] == []
+    assert second_entry_points() == []

@@ -28,6 +28,11 @@ from strongcluster.sim import (
 )
 
 
+def _run(sim):
+    """Every phase's result of a simulator's run, and its round statistics."""
+    return list(sim.phases()), sim.stats
+
+
 def test_round_budget_b1():
     # t = 2, L_0 = 5: 5 + 2 * (3 + 25) = 61.
     assert round_budget(2, 1) == 61
@@ -166,11 +171,11 @@ def test_oversized_message_is_rejected(monkeypatch):
     widest = payload_bits(sim_module.BFS_TOKEN, 1)
     assert widest == max(_field_layout(1).values())
     monkeypatch.setattr(sim_module, "message_bit_budget", lambda b: widest)
-    _, stats = _k2_simulator().run()
+    _, stats = _run(_k2_simulator())
     assert stats.max_message_bits == widest
     monkeypatch.setattr(sim_module, "message_bit_budget", lambda b: widest - 1)
     with pytest.raises(ProtocolViolation, match="bfs of 5 bits exceeds budget 4"):
-        _k2_simulator().run()
+        _run(_k2_simulator())
 
 
 def test_bit_budget_is_checked_at_construction(monkeypatch):
@@ -186,20 +191,20 @@ def test_bit_budget_is_checked_at_construction(monkeypatch):
 def test_send_on_missing_port_is_rejected(port):
     sim = _k2_simulator(lambda r: ([(port, (sim_module.LEAVE, ()))], []))
     with pytest.raises(ProtocolViolation, match=f"node 0 sent on missing port {port}"):
-        sim.run()
+        _run(sim)
 
 
 def test_wake_at_or_before_now_is_rejected():
     for back in (0, 1):
         sim = _k2_simulator(lambda r: ([], [r - back] if r >= back else []))
         with pytest.raises(ProtocolViolation, match="non-future wake"):
-            sim.run()
+            _run(sim)
 
 
 def test_wake_beyond_budget_is_rejected():
     sim = _k2_simulator(lambda r: ([], [sim.cal.total]))
     with pytest.raises(ProtocolViolation, match=f"wake {sim.cal.total} beyond budget"):
-        sim.run()
+        _run(sim)
 
 
 def test_two_messages_on_one_port_in_a_round_are_rejected():
@@ -207,7 +212,7 @@ def test_two_messages_on_one_port_in_a_round_are_rejected():
     # second message on that port in the same wakeup breaks the model.
     sim = _k2_simulator(lambda r: ([(0, (sim_module.LEAVE, ()))] if r == 0 else [], []))
     with pytest.raises(ProtocolViolation, match="node 0 sent two messages on port 0 in round 0"):
-        sim.run()
+        _run(sim)
 
 
 def test_two_messages_on_one_port_apart_in_the_send_list_are_rejected():
@@ -225,7 +230,7 @@ def test_two_messages_on_one_port_apart_in_the_send_list_are_rejected():
 
     sim._wake = wake
     with pytest.raises(ProtocolViolation, match="node 1 sent two messages on port 0 in round 0"):
-        sim.run()
+        _run(sim)
 
 
 def test_calendar_rejects_rounds_outside_budget():
@@ -257,7 +262,7 @@ def test_zero_bits_run_no_round():
     # one node is its own cluster, as on the reference backend.
     g, ids = build_graph(1, [], b=0)
     for driver in ("event", "lockstep"):
-        assert Simulator(g, ids, driver=driver).run() == ([], RoundStats(0, 0, 0))
+        assert _run(Simulator(g, ids, driver=driver)) == ([], RoundStats(0, 0, 0))
     clustering, stats, phases = run_protocol(g, ids)
     assert (clustering, stats, phases) == (strong_cluster(g, ids).clustering, RoundStats(0, 0, 0), [])
     assert strong_cluster(g, ids, backend="simulated").clustering.clusters == ((0, (0,)),)
@@ -376,9 +381,9 @@ def test_simulated_phases_match_reference_field_by_field():
 
 def _assert_drivers_agree(g, ids, alive=None):
     ev = Simulator(g, ids, alive=alive, driver="event", record_events=True)
-    ev_out, ev_stats = ev.run()
+    ev_out, ev_stats = _run(ev)
     lk = Simulator(g, ids, alive=alive, driver="lockstep", record_events=True)
-    lk_out, lk_stats = lk.run()
+    lk_out, lk_stats = _run(lk)
     assert ev.events == lk.events
     assert ev_stats == lk_stats
     assert ev_out == lk_out
@@ -425,7 +430,7 @@ def test_residual_runs_message_only_alive_nodes(name):
     g, ids = RESIDUAL_GRAPHS[name]()
     for alive in _residual_alive_sets(g, ids):
         sim = Simulator(g, ids, alive=alive, record_events=True)
-        sim.run()
+        _run(sim)
         assert [e for e in sim.events if e[2] not in alive] == [], (name, sorted(alive))
 
 
@@ -455,7 +460,7 @@ def _first_round_wakes(g, ids, alive=None):
         real(v, r, inbox, out, wakes)
 
     sim._wake = wake
-    phases, _ = sim.run()
+    phases, _ = _run(sim)
     return phases, woken, timer_woken
 
 
@@ -495,7 +500,7 @@ def test_bfs_tokens_carry_each_node_s_distance_from_the_phase_terminals():
     senders = 0
     for name, g, ids, alive in runs:
         sim = Simulator(g, ids, alive=alive, record_events=True)
-        phases, _ = sim.run()
+        phases, _ = _run(sim)
         sent = [{} for _ in phases]
         for r, sender, _, tag, data in sim.events:
             if tag == sim_module.BFS_TOKEN:
@@ -555,7 +560,7 @@ def test_a_wakeup_touches_only_its_own_slot_of_node_state():
     for name, g, ids in corpus_entries(64):
         sim = Simulator(g, ids)
         strays = _guard_locality(sim)
-        sim.run()
+        _run(sim)
         assert strays == [], (name, strays[:3])
         runs += 1
     assert runs > 400
@@ -575,7 +580,7 @@ def test_locality_guard_sees_a_one_line_mutant(monkeypatch):
     g, ids = generate(FamilySpec("path", n=8))
     sim = mutant.Simulator(g, ids)
     strays = _guard_locality(sim)
-    sim.run()
+    _run(sim)
     assert strays and {(name, i - v) for name, v, i in strays} == {("depth", 1)}
 
 
@@ -618,7 +623,7 @@ def test_simulator_node_state_is_lean(spec):
     finally:
         tracemalloc.stop()
     assert peak / g.n <= 680, f"{spec.family}: construction peaks at {peak / g.n:.1f} bytes per node"
-    sim.run()
+    _run(sim)
     per_node = {
         name: value for name, value in vars(sim).items()
         if isinstance(value, (list, tuple)) and len(value) == g.n and value is not ids.ids
@@ -641,7 +646,7 @@ def test_flags_fall_in_stage_b_once_per_step():
     flags = 0
     for name, g, ids in corpus_entries(64):
         sim = Simulator(g, ids, record_events=True)
-        sim.run()
+        _run(sim)
         seen = set()
         for r, sender, recipient, tag, _ in sim.events:
             if tag != sim_module.ANCESTOR_FLAG:
@@ -658,9 +663,9 @@ def test_flags_fall_in_stage_b_once_per_step():
 def test_event_driver_deterministic():
     g, ids = random_connected(14, 901)
     a = Simulator(g, ids, record_events=True)
-    a.run()
+    _run(a)
     b = Simulator(g, ids, record_events=True)
-    b.run()
+    _run(b)
     assert a.events == b.events
 
 
@@ -704,7 +709,7 @@ def test_a_phase_start_merges_with_a_timer_for_that_round():
     # wakes there once, and the run is the unpatched one.
     g, ids = build_graph(2, [(0, 1)], b=2)
     plain = Simulator(g, ids, record_events=True)
-    want = plain.run()
+    want = _run(plain)
     sim = Simulator(g, ids, record_events=True)
     first = sim.cal.phase_start[1]
     real = sim._wake
@@ -716,7 +721,7 @@ def test_a_phase_start_merges_with_a_timer_for_that_round():
 
     sim._wake = wake
     woken, _ = _count_wakeups_and_rounds(sim)
-    assert sim.run() == want and sim.events == plain.events
+    assert _run(sim) == want and sim.events == plain.events
     assert 0 in want[0][0].terminals_out
     assert woken.count((first, 0)) == 1
 
@@ -725,7 +730,7 @@ def test_lockstep_driver_wakes_every_node_every_round_in_order():
     g, ids = build_graph(2, [(0, 1)], b=1)
     sim = Simulator(g, ids, driver="lockstep")
     woken, rounds = _count_wakeups_and_rounds(sim)
-    sim.run()
+    _run(sim)
     assert sim.cal.total == 61
     assert woken == [(r, v) for r in range(61) for v in (0, 1)]
     assert rounds == list(range(61))
@@ -774,7 +779,7 @@ def test_golden_stats_transcript_and_events(name):
     lines: list[str] = []
     sim = Simulator(g, ids, transcript=lines, record_events=True)
     woken, rounds = _count_wakeups_and_rounds(sim)
-    _, got = sim.run()
+    _, got = _run(sim)
     assert got == stats
     # A node wakes at most once per round: the one-look check for two
     # messages on one port rests on it.
